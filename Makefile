@@ -41,7 +41,11 @@ lint:
 ## substrate smoke check: lint gate + core NN/RL tests + one quick
 ## benchmark pass + the bench regression gate over BENCH_substrate.json
 ## + a bounded crash-point fuzzing pass (a3c/ambs/evolution on serial)
+## + the end-to-end benchmark's own tests, whose install test resolves
+## every repro entry point perfbench patches (a rename fails here, not
+## in the benchmark run)
 smoke: lint bench-table
+	$(PYTHON) -m pytest -q perfbench/tests
 	$(PYTHON) -m repro.perf --help >/dev/null  # import sanity
 	$(PYTHON) -c "import sys; from repro.perf import smoke; sys.exit(smoke([]))"
 	$(PYTHON) tools/check_bench.py

@@ -14,8 +14,7 @@ import numpy as np
 
 from harness import WALL_MINUTES, allocation, space_for, surrogate_for
 from repro.analytics import cache_hit_fraction, unique_architectures
-from repro.search import (EvolutionConfig, SearchConfig, run_evolution,
-                          run_search)
+from repro.search import SearchConfig, run_search
 
 
 def _late_mean(result):
@@ -182,15 +181,11 @@ def bench_evolution_vs_rl(benchmark):
 
     def run_all():
         out = {}
-        for method in ("a3c", "rdm"):
+        for method in ("a3c", "rdm", "evolution"):
             cfg = SearchConfig(method=method, allocation=allocation(256),
-                               wall_time=WALL_MINUTES * 60.0, seed=4)
+                               wall_time=WALL_MINUTES * 60.0, seed=4,
+                               population_size=50, tournament_size=10)
             out[method] = run_search(space, surrogate_for("combo"), cfg)
-        evo_cfg = EvolutionConfig(population_size=50, tournament_size=10,
-                                  wall_time=WALL_MINUTES * 60.0,
-                                  allocation=allocation(256), seed=4)
-        out["evolution"] = run_evolution(space, surrogate_for("combo"),
-                                         evo_cfg)
         return out
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -14,22 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..search.base import RewardRecord
+from .trajectory import best_so_far_trajectory
 
 __all__ = ["regret_trajectory", "fraction_of_optimum_trajectory",
            "evaluations_to_regret", "regret_summary",
            "labeled_regret_trajectories", "compare_report"]
-
-
-def _best_so_far(records: list[RewardRecord]) -> np.ndarray:
-    """(minutes, best-so-far reward) rows in completion order."""
-    recs = sorted(records, key=lambda r: r.time)
-    out = np.zeros((len(recs), 2))
-    best = -np.inf
-    for i, r in enumerate(recs):
-        if not np.isnan(r.reward):
-            best = max(best, r.reward)
-        out[i] = (r.time / 60.0, best)
-    return out
 
 
 def regret_trajectory(records: list[RewardRecord],
@@ -40,7 +29,7 @@ def regret_trajectory(records: list[RewardRecord],
     table's own optimum, but mixed analyses (e.g. a live-training run
     scored against a table optimum) might, and negative regret would
     only obscure "reached the optimum"."""
-    traj = _best_so_far(records)
+    traj = best_so_far_trajectory(records)
     if len(traj) == 0:
         return np.zeros((0, 2))
     return np.column_stack([traj[:, 0],
@@ -57,7 +46,7 @@ def fraction_of_optimum_trajectory(records: list[RewardRecord],
     1.0 = global optimum found; degenerate tables (optimum == floor)
     report 1.0 throughout.
     """
-    traj = _best_so_far(records)
+    traj = best_so_far_trajectory(records)
     if len(traj) == 0:
         return np.zeros((0, 2))
     span = optimum - floor
@@ -72,13 +61,9 @@ def evaluations_to_regret(records: list[RewardRecord], optimum: float,
                           threshold: float = 0.0) -> int | None:
     """Evaluations (1-based, in completion order) until exact regret
     first drops to ``threshold`` or below; None if it never does."""
-    best = -np.inf
-    for i, rec in enumerate(sorted(records, key=lambda r: r.time)):
-        if not np.isnan(rec.reward):
-            best = max(best, rec.reward)
-        if optimum - best <= threshold:
-            return i + 1
-    return None
+    traj = best_so_far_trajectory(records)
+    hit = np.flatnonzero(optimum - traj[:, 1] <= threshold)
+    return int(hit[0]) + 1 if len(hit) else None
 
 
 def regret_summary(records: list[RewardRecord], optimum: float,

@@ -21,12 +21,15 @@ def _sorted(records: list[RewardRecord]) -> list[RewardRecord]:
 
 def best_so_far_trajectory(records: list[RewardRecord]
                            ) -> np.ndarray:
-    """(minutes, best-so-far reward) rows, one per evaluation."""
+    """(minutes, best-so-far reward) rows, one per evaluation, in
+    completion order.  NaN rewards (a diverged metric with guards off)
+    never count: rows before the first finite reward read ``-inf``."""
     recs = _sorted(records)
     out = np.zeros((len(recs), 2))
     best = -np.inf
     for i, r in enumerate(recs):
-        best = max(best, r.reward)
+        if not np.isnan(r.reward):
+            best = max(best, r.reward)
         out[i] = (r.time / 60.0, best)
     return out
 
@@ -70,10 +73,6 @@ def time_to_reward(records: list[RewardRecord], threshold: float
     """Minutes until the best-so-far reward first reaches ``threshold``
     (None if never) — the paper's "A3C reaches reward values of 0.5 ...
     in approximately 70 minutes" statistic."""
-    best = -np.inf
-    for r in _sorted(records):
-        if r.reward > best:
-            best = r.reward
-            if best >= threshold:
-                return r.time / 60.0
-    return None
+    traj = best_so_far_trajectory(records)
+    hit = np.flatnonzero(traj[:, 1] >= threshold)
+    return float(traj[hit[0], 0]) if len(hit) else None

@@ -12,10 +12,10 @@ repro spaces: a directory holding
   space metadata, and the list of *sealed* shards with row counts and
   content hashes.
 
-Crash consistency follows the checkpoint pattern
-(:meth:`repro.search.checkpoint.SearchCheckpoint.save`): rows are
-flushed per append (a SIGKILLed sweep loses at most the torn trailing
-line), shards are fsynced when sealed, and the manifest is published by
+Crash consistency follows the checkpoint-generation pattern
+(:mod:`repro.util.atomicio`): rows are flushed per append (a SIGKILLed
+sweep loses at most the torn trailing line), shards are fsynced when
+sealed, and the manifest is published by
 write-tmp → fsync → atomic rename → directory fsync.  After any kill,
 the manifest plus its sealed shards are a consistent prefix of the
 sweep, and the unsealed tail shard is recovered tolerantly — so a

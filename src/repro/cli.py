@@ -40,10 +40,8 @@ from .problems import get_problem
 from .problems.combo import COMBO_PAPER_SHAPES, combo_head
 from .problems.nt3 import NT3_PAPER_SHAPES, nt3_head
 from .problems.uno import UNO_PAPER_SHAPES, uno_head
-from .events import JsonlSink
 from .rewards import SurrogateReward
 from .search import NasSearch, SEARCH_METHODS, SearchConfig, resume_durable
-from .search.checkpoint import SearchCheckpoint
 
 __all__ = ["main"]
 
@@ -103,8 +101,6 @@ def _cmd_search(args) -> int:
                        backend=backend,
                        max_iterations=getattr(args, "iterations", None),
                        preemptible=getattr(args, "preempt", False),
-                       checkpoint_path=getattr(args, "checkpoint_path",
-                                               None),
                        journal_dir=getattr(args, "journal_dir", None),
                        journal_fsync_every=getattr(args,
                                                    "journal_fsync_every",
@@ -115,38 +111,28 @@ def _cmd_search(args) -> int:
           f"({alloc.num_agents} agents x {alloc.workers_per_agent} "
           f"workers, {args.minutes:.0f} simulated min, "
           f"{backend} backend) ...")
-    # the event stream goes straight to disk, one flushed line per
-    # event, so a crashed or preempted run keeps everything emitted so
-    # far (a torn trailing line is tolerated by events.read_events)
-    sink = (JsonlSink(args.events,
-                      fsync_every=getattr(args, "events_fsync_every", None))
-            if getattr(args, "events", None) else None)
-    resume_path = getattr(args, "resume", None)
     try:
         if getattr(args, "resume_durable", False):
             # crash-anywhere restart: load the newest intact checkpoint
             # generation and replay the journal suffix so completed
             # evaluations are never re-executed
-            search = resume_durable(space, reward, cfg, event_sink=sink)
-        elif resume_path:
-            ckpt = SearchCheckpoint.load(resume_path)
-            search = NasSearch(space, reward, cfg, resume_from=ckpt,
-                               event_sink=sink)
+            search = resume_durable(space, reward, cfg)
         else:
-            search = NasSearch(space, reward, cfg, event_sink=sink)
-        if search.num_replay_loaded:
-            print(f"resume: {search.num_replay_loaded} journaled "
-                  f"evaluation(s) armed for replay")
-        result = search.run()
-    finally:
-        if sink is not None:
-            sink.close()
-    if sink is not None:
-        print(f"{sink.num_written} events streamed to {args.events}")
+            search = NasSearch(space, reward, cfg)
+    except ValueError as exc:   # no --journal-dir, or it holds a run
+        raise SystemExit(f"repro search: {exc}") from None
+    if search.num_replay_loaded:
+        print(f"resume: {search.num_replay_loaded} journaled "
+              f"evaluation(s) armed for replay")
+    result = search.run()
     if result.preempted:
-        where = cfg.checkpoint_path or "search.checkpoints[-1]"
-        print(f"preempted; resumable checkpoint at {where} "
-              f"(rerun with --resume to continue)")
+        if cfg.journal_dir is None:
+            print("preempted; the checkpoint was not written to disk "
+                  "(pass --journal-dir to keep one)")
+        else:
+            print(f"preempted; resumable checkpoint in "
+                  f"{cfg.journal_dir}/generations (rerun with "
+                  f"--resume-durable to continue)")
     best = (f"{result.best().reward:.3f}" if result.records else "n/a")
     print(f"evaluations: {result.num_evaluations} "
           f"({result.unique_architectures} unique); "
@@ -324,12 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--landscape-seed", type=int, default=7,
                    help="seed of the surrogate reward landscape")
     p.add_argument("--output", help="write a JSON-lines log here")
-    p.add_argument("--events",
-                   help="write the structured search-event stream "
-                        "(repro.events) as JSON lines here")
-    p.add_argument("--events-fsync-every", type=int, metavar="N",
-                   help="fsync the --events stream every Nth record "
-                        "(default: flush only, no fsync)")
     p.add_argument("--guard-mode", choices=("off", "check", "recover"),
                    default="off",
                    help="numerical health guards (repro.health): check "
@@ -351,19 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preempt", action="store_true",
                    help="handle SIGTERM/SIGINT gracefully: stop at the "
                         "next event boundary, capture a resumable "
-                        "checkpoint (see --checkpoint-path), and exit "
-                        "cleanly")
-    p.add_argument("--checkpoint-path",
-                   help="write the most recent checkpoint (periodic or "
-                        "preemption) to this JSON file")
-    p.add_argument("--resume",
-                   help="resume from a checkpoint JSON written by "
-                        "--checkpoint-path")
+                        "checkpoint into --journal-dir's generations/ "
+                        "directory, and exit cleanly (continue with "
+                        "--resume-durable)")
     p.add_argument("--journal-dir",
                    help="durability root: write a checksummed "
-                        "write-ahead journal of every search event plus "
-                        "verified checkpoint generations under this "
-                        "directory (repro.search.journal)")
+                        "write-ahead journal of every search event "
+                        "(<dir>/journal.jsonl) plus verified checkpoint "
+                        "generations (<dir>/generations/) under this "
+                        "directory (repro.search.journal); a fresh run "
+                        "refuses a directory that already holds one")
     p.add_argument("--journal-fsync-every", type=int, metavar="N",
                    help="fsync the journal every Nth record (default: "
                         "flush only; requires --journal-dir)")

@@ -15,12 +15,7 @@ constructed — :func:`emit` is a no-op on ``sink=None``.
 
 from __future__ import annotations
 
-import json
-import logging
-import os
 from dataclasses import dataclass, field
-
-from .util.atomicio import FsyncPolicy
 
 __all__ = [
     "SUBMIT", "BATCH_STATS", "EVAL_DONE", "CACHE_HIT", "PUSH", "BARRIER",
@@ -28,11 +23,8 @@ __all__ = [
     "WORKER_SPAWN", "WORKER_CRASH", "WORKER_RESPAWN", "WORKER_TIMEOUT",
     "QUARANTINE", "PREEMPT",
     "EVENT_KINDS", "SearchEvent", "EventSink", "NullSink", "RecordingSink",
-    "CallbackSink", "TeeSink", "JsonlSink", "EventLog", "emit",
-    "read_events",
+    "CallbackSink", "TeeSink", "EventLog", "emit",
 ]
-
-_log = logging.getLogger("repro.events")
 
 #: a batch of architectures entered the evaluation broker
 SUBMIT = "submit"
@@ -162,95 +154,15 @@ class TeeSink(EventSink):
             sink.close()
 
 
-class JsonlSink(EventSink):
-    """Streams events to a JSONL file, one flushed line per event.
-
-    Unlike buffering events in memory and dumping them at the end of the
-    run, every record hits the OS the moment it is emitted (``flush``),
-    so a *process* crash — or a SIGKILLed run — loses at most the event
-    being written.  Durability against a *host* crash is the fsync
-    policy's job: ``fsync=True`` forces every record to stable storage
-    (the old boolean knob), ``fsync_every=N`` does so after every Nth
-    record — the same :class:`~repro.util.atomicio.FsyncPolicy` the
-    search journal uses.  :func:`read_events` tolerates the torn
-    trailing line a crash can leave behind, and skips (with a counter)
-    interior corruption.
-    """
-
-    def __init__(self, path, fsync: bool = False,
-                 fsync_every: int | None = None) -> None:
-        self.path = os.fspath(path)
-        if fsync and fsync_every is None:
-            fsync_every = 1
-        self.fsync = fsync_every == 1
-        self._policy = FsyncPolicy(fsync_every)
-        self._fh = open(self.path, "w", encoding="utf-8")
-        self.num_written = 0
-
-    def emit(self, event: SearchEvent) -> None:
-        if self._fh is None:
-            return
-        self._fh.write(json.dumps(event.to_dict()) + "\n")
-        self._fh.flush()
-        self._policy.tick(self._fh.fileno())
-        self.num_written += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 class EventLog(list):
     """A list of :class:`SearchEvent` records that also reports how many
-    unreadable lines the reader had to skip (``num_skipped``) — list
-    subclass so every existing ``read_events`` caller keeps working."""
+    unreadable records the reader had to skip (``num_skipped``) — what
+    :func:`repro.search.journal.read_journal` returns for the stream's
+    only on-disk form, the write-ahead journal."""
 
     def __init__(self, events=(), num_skipped: int = 0) -> None:
         super().__init__(events)
         self.num_skipped = num_skipped
-
-
-def read_events(path) -> EventLog:
-    """Read a JSONL event stream back into :class:`SearchEvent` records.
-
-    Recovery is total: a torn trailing line — the partial record a crash
-    mid-``write`` leaves behind — is silently dropped, and a malformed
-    line anywhere *else* (bit rot, a concurrent writer's torn append) is
-    skipped with a logged warning rather than sinking the whole stream.
-    The returned :class:`EventLog` carries the interior-skip count in
-    ``num_skipped`` (the torn tail is not counted: it is the expected
-    residue of a crash, not corruption).
-    """
-    events: list[SearchEvent] = []
-    skipped = 0
-    with open(os.fspath(path), encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()     # trailing newline of a complete file
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            event = SearchEvent(rec["kind"], rec["time"],
-                                rec.get("agent_id"), rec.get("iteration"),
-                                rec.get("payload") or {})
-        except (json.JSONDecodeError, KeyError, TypeError):
-            if i == len(lines) - 1:
-                break   # torn trailing line from a crash mid-write
-            skipped += 1
-            _log.warning("%s: skipping malformed event record at line %d",
-                         path, i + 1)
-            continue
-        events.append(event)
-    return EventLog(events, num_skipped=skipped)
 
 
 def emit(sink: EventSink | None, kind: str, time: float,

@@ -5,8 +5,7 @@ from ..hpc.faults import FaultConfig
 from .ambs import AmbsProposer
 from .base import RewardRecord, SearchConfig, SearchResult
 from .checkpoint import AgentCheckpoint, SearchCheckpoint
-from .evolution import (EvolutionConfig, EvolutionProposer, EvolutionSearch,
-                        run_evolution)
+from .evolution import EvolutionProposer
 from .exchange import (EXCHANGE_STRATEGIES, A2CExchange, A3CExchange,
                        ExchangeStrategy, RandomExchange)
 from .hooks import (BoundaryHook, HealthHook, HookStack, LifecycleHooks,
@@ -17,20 +16,19 @@ from .methods import (SEARCH_METHODS, SearchMethod, build_exchange,
                       build_proposer)
 from .proposer import (HistoryProposer, PolicyProposer, Proposer,
                        RandomProposer)
-from .runner import NasSearch, resume_search, run_search
+from .runner import NasSearch, run_search
 
 __all__ = ['A2CExchange', 'A3CExchange', 'AgentCheckpoint', 'AgentLoop',
            'AmbsProposer', 'BoundaryHook', 'EXCHANGE_STRATEGIES',
-           'EvolutionConfig', 'EvolutionProposer', 'EvolutionSearch',
-           'ExchangeStrategy', 'FaultConfig', 'HealthHook',
-           'HistoryProposer', 'HookStack', 'LifecycleHooks', 'NasSearch',
-           'NodeAllocation', 'NumericFaultHook', 'PolicyProposer',
-           'Proposer', 'RandomExchange', 'RandomProposer',
-           'RecordCheckpointHook', 'RewardRecord', 'SEARCH_METHODS',
-           'SearchCheckpoint', 'SearchConfig', 'SearchJournal',
-           'SearchMethod', 'SearchResult', 'build_exchange',
-           'build_proposer', 'resume_durable', 'resume_search',
-           'run_evolution', 'run_search']
+           'EvolutionProposer', 'ExchangeStrategy', 'FaultConfig',
+           'HealthHook', 'HistoryProposer', 'HookStack', 'LifecycleHooks',
+           'NasSearch', 'NodeAllocation', 'NumericFaultHook',
+           'PolicyProposer', 'Proposer', 'RandomExchange',
+           'RandomProposer', 'RecordCheckpointHook', 'RewardRecord',
+           'SEARCH_METHODS', 'SearchCheckpoint', 'SearchConfig',
+           'SearchJournal', 'SearchMethod', 'SearchResult',
+           'build_exchange', 'build_proposer', 'resume_durable',
+           'run_search']
 
 
 def a3c_config(**kwargs) -> SearchConfig:

@@ -83,8 +83,6 @@ class SearchConfig:
     #: capture a resumable search checkpoint every this many virtual
     #: seconds (None = checkpointing off)
     checkpoint_interval: float | None = None
-    #: also write the most recent checkpoint to this JSON file
-    checkpoint_path: str | None = None
     #: numerical-health guards (repro.health): None or mode "off" leaves
     #: every guarded code path bit-identical to the unguarded build;
     #: "check" detects and crashes the offending agent; "recover" rolls
@@ -111,8 +109,10 @@ class SearchConfig:
     #: resumable checkpoint, and returns with ``SearchResult.preempted``
     preemptible: bool = False
     #: write-ahead search journal + checkpoint generations live under
-    #: this directory (:mod:`repro.search.journal`); None = durability
-    #: layer fully off
+    #: this directory (:mod:`repro.search.journal`) — the only on-disk
+    #: event log and checkpoint store.  A fresh run refuses a directory
+    #: that already holds a run (continue that one with
+    #: ``resume_durable``); None = durability layer fully off
     journal_dir: str | None = None
     #: fsync the journal after every Nth record (None = never fsync —
     #: flush-only, survives process crashes but not host crashes)
@@ -298,13 +298,8 @@ class SearchResult:
 
     def reward_trajectory(self) -> np.ndarray:
         """(time_minutes, best_reward_so_far) rows, one per evaluation."""
-        out = np.zeros((len(self.records), 2))
-        best = -np.inf
-        for i, rec in enumerate(sorted(self.records, key=lambda r: r.time)):
-            if not np.isnan(rec.reward):
-                best = max(best, rec.reward)
-            out[i] = (rec.time / 60.0, best)
-        return out
+        from ..analytics.trajectory import best_so_far_trajectory
+        return best_so_far_trajectory(self.records)
 
     def regret_trajectory(self, optimum: float) -> np.ndarray:
         """(minutes, exact regret of best-so-far) rows against a known

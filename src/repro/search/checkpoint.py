@@ -14,12 +14,16 @@ continue a run deterministically:
   iterations;
 * which agents had already finished (converged, stopped, or crashed).
 
-Resume rebuilds a fresh :class:`~repro.search.runner.NasSearch`, applies
-the checkpoint, and restarts each unfinished agent *at its own boundary
-time* with its restored state.  The agent re-samples the same
-architectures with its restored RNG, re-submits its in-flight batch, and
-proceeds — re-doing at most one iteration of work per agent, exactly
-like Balsam re-running the tasks of a killed pilot job.
+On disk a checkpoint exists only as a verified generation under a
+journal directory (:mod:`repro.search.journal`).  Resume —
+``NasSearch(..., resume_from=ckpt)``, which
+:func:`~repro.search.journal.resume_durable` calls — rebuilds a fresh
+:class:`~repro.search.runner.NasSearch`, applies the checkpoint, and
+restarts each unfinished agent *at its own boundary time* with its
+restored state.  The agent re-samples the same architectures with its
+restored RNG, re-submits its in-flight batch, and proceeds — re-doing
+at most one iteration of work per agent, exactly like Balsam re-running
+the tasks of a killed pilot job.
 
 Determinism: with the default instant parameter exchange
 (``ps_service_time=0``) and a fault-free service, every agent sits at a
@@ -36,13 +40,11 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from ..nas.arch import Architecture
 from ..rewards.base import EvalResult
-from ..util.atomicio import atomic_write_json
 from .base import RewardRecord
 
 __all__ = ["AgentBoundary", "AgentCheckpoint", "SearchCheckpoint"]
@@ -181,32 +183,9 @@ class SearchCheckpoint:
                         health.get("quarantine", {}).items()},
         )
 
-    def save(self, path: str | Path) -> Path:
-        """Crash-consistently write the checkpoint as JSON (see
-        :func:`repro.util.atomicio.atomic_write_json`: tmp + fsync +
-        rename + directory fsync, so a crash leaves either the old or
-        the new checkpoint, never a torn hybrid)."""
-        return atomic_write_json(Path(path), self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SearchCheckpoint":
-        """Load a checkpoint, cleaning up a stale ``.tmp`` if present.
-
-        A ``.tmp`` next to the checkpoint is the residue of a save torn
-        by a crash; the published file is the durable truth, so the
-        leftover is deleted rather than ever being read.
-        """
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        if tmp.exists():
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-        return cls.from_json(json.loads(path.read_text()))
-
     def round_trip(self) -> "SearchCheckpoint":
-        """JSON-encode and decode (what save/load does, without disk)."""
+        """JSON-encode and decode (what a checkpoint generation's save
+        and load do, without disk)."""
         return self.from_json(json.loads(json.dumps(self.to_json())))
 
     def fingerprint(self) -> str:

@@ -15,29 +15,15 @@ checkpoint resume rebuilds the population from the kept records with no
 extra payload.  Each proposal draws a tournament from the current
 window (or a uniform random architecture while the population warms up)
 and mutates one decision of the winner.
-
-:class:`EvolutionSearch` / :func:`run_evolution` remain as thin
-deprecation shims over the runtime for pre-seam call sites; the
-standalone worker-loop implementation they used to carry is gone.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections import deque
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..hpc.cluster import NodeAllocation
-from ..nas.arch import Architecture
-from ..nas.space import Structure
-from ..rewards.base import RewardModel
-from .base import SearchConfig, SearchResult
 from .proposer import HistoryProposer, mutate_choices
 
-__all__ = ["EvolutionProposer", "EvolutionConfig", "EvolutionSearch",
-           "run_evolution"]
+__all__ = ["EvolutionProposer"]
 
 
 class EvolutionProposer(HistoryProposer):
@@ -81,81 +67,3 @@ class EvolutionProposer(HistoryProposer):
         best = max(idx, key=lambda i: (-np.inf if np.isnan(pop[i][1])
                                        else pop[i][1]))
         return pop[best][0]
-
-
-# ---------------------------------------------------------------------
-# Deprecated standalone API, now a shim over the runtime-native method.
-# ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """Aging-evolution settings (defaults follow Real et al.).
-
-    Deprecated alongside :class:`EvolutionSearch` — new code passes
-    ``population_size`` / ``tournament_size`` on a
-    :class:`~repro.search.base.SearchConfig` with
-    ``method="evolution"``.
-    """
-
-    population_size: int = 50
-    tournament_size: int = 10
-    wall_time: float = 360.0 * 60.0
-    allocation: NodeAllocation = None  # type: ignore[assignment]
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.allocation is None:
-            object.__setattr__(self, "allocation",
-                               NodeAllocation.paper_256())
-        if self.population_size <= 1:
-            raise ValueError("population_size must be > 1")
-        if not 1 <= self.tournament_size <= self.population_size:
-            raise ValueError(
-                "tournament_size must be in [1, population_size]")
-
-    def to_search_config(self) -> SearchConfig:
-        return SearchConfig(method="evolution", allocation=self.allocation,
-                            wall_time=self.wall_time, seed=self.seed,
-                            population_size=self.population_size,
-                            tournament_size=self.tournament_size)
-
-
-class EvolutionSearch:
-    """Deprecated shim: runs ``method="evolution"`` through
-    :class:`~repro.search.runner.NasSearch` and mirrors the old
-    ``records`` / ``population`` attributes."""
-
-    def __init__(self, space: Structure, reward_model: RewardModel,
-                 config: EvolutionConfig | None = None) -> None:
-        self.space = space
-        self.reward_model = reward_model
-        self.config = config or EvolutionConfig()
-        self.records: list = []
-        self.population: deque[tuple[Architecture, float]] = deque()
-
-    def mutate(self, arch: Architecture, rng: np.random.Generator
-               ) -> Architecture:
-        """Change one decision to a different uniformly drawn option."""
-        return self.space.decode(
-            mutate_choices(self.space, arch.choices, rng))
-
-    def run(self) -> SearchResult:
-        from .runner import run_search   # lazy: avoids an import cycle
-        result = run_search(self.space, self.reward_model,
-                            self.config.to_search_config())
-        self.records = result.records
-        self.population = deque(
-            (rec.arch, rec.reward)
-            for rec in result.records[-self.config.population_size:])
-        return result
-
-
-def run_evolution(space: Structure, reward_model: RewardModel,
-                  config: EvolutionConfig | None = None) -> SearchResult:
-    """Deprecated: use ``run_search`` with ``method="evolution"``."""
-    warnings.warn(
-        "run_evolution/EvolutionSearch are deprecated; use "
-        "run_search(space, reward_model, SearchConfig(method='evolution', "
-        "population_size=..., tournament_size=...))",
-        DeprecationWarning, stacklevel=2)
-    return EvolutionSearch(space, reward_model, config).run()

@@ -50,7 +50,7 @@ from ..nas.plancache import exact_key
 from ..util.atomicio import FsyncPolicy, atomic_write_json
 from .checkpoint import SearchCheckpoint
 
-__all__ = ["JournalWriter", "JournalSink", "read_journal",
+__all__ = ["JournalWriter", "read_journal",
            "CheckpointGenerations", "SearchJournal", "build_replay",
            "resume_durable"]
 
@@ -75,8 +75,12 @@ def _crc(data: dict) -> int:
     return zlib.crc32(_canonical(data).encode("utf-8"))
 
 
-class JournalWriter:
+class JournalWriter(EventSink):
     """Appends checksummed event records to a JSONL write-ahead journal.
+
+    The writer is itself an event sink (``emit`` appends), so the runner
+    tees it next to any observability sink: the journal sees *every*
+    event, and it is the only on-disk form of the event stream.
 
     Opening an existing journal *repairs* it first: a torn trailing line
     (the half-written record of a crash mid-append) is truncated away so
@@ -98,7 +102,6 @@ class JournalWriter:
                 self.seq = max(self.seq, event_seq)
         self._policy = FsyncPolicy(fsync_every)
         self._fh = open(self.path, "a", encoding="utf-8")
-        self.num_written = 0
 
     def _repair_tail(self) -> None:
         """Drop a torn trailing line (no final newline) in place."""
@@ -119,27 +122,15 @@ class JournalWriter:
         self._fh.write(line + "\n")
         self._fh.flush()
         self._policy.tick(self._fh.fileno())
-        self.num_written += 1
         return self.seq
+
+    def emit(self, event: SearchEvent) -> None:
+        self.append(event)
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-class JournalSink(EventSink):
-    """Adapts a :class:`JournalWriter` into an event sink (tee it with
-    any observability sink; the journal must see *every* event)."""
-
-    def __init__(self, writer: JournalWriter) -> None:
-        self.writer = writer
-
-    def emit(self, event: SearchEvent) -> None:
-        self.writer.append(event)
-
-    def close(self) -> None:
-        self.writer.close()
 
 
 def _scan_seqs(path):
@@ -151,11 +142,10 @@ def _scan_seqs(path):
 def _scan(path, collect_warnings: bool = True):
     """Parse a journal into ``([(seq, SearchEvent), ...], num_skipped)``.
 
-    Recovery mirrors :func:`repro.events.read_events`: a torn trailing
-    line is silently dropped (expected crash residue), any other
-    unreadable or CRC-failing record is skipped with a warning — a
-    corrupt record costs one replay entry (that evaluation re-executes),
-    never the run.
+    A torn trailing line is silently dropped (expected crash residue);
+    any other unreadable or CRC-failing record is skipped with a
+    warning — a corrupt record costs one replay entry (that evaluation
+    re-executes), never the run.
     """
     out: list[tuple[int, SearchEvent]] = []
     skipped = 0
@@ -261,8 +251,10 @@ class CheckpointGenerations:
 
 class SearchJournal:
     """One run's durability root: ``<dir>/journal.jsonl`` plus
-    ``<dir>/generations/``.  Attach via ``SearchConfig.journal_dir``
-    (the runner constructs and tees it) or hand an instance to
+    ``<dir>/generations/``.  A fresh run attaches via
+    ``SearchConfig.journal_dir`` (the runner opens it with
+    :meth:`fresh` and tees ``writer`` into its event stream);
+    :func:`resume_durable` hands an instance to
     :class:`~repro.search.runner.NasSearch` directly."""
 
     def __init__(self, directory, fsync_every: int | None = None,
@@ -272,7 +264,26 @@ class SearchJournal:
                                     fsync_every=fsync_every)
         self.generations = CheckpointGenerations(
             self.dir / GENERATIONS_DIR, keep=keep_generations)
-        self.sink = JournalSink(self.writer)
+
+    @classmethod
+    def fresh(cls, directory, fsync_every: int | None = None
+              ) -> "SearchJournal":
+        """Open ``directory`` for a new run, refusing one that already
+        holds a run (a journal record, or any file under
+        ``generations/``).  Appending would splice the two runs into one
+        journal, and a crash before the new run's first checkpoint would
+        let :func:`resume_durable` continue the *old* run's newest
+        generation under the new run's reward model."""
+        directory = Path(directory)
+        journal = directory / JOURNAL_NAME
+        gens = directory / GENERATIONS_DIR
+        if (journal.exists() and _scan(journal, collect_warnings=False)[0]) \
+                or (gens.is_dir() and any(gens.iterdir())):
+            raise ValueError(
+                f"journal_dir {str(directory)!r} already holds a search "
+                f"run; continue it with resume_durable (CLI: "
+                f"--resume-durable) or start in an empty directory")
+        return cls(directory, fsync_every=fsync_every)
 
     @property
     def journal_path(self) -> Path:
@@ -283,11 +294,6 @@ class SearchJournal:
         current sequence number (every journaled record with a lower
         sequence is already reflected in the checkpoint)."""
         return self.generations.save(ckpt, journal_seq=self.writer.seq)
-
-    def read_events(self) -> EventLog:
-        if not self.journal_path.exists():
-            return EventLog()
-        return read_journal(self.journal_path)
 
     def close(self) -> None:
         self.writer.close()
@@ -372,7 +378,7 @@ def resume_durable(space, reward_model, config, event_sink=None):
         raise ValueError("resume_durable requires config.journal_dir")
     journal = SearchJournal(config.journal_dir,
                             fsync_every=config.journal_fsync_every)
-    events = journal.read_events()
+    events = read_journal(journal.journal_path)
     loaded = journal.generations.load_latest()
     ckpt = loaded[0] if loaded is not None else None
     replay = None

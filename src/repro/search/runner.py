@@ -65,7 +65,7 @@ from .hooks import (BoundaryHook, HealthHook, HookStack, NumericFaultHook,
 from .journal import SearchJournal
 from .loop import AgentLoop
 
-__all__ = ["NasSearch", "run_search", "resume_search"]
+__all__ = ["NasSearch", "run_search"]
 
 
 class NasSearch:
@@ -74,7 +74,9 @@ class NasSearch:
     ``resume_from`` restarts a previously checkpointed search: finished
     agents stay finished, unfinished agents restart at their recorded
     iteration boundaries with restored policy/RNG/cache state, and the
-    parameter server resumes its exchange history.  ``event_sink``
+    parameter server resumes its exchange history (from disk,
+    :func:`~repro.search.journal.resume_durable` builds this call from
+    the newest verified checkpoint generation).  ``event_sink``
     receives the structured event stream from every layer.
     """
 
@@ -149,15 +151,15 @@ class NasSearch:
                         event_sink: EventSink | None) -> None:
         """Durability root (repro.search.journal): every event is teed
         into the write-ahead journal, and checkpoints are written as
-        verified generations next to it.  Constructed from
-        ``cfg.journal_dir`` unless an instance is handed in (which is
-        what ``resume_durable`` does, after reading it back)."""
+        verified generations next to it.  A fresh run opens
+        ``cfg.journal_dir`` itself, which must not already hold a run;
+        ``resume_durable`` hands in the journal it read back."""
         self.journal = journal
         if self.journal is None and self.config.journal_dir is not None:
-            self.journal = SearchJournal(
+            self.journal = SearchJournal.fresh(
                 self.config.journal_dir,
                 fsync_every=self.config.journal_fsync_every)
-        self.sink = (TeeSink(self.journal.sink, event_sink)
+        self.sink = (TeeSink(self.journal.writer, event_sink)
                      if self.journal is not None else event_sink)
 
     def _load_replay(self, replay: dict | None) -> None:
@@ -543,8 +545,6 @@ class NasSearch:
             quarantine=quarantine)
         self.checkpoints.append(ckpt)
         self._records_at_ckpt = len(self.records)
-        if cfg.checkpoint_path is not None:
-            ckpt.save(cfg.checkpoint_path)
         if self.journal is not None:
             self.journal.save_checkpoint(ckpt)
         emit(self.sink, CHECKPOINT, self.sim.now,
@@ -616,11 +616,3 @@ def run_search(space: Structure, reward_model: RewardModel,
                config: SearchConfig | None = None) -> SearchResult:
     """Convenience one-call search run."""
     return NasSearch(space, reward_model, config).run()
-
-
-def resume_search(space: Structure, reward_model: RewardModel,
-                  checkpoint: SearchCheckpoint,
-                  config: SearchConfig | None = None) -> SearchResult:
-    """Resume a checkpointed search and run it to completion."""
-    return NasSearch(space, reward_model, config,
-                     resume_from=checkpoint).run()

@@ -1,9 +1,10 @@
 """Crash-consistent file primitives shared across the stack.
 
-Three layers used to carry their own copy of the same atomic-publish
-dance — search checkpoints (:mod:`repro.search.checkpoint`), the bench
-table's manifest (:mod:`repro.bench.table`), and now the search journal
-(:mod:`repro.search.journal`).  The dance matters because write-to-tmp
+Two layers publish files through the same atomic dance — the
+checkpoint generations under a search journal directory
+(:meth:`repro.search.journal.CheckpointGenerations.save`, the only
+on-disk checkpoint store) and the bench table's manifest
+(:mod:`repro.bench.table`).  The dance matters because write-to-tmp
 plus atomic ``replace`` alone is *not* crash-safe: a host crash can tear
 the tmp write (the rename then publishes garbage) or lose the rename
 itself (the data never became durable).  So:
@@ -13,13 +14,15 @@ itself (the data never became durable).  So:
 3. ``fsync`` the containing directory so the rename is durable.
 
 After :func:`atomic_write_text` returns, either the old or the new file
-survives a crash — never a torn hybrid.  Platforms without directory
-fsync degrade to best effort, matching the previous inline copies.
+survives a crash — never a torn hybrid.  A crash between steps 1 and 2
+leaves a stale ``<path>.tmp`` behind; readers never open it, and the
+next publish to ``path`` overwrites it.  Platforms without directory
+fsync degrade to best effort.
 
-:class:`FsyncPolicy` is the shared knob for append-style writers (the
-event :class:`~repro.events.JsonlSink` and the journal): flush happens
-per record regardless; the policy decides how often the OS buffers are
-additionally forced to stable storage.
+:class:`FsyncPolicy` is the durability knob of the append-style journal
+writer (:class:`~repro.search.journal.JournalWriter`, the only on-disk
+event log): flush happens per record regardless; the policy decides how
+often the OS buffers are additionally forced to stable storage.
 """
 
 from __future__ import annotations

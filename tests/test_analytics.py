@@ -28,6 +28,12 @@ class TestTrajectories:
         traj = best_so_far_trajectory(RECORDS)
         np.testing.assert_allclose(traj[:, 1], [0.1, 0.5, 0.5, 0.7, 0.7])
         np.testing.assert_allclose(traj[:, 0], [1, 2, 3, 4, 5])
+        # NaN rewards, one first and one mid-stream, never count
+        nan = float("nan")
+        traj = best_so_far_trajectory([R(1, nan), R(2, 0.5), R(3, nan),
+                                       R(4, 0.3), R(5, 0.6)])
+        np.testing.assert_array_equal(traj[:, 1],
+                                      [-np.inf, 0.5, 0.5, 0.5, 0.6])
 
     def test_best_so_far_unsorted_input(self):
         traj = best_so_far_trajectory(list(reversed(RECORDS)))

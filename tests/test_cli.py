@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -58,3 +60,40 @@ class TestCommands:
         args = build_parser().parse_args(["figure", "fig4", "--problem",
                                           "nt3"])
         assert args.figure == "fig4" and args.problem == "nt3"
+
+
+class TestDurability:
+    """``--journal-dir`` is the only on-disk log and checkpoint store,
+    and ``--resume-durable`` the only way to continue a run from it."""
+
+    @staticmethod
+    def outcome(out):
+        match = re.search(r"evaluations: (\d+) .*best reward: (\S+);", out)
+        assert match, out
+        return match.groups()
+
+    def test_journal_dir_then_resume_durable(self, tmp_path, capsys):
+        argv = ["search", "--method", "rdm", "--backend", "serial",
+                "--iterations", "3", "--journal-dir", str(tmp_path / "run"),
+                "--checkpoint-every-records", "6"]
+        assert main(argv) == 0
+        first = self.outcome(capsys.readouterr().out)
+        # a second fresh launch must not append to the finished run
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        assert "already holds a search run" in message
+        assert "--resume-durable" in message and "\n" not in message
+        assert main(argv + ["--resume-durable"]) == 0
+        assert self.outcome(capsys.readouterr().out) == first
+
+    def test_removed_persistence_flags_rejected(self, capsys):
+        for flag in (["--events", "run.jsonl"], ["--events-fsync-every", "2"],
+                     ["--checkpoint-path", "c.json"], ["--resume", "c.json"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["search", *flag])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["search", "--help"])
+        help_text = capsys.readouterr().out
+        for gone in ("--events", "--checkpoint-path", "--resume "):
+            assert gone not in help_text

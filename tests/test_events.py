@@ -11,10 +11,9 @@ import json
 import pytest
 
 from repro.events import (AGENT_DONE, BARRIER, BATCH_STATS, CACHE_HIT,
-                          EVAL_DONE, PUSH,
-                          RESTART, ROLLBACK, SUBMIT, CallbackSink, JsonlSink,
-                          NullSink, RecordingSink, SearchEvent, TeeSink,
-                          emit, read_events)
+                          EVAL_DONE, PUSH, RESTART, ROLLBACK, SUBMIT,
+                          CallbackSink, NullSink, RecordingSink, SearchEvent,
+                          TeeSink, emit)
 from repro.health import GuardConfig
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.hpc.faults import FaultConfig
@@ -70,91 +69,6 @@ class TestSinks:
         ev = SearchEvent(BARRIER, 12.5, agent_id=2, iteration=1,
                          payload={"round": 4})
         assert json.loads(json.dumps(ev.to_dict()))["payload"]["round"] == 4
-
-
-class TestJsonlSink:
-    def test_streams_one_line_per_event(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        with JsonlSink(path) as sink:
-            emit(sink, SUBMIT, 0.0, 1, count=4)
-            # flushed per event: readable while the sink is still open
-            assert len(path.read_text().splitlines()) == 1
-            emit(sink, EVAL_DONE, 1.0, 1, reward=0.5, failed=False)
-            assert sink.num_written == 2
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[0])["kind"] == SUBMIT
-
-    def test_read_events_round_trip(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        sent = [SearchEvent(SUBMIT, 0.0, agent_id=1, payload={"count": 2}),
-                SearchEvent(PUSH, 2.0, agent_id=0, iteration=3,
-                            payload={"mode": "a3c"})]
-        with JsonlSink(path) as sink:
-            for ev in sent:
-                sink.emit(ev)
-        back = read_events(path)
-        assert [e.to_dict() for e in back] == [e.to_dict() for e in sent]
-
-    def test_torn_trailing_line_is_dropped(self, tmp_path):
-        """A crash mid-write leaves a truncated last line; the reader
-        recovers every complete event and drops only the torn tail."""
-        path = tmp_path / "events.jsonl"
-        with JsonlSink(path) as sink:
-            emit(sink, SUBMIT, 0.0, 1, count=1)
-            emit(sink, EVAL_DONE, 1.0, 1, reward=0.5)
-        with open(path, "a") as fh:
-            fh.write('{"kind": "push", "time": 2.0, "agent')   # no newline
-        events = read_events(path)
-        assert [e.kind for e in events] == [SUBMIT, EVAL_DONE]
-
-    def test_malformed_mid_file_line_is_skipped(self, tmp_path, caplog):
-        """Interior corruption (bit rot, a torn concurrent append) costs
-        the one record, not the stream: the reader skips it with a
-        logged warning and counts it in ``num_skipped``."""
-        path = tmp_path / "events.jsonl"
-        with JsonlSink(path) as sink:
-            emit(sink, SUBMIT, 0.0, 1)
-        with open(path, "a") as fh:
-            fh.write("not json\n")
-            fh.write('{"kind": "push", "time": 2.0, "agent_id": 0, '
-                     '"iteration": null, "payload": {}}\n')
-        with caplog.at_level("WARNING", logger="repro.events"):
-            events = read_events(path)
-        assert [e.kind for e in events] == [SUBMIT, PUSH]
-        assert events.num_skipped == 1
-        assert any("line 2" in rec.message for rec in caplog.records)
-
-    def test_torn_tail_not_counted_as_skipped(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        with JsonlSink(path) as sink:
-            emit(sink, SUBMIT, 0.0, 1)
-        with open(path, "a") as fh:
-            fh.write('{"kind": "push"')               # crash mid-write
-        events = read_events(path)
-        assert [e.kind for e in events] == [SUBMIT]
-        assert events.num_skipped == 0
-
-    def test_fsync_every_policy(self, tmp_path):
-        """``fsync_every=N`` syncs every Nth record; ``fsync=True`` is
-        the legacy every-record spelling of the same policy."""
-        sink = JsonlSink(tmp_path / "a.jsonl", fsync_every=2)
-        assert not sink.fsync
-        assert sink._policy.every == 2
-        for i in range(4):
-            emit(sink, SUBMIT, float(i), 1)
-        sink.close()
-        assert len(read_events(tmp_path / "a.jsonl")) == 4
-        legacy = JsonlSink(tmp_path / "b.jsonl", fsync=True)
-        assert legacy.fsync and legacy._policy.every == 1
-        legacy.close()
-
-    def test_close_is_idempotent(self, tmp_path):
-        sink = JsonlSink(tmp_path / "events.jsonl")
-        emit(sink, SUBMIT, 0.0, 1)
-        sink.close()
-        sink.close()
-        assert sink.num_written == 1
 
 
 class TestSearchStream:

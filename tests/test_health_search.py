@@ -14,7 +14,7 @@ from repro.hpc import FaultConfig, NodeAllocation, TrainingCostModel
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
-from repro.search import NasSearch, SearchConfig, resume_search, run_search
+from repro.search import NasSearch, SearchConfig, run_search
 from repro.search.chaos import check_numeric_rows, numeric_matrix
 
 pytestmark = pytest.mark.health
@@ -144,8 +144,8 @@ class TestCheckpointHealth:
         mid = next((c for c in search.checkpoints
                     if c.agent_restarts or c.agent_rollbacks),
                    search.checkpoints[-1])
-        resumed = resume_search(space, make_surrogate(space),
-                                mid.round_trip(), cfg)
+        resumed = NasSearch(space, make_surrogate(space), cfg,
+                            resume_from=mid.round_trip()).run()
         for agent_id, n in mid.agent_restarts.items():
             assert resumed.agent_restarts.get(agent_id, 0) >= n
         for agent_id, n in mid.agent_rollbacks.items():

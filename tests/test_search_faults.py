@@ -9,7 +9,8 @@ from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.rewards.base import RewardModel
 from repro.search import (NasSearch, SearchCheckpoint, SearchConfig,
-                          resume_search, run_search)
+                          resume_durable, run_search)
+from repro.search.journal import GENERATIONS_DIR, CheckpointGenerations
 
 
 @pytest.fixture(scope="module")
@@ -108,30 +109,37 @@ class TestCheckpointResume:
         assert len(search.checkpoints) >= 3
         ref = signature(full)
         mid = search.checkpoints[len(search.checkpoints) // 2]
-        resumed = resume_search(space, make_surrogate(space),
-                                mid.round_trip(), small_config(method))
+        resumed = NasSearch(space, make_surrogate(space),
+                            small_config(method),
+                            resume_from=mid.round_trip()).run()
         assert signature(resumed) == ref
         assert resumed.end_time == full.end_time
 
     def test_resume_from_saved_file(self, space, tmp_path):
-        path = tmp_path / "search.ckpt.json"
+        """Save, then resume from disk: a checkpoint is written only as
+        a verified generation under ``journal_dir``, and
+        ``resume_durable`` continues from the newest one (balsam skips
+        evaluation replay, so the generation alone carries the run)."""
         cfg = small_config(minutes=30, checkpoint_interval=600.0,
-                           checkpoint_path=str(path))
+                           journal_dir=str(tmp_path))
         search = NasSearch(space, make_surrogate(space), cfg)
         full = search.run()
-        assert path.exists()
-        loaded = SearchCheckpoint.load(path)
+        loaded, _integrity = CheckpointGenerations(
+            tmp_path / GENERATIONS_DIR).load_latest()
         assert loaded.time == search.checkpoints[-1].time
-        resumed = resume_search(space, make_surrogate(space), loaded,
-                                small_config(minutes=30))
-        assert signature(resumed) == signature(full)
+        resumed = resume_durable(space, make_surrogate(space),
+                                 small_config(minutes=30,
+                                              journal_dir=str(tmp_path)))
+        assert resumed.num_replay_loaded == 0
+        assert signature(resumed.run()) == signature(full)
 
     def test_checkpoint_counters_restored(self, space):
         cfg = small_config(minutes=30, checkpoint_interval=600.0)
         search = NasSearch(space, make_surrogate(space), cfg)
         full = search.run()
-        resumed = resume_search(space, make_surrogate(space),
-                                search.checkpoints[0], small_config(minutes=30))
+        resumed = NasSearch(space, make_surrogate(space),
+                            small_config(minutes=30),
+                            resume_from=search.checkpoints[0]).run()
         assert resumed.num_evaluations == full.num_evaluations
         assert resumed.unique_architectures == full.unique_architectures
 
@@ -208,7 +216,7 @@ class TestChaosAcceptance:
         search = NasSearch(space, make_surrogate(space), cfg)
         full = search.run()
         for ckpt in search.checkpoints:
-            resumed = resume_search(space, make_surrogate(space),
-                                    ckpt.round_trip(),
-                                    small_config(minutes=90))
+            resumed = NasSearch(space, make_surrogate(space),
+                                small_config(minutes=90),
+                                resume_from=ckpt.round_trip()).run()
             assert signature(resumed) == signature(full)

@@ -12,15 +12,14 @@ import os
 
 import pytest
 
-from repro.events import EVAL_DONE, PUSH, RESTART, SUBMIT, SearchEvent
+from repro.events import EVAL_DONE, PUSH, RESTART, SUBMIT, SearchEvent, emit
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.search import NasSearch, SearchConfig
-from repro.search.journal import (CheckpointGenerations, JournalSink,
-                                  JournalWriter, build_replay, read_journal,
-                                  resume_durable)
+from repro.search.journal import (CheckpointGenerations, JournalWriter,
+                                  build_replay, read_journal, resume_durable)
 from repro.util import (FsyncPolicy, atomic_write_json, atomic_write_text)
 
 
@@ -62,33 +61,44 @@ class TestAtomicIO:
 
 class TestJournalWriter:
     def test_round_trip_and_sequence(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        writer = JournalWriter(path)
-        seqs = [writer.append(ev) for ev in some_events(4)]
-        writer.close()
-        assert seqs == [1, 2, 3, 4]
-        back = read_journal(path)
-        assert [e.to_dict() for e in back] \
-            == [e.to_dict() for e in some_events(4)]
-        assert back.num_skipped == 0
+        # flush-only, and fsync forced after every second record: the
+        # policy changes durability, never the records
+        for fsync_every in (None, 2):
+            path = tmp_path / f"journal-{fsync_every}.jsonl"
+            writer = JournalWriter(path, fsync_every=fsync_every)
+            assert writer._policy.every == fsync_every
+            seqs = [writer.append(ev) for ev in some_events(4)]
+            writer.close()
+            assert seqs == [1, 2, 3, 4]
+            back = read_journal(path)
+            assert [e.to_dict() for e in back] \
+                == [e.to_dict() for e in some_events(4)]
+            assert back.num_skipped == 0
 
     def test_crc_detects_interior_bit_flip(self, tmp_path, caplog):
         """A flipped byte that keeps the JSON valid still fails the
-        record CRC: the record is skipped with a warning, the rest of
+        record CRC, and a line that is not JSON at all fails the parse:
+        either record is skipped with a warning and counted, the rest of
         the journal survives."""
-        path = tmp_path / "journal.jsonl"
-        writer = JournalWriter(path)
-        for ev in some_events(3):
-            writer.append(ev)
-        writer.close()
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1].replace('"x":0.125', '"x":0.625')
-        path.write_text("\n".join(lines) + "\n")
-        with caplog.at_level("WARNING", logger="repro.search.journal"):
-            back = read_journal(path)
-        assert len(back) == 2
-        assert back.num_skipped == 1
-        assert any("line 2" in rec.message for rec in caplog.records)
+        corruptions = {
+            "bit-flip": lambda line: line.replace('"x":0.125', '"x":0.625'),
+            "not-json": lambda line: "not json",
+        }
+        for name, corrupt in corruptions.items():
+            path = tmp_path / f"{name}.jsonl"
+            writer = JournalWriter(path)
+            for ev in some_events(3):
+                writer.append(ev)
+            writer.close()
+            lines = path.read_text().splitlines()
+            lines[1] = corrupt(lines[1])
+            path.write_text("\n".join(lines) + "\n")
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="repro.search.journal"):
+                back = read_journal(path)
+            assert [e.kind for e in back] == [SUBMIT, PUSH], name
+            assert back.num_skipped == 1, name
+            assert any("line 2" in rec.message for rec in caplog.records)
 
     def test_torn_tail_dropped_on_read(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -123,13 +133,18 @@ class TestJournalWriter:
         with pytest.raises(ValueError):
             writer.append(some_events(1)[0])
 
-    def test_sink_adapter_feeds_writer(self, tmp_path):
+    def test_writer_is_an_event_sink(self, tmp_path):
+        """``emit`` appends one flushed record per event (readable while
+        the writer is still open), and closing twice is harmless."""
         path = tmp_path / "journal.jsonl"
-        sink = JournalSink(JournalWriter(path))
-        for ev in some_events(2):
-            sink.emit(ev)
-        sink.close()
+        writer = JournalWriter(path)
+        emit(writer, SUBMIT, 0.0, 1, count=4)
+        assert len(read_journal(path)) == 1
+        emit(writer, EVAL_DONE, 1.0, 1, reward=0.5, failed=False)
+        writer.close()
+        writer.close()
         assert [e.kind for e in read_journal(path)] == [SUBMIT, EVAL_DONE]
+        assert writer.seq == 2
 
 
 def make_checkpoint():
@@ -197,11 +212,18 @@ class TestCheckpointGenerations:
         assert any("falling back" in rec.message for rec in caplog.records)
 
     def test_torn_newest_falls_back(self, tmp_path, ckpt):
+        """Crash residue: a torn newest generation is discarded, and the
+        stale ``.tmp`` of a save that died before its rename is never
+        read and does not block the next save."""
         gens = CheckpointGenerations(tmp_path)
         gens.save(ckpt, journal_seq=1)
         newest = gens.save(ckpt, journal_seq=2)
         newest.write_bytes(newest.read_bytes()[:100])   # torn mid-write
+        (tmp_path / "ckpt-00000003.json.tmp").write_text('{"torn": ')
         assert gens.load_latest()[1]["journal_seq"] == 1
+        assert gens.save(ckpt, journal_seq=3).name == "ckpt-00000003.json"
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert gens.load_latest()[1]["journal_seq"] == 3
 
     def test_no_surviving_generation_returns_none(self, tmp_path, ckpt,
                                                   caplog):

@@ -11,12 +11,18 @@ subprocess search SIGKILLed mid-journal via
 """
 
 import json
+import os
 import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.events import BATCH_STATS, EVAL_DONE
+from repro.hpc import NodeAllocation, TrainingCostModel
+from repro.nas.spaces import combo_small
+from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
+from repro.rewards import SurrogateReward
+from repro.search import NasSearch, SearchConfig
 from repro.search.chaos import (check_crashpoint_rows, crashpoint_child,
                                 crashpoint_matrix, _journal_real_evals)
 from repro.search.journal import GENERATIONS_DIR, JOURNAL_NAME, read_journal
@@ -245,6 +251,51 @@ class TestBalsamCheckpointOnly:
         result, search, _counter = run_durable(work, backend="balsam")
         assert search.num_replay_loaded == 0
         assert result.fingerprint() == base_fp
+
+
+class TestFreshRunGuard:
+    """A fresh run must not append to a directory that holds a run:
+    killed before its first checkpoint, it would resume the *previous*
+    run's newest generation (seed, method, space and agent count all
+    validate) and continue that run under the new reward model."""
+
+    @staticmethod
+    def fresh(journal_dir, landscape_seed):
+        space = combo_small()
+        reward = SurrogateReward(space, COMBO_PAPER_SHAPES, combo_head(),
+                                 TrainingCostModel.combo_paper(), epochs=1,
+                                 train_fraction=0.1, timeout=600.0,
+                                 log_params_opt=6.5, seed=landscape_seed)
+        cfg = SearchConfig(method="a3c", allocation=NodeAllocation(10, 2, 3),
+                           wall_time=3600.0, seed=3, backend="serial",
+                           max_iterations=4,
+                           journal_dir=os.fspath(journal_dir),
+                           checkpoint_every_records=6)
+        return NasSearch(space, reward, cfg)
+
+    @staticmethod
+    def files(directory):
+        return {p: p.read_bytes() for p in Path(directory).rglob("*")
+                if p.is_file()}
+
+    def test_second_fresh_run_is_refused(self, tmp_path):
+        self.fresh(tmp_path, landscape_seed=7).run()
+        before = self.files(tmp_path)
+        assert (tmp_path / GENERATIONS_DIR).is_dir()
+        with pytest.raises(ValueError, match="resume_durable"):
+            self.fresh(tmp_path, landscape_seed=8)
+        assert self.files(tmp_path) == before     # untouched
+
+    def test_generation_file_alone_marks_a_run(self, tmp_path):
+        # an existing but empty journal holds no run: accepted
+        (tmp_path / JOURNAL_NAME).touch()
+        self.fresh(tmp_path, landscape_seed=7).journal.close()
+        # the residue of a save torn before its rename is enough
+        (tmp_path / GENERATIONS_DIR).mkdir()
+        (tmp_path / GENERATIONS_DIR / "ckpt-00000001.json.tmp").write_text(
+            '{"torn": ')
+        with pytest.raises(ValueError, match="resume_durable"):
+            self.fresh(tmp_path, landscape_seed=8)
 
 
 @pytest.mark.crashfuzz

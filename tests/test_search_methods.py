@@ -25,7 +25,6 @@ from repro.search.ambs import AmbsProposer, RidgeEnsemble, encode_rows
 from repro.search.evolution import EvolutionProposer
 from repro.search.proposer import (HistoryProposer, PolicyProposer,
                                    RandomProposer)
-from repro.search.runner import resume_search
 from repro.analytics import evaluations_to_regret
 
 NEW_METHODS = ("ambs", "evolution")
@@ -145,7 +144,8 @@ class TestCheckpointResume:
         full = search.run()
         assert len(search.checkpoints) >= 2
         mid = search.checkpoints[len(search.checkpoints) // 2]
-        resumed = resume_search(space, surrogate, mid.round_trip(), cfg)
+        resumed = NasSearch(space, surrogate, cfg,
+                            resume_from=mid.round_trip()).run()
         assert resumed.fingerprint() == full.fingerprint()
 
     @pytest.mark.parametrize("method", NEW_METHODS)

@@ -2,9 +2,9 @@
 
 The robustness contract: a preempted run stops at the next iteration
 boundary with a resumable checkpoint, and the resumed run is
-bit-identical to the run that was never interrupted.  The checkpoint
-file itself must survive crashes (fsync'd tmp + atomic replace) and
-``load`` must clean the residue a torn save leaves behind.
+bit-identical to the run that was never interrupted.  On disk the
+checkpoint is a generation under the journal directory, published
+crash-consistently (fsync'd tmp + atomic replace).
 """
 
 import os
@@ -21,8 +21,7 @@ from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.search import NasSearch, SearchConfig
 from repro.search.chaos import ChaosEvalModel
-from repro.search.checkpoint import SearchCheckpoint
-from repro.search.runner import resume_search
+from repro.search.journal import CheckpointGenerations
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +70,9 @@ class TestPreemption:
         assert len(ckpt.records) <= 12
         assert res.num_evaluations < base.num_evaluations
 
-        resumed = resume_search(space, make_surrogate(space),
-                                ckpt.round_trip(), SearchConfig(**CFG))
+        resumed = NasSearch(space, make_surrogate(space),
+                            SearchConfig(**CFG),
+                            resume_from=ckpt.round_trip()).run()
         assert resumed.fingerprint() == base.fingerprint()
 
     def test_unpreempted_preemptible_run_matches_baseline(self, space):
@@ -118,20 +118,11 @@ class TestCheckpointDurability:
         return search.checkpoints[-1]
 
     def test_save_leaves_no_tmp_residue(self, ckpt, tmp_path):
-        path = ckpt.save(tmp_path / "search.ckpt.json")
+        gens = CheckpointGenerations(tmp_path)
+        path = gens.save(ckpt, journal_seq=0)
         assert path.exists()
         assert list(tmp_path.glob("*.tmp")) == []
-        loaded = SearchCheckpoint.load(path)
-        assert loaded.fingerprint() == ckpt.fingerprint()
-
-    def test_load_cleans_stale_tmp(self, ckpt, tmp_path):
-        """The residue of a save torn by a crash is deleted, and the
-        published file — the durable truth — is what gets read."""
-        path = ckpt.save(tmp_path / "search.ckpt.json")
-        stale = path.with_suffix(path.suffix + ".tmp")
-        stale.write_text('{"torn": ')
-        loaded = SearchCheckpoint.load(path)
-        assert not stale.exists()
+        loaded, _integrity = gens.load_latest()
         assert loaded.fingerprint() == ckpt.fingerprint()
 
     def test_quarantine_survives_round_trip(self, ckpt):

@@ -23,7 +23,6 @@ from repro.rewards.base import EvalResult
 from repro.search import (EXCHANGE_STRATEGIES, A2CExchange, A3CExchange,
                           NasSearch, RandomExchange, SearchConfig,
                           build_exchange)
-from repro.search.runner import resume_search
 
 MAX_METHOD_LINES = 60
 
@@ -168,12 +167,3 @@ class TestCacheCounterRestore:
             assert cache.misses == (agent.boundary.num_submitted
                                     - agent.boundary.num_cache_hits)
 
-
-class TestResumePublicSurface:
-    def test_resume_search_signature_unchanged(self, space):
-        cfg = small_config("a2c", checkpoint_interval=300.0)
-        search = NasSearch(space, make_surrogate(space), cfg)
-        full = search.run()
-        resumed = resume_search(space, make_surrogate(space),
-                                search.checkpoints[0].round_trip(), cfg)
-        assert resumed.fingerprint() == full.fingerprint()

@@ -10,7 +10,7 @@ from repro.nas.spaces import get_space
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.search import SearchConfig, run_search
-from repro.search.runner import NasSearch, resume_search
+from repro.search.runner import NasSearch
 from repro.verify.fingerprint import (agent_genesis, chain_step,
                                       param_digest, record_digest)
 
@@ -125,8 +125,9 @@ class TestResumeFingerprint:
         # resume from a genuine mid-run snapshot (agents in flight)
         mid = search.checkpoints[len(search.checkpoints) // 2]
         assert any(not a.done for a in mid.agents)
-        resumed = resume_search(space, surrogate, mid.round_trip(),
-                                config(method=method, minutes=30))
+        resumed = NasSearch(space, surrogate,
+                            config(method=method, minutes=30),
+                            resume_from=mid.round_trip()).run()
 
         assert full.fingerprint() == resumed.fingerprint()
         assert len(full.records) == len(resumed.records)
