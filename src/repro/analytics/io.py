@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..nas.arch import Architecture
 from ..search.base import RewardRecord, SearchResult
 
 __all__ = ["save_records", "load_records", "save_result_summary"]
@@ -29,12 +28,7 @@ def save_records(records: list[RewardRecord], path: str | Path,
     with path.open("w") as fh:
         fh.write(json.dumps(header) + "\n")
         for rec in records:
-            fh.write(json.dumps({
-                "time": rec.time, "agent_id": rec.agent_id,
-                "arch": rec.arch.to_dict(), "reward": rec.reward,
-                "params": rec.params, "duration": rec.duration,
-                "cached": rec.cached, "timed_out": rec.timed_out,
-            }) + "\n")
+            fh.write(json.dumps(rec.to_json()) + "\n")
 
 
 def load_records(path: str | Path) -> tuple[list[RewardRecord], dict]:
@@ -47,14 +41,7 @@ def load_records(path: str | Path) -> tuple[list[RewardRecord], dict]:
         if header.get("version") != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported log version {header.get('version')}")
-        records = []
-        for line in fh:
-            d = json.loads(line)
-            records.append(RewardRecord(
-                time=d["time"], agent_id=d["agent_id"],
-                arch=Architecture.from_dict(d["arch"]), reward=d["reward"],
-                params=d["params"], duration=d["duration"],
-                cached=d["cached"], timed_out=d["timed_out"]))
+        records = [RewardRecord.from_json(json.loads(line)) for line in fh]
     if len(records) != header["num_records"]:
         raise ValueError(
             f"truncated log: expected {header['num_records']} records, "

@@ -350,10 +350,9 @@ def smoke(argv: list[str] | None = None) -> int:
     # quick; 'make chaos' runs the full none/light/moderate/heavy matrix
     print("smoke: light fault-injection pass (see 'make chaos' for the "
           "full matrix)")
-    from repro.search.chaos import (check_numeric_rows, check_rows,
-                                    fault_matrix, numeric_matrix)
-    rows = fault_matrix(minutes=10.0, levels=("none", "light"))
-    problems = check_rows(rows, tolerance=0.10)
+    from repro.search import chaos
+    rows = chaos.run("faults", minutes=10.0, levels=("none", "light"))
+    problems = chaos.check("faults", rows, tolerance=0.10)
     for problem in problems:
         print(f"smoke: chaos FAIL — {problem}")
     if problems:
@@ -366,8 +365,8 @@ def smoke(argv: list[str] | None = None) -> int:
     # differential record so recovery is tracked across commits
     print("smoke: light NaN-injection pass (health layer, a3c)")
     from repro.verify.diff import write_verify_report
-    health_rows = numeric_matrix(minutes=40.0, methods=("a3c",))
-    health_problems = check_numeric_rows(health_rows)
+    health_rows = chaos.run("numeric", ("a3c",), minutes=40.0)
+    health_problems = chaos.check("numeric", health_rows)
     write_verify_report(root / "VERIFY_report.json",
                         {"kind": "health_smoke",
                          "ok": not health_problems, "rows": health_rows})

@@ -6,8 +6,8 @@ from .ambs import AmbsProposer
 from .base import RewardRecord, SearchConfig, SearchResult
 from .checkpoint import AgentCheckpoint, SearchCheckpoint
 from .evolution import EvolutionProposer
-from .exchange import (EXCHANGE_STRATEGIES, A2CExchange, A3CExchange,
-                       ExchangeStrategy, RandomExchange)
+from .exchange import (A2CExchange, A3CExchange, ExchangeStrategy,
+                       RandomExchange)
 from .hooks import (BoundaryHook, HealthHook, HookStack, LifecycleHooks,
                     NumericFaultHook, RecordCheckpointHook)
 from .journal import SearchJournal, resume_durable
@@ -19,9 +19,9 @@ from .proposer import (HistoryProposer, PolicyProposer, Proposer,
 from .runner import NasSearch, run_search
 
 __all__ = ['A2CExchange', 'A3CExchange', 'AgentCheckpoint', 'AgentLoop',
-           'AmbsProposer', 'BoundaryHook', 'EXCHANGE_STRATEGIES',
-           'EvolutionProposer', 'ExchangeStrategy', 'FaultConfig',
-           'HealthHook', 'HistoryProposer', 'HookStack', 'LifecycleHooks',
+           'AmbsProposer', 'BoundaryHook', 'EvolutionProposer',
+           'ExchangeStrategy', 'FaultConfig', 'HealthHook',
+           'HistoryProposer', 'HookStack', 'LifecycleHooks',
            'NasSearch', 'NodeAllocation', 'NumericFaultHook',
            'PolicyProposer', 'Proposer', 'RandomExchange',
            'RandomProposer', 'RecordCheckpointHook', 'RewardRecord',

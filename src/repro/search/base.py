@@ -212,6 +212,24 @@ class RewardRecord:
     cached: bool
     timed_out: bool
 
+    def to_json(self) -> dict:
+        """One JSON object per record: the codec search logs
+        (:mod:`repro.analytics.io`) and checkpoints both write."""
+        return {"time": self.time, "agent_id": self.agent_id,
+                "arch": self.arch.to_dict(), "reward": self.reward,
+                "params": self.params, "duration": self.duration,
+                "cached": self.cached, "timed_out": self.timed_out}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "RewardRecord":
+        """Inverse of :meth:`to_json`."""
+        return cls(
+            time=float(data["time"]), agent_id=int(data["agent_id"]),
+            arch=Architecture.from_dict(data["arch"]),
+            reward=float(data["reward"]), params=int(data["params"]),
+            duration=float(data["duration"]), cached=bool(data["cached"]),
+            timed_out=bool(data["timed_out"]))
+
 
 @dataclass
 class SearchResult:

@@ -1,40 +1,40 @@
-"""Chaos harness: fault-matrix smoke of the fault-tolerant pipeline.
+"""Chaos harness: one table of fault scenarios over the search runtime.
 
-``make chaos`` / ``repro-chaos`` runs the same seeded NAS search under a
-matrix of fault levels — none, light, moderate, heavy — and checks the
-robustness invariants the fault layer promises:
+``make chaos`` / ``repro-chaos`` runs seeded NAS searches under injected
+faults and checks the robustness invariants each layer promises.  Each
+scenario is one :data:`SCENARIOS` row: a cell runner (faults × methods ×
+backends), the columns that must stay zero, the columns that must fire,
+and at most one check across rows.  :func:`run`, :func:`check` and
+:func:`report` serve every row, so a new scenario is one new row.
 
-* every run **completes** (no agent lost to a deadlocked barrier; the
-  batch deadline and Balsam retry policy always release it);
-* failures are **accounted for**, not silently dropped (failed
-  evaluations surface as the paper's −1 failure reward);
-* the search **degrades gracefully**: the best discovered reward stays
-  within a small tolerance of the fault-free run's, because Balsam
-  restarts failed tasks and the agents keep searching (§4's "tracks job
-  states and restarts failed tasks").
-
-The fault-free row doubles as a canary: it must behave bit-identically
-to a search with no fault layer at all.
-
-A second profile (``--profile numeric``) exercises the *numerical*
-health layer (:mod:`repro.health`): NaN-poisoned gradients, exploding
-update directions, and corrupt exchange deltas are injected into a3c and
-a2c searches running under guard-mode ``recover``, and the harness
-checks that the search heals — at least one policy rollback and one
-agent resurrection occur, no agent is permanently lost below the restart
-cap, and the best discovered reward stays finite.
+* ``faults`` — none/light/moderate/heavy infrastructure faults.  Every
+  run completes (the batch deadline and Balsam retries always release a
+  barrier), failures surface as the paper's −1 reward, and the best
+  reward stays within a tolerance of the same method's fault-free run,
+  because Balsam restarts failed tasks and the agents keep searching
+  (§4's "tracks job states and restarts failed tasks").  The fault-free
+  row doubles as a canary: it must behave bit-identically to a search
+  with no fault layer at all.
+* ``numeric`` — NaN gradients, exploding updates, and corrupt exchange
+  deltas under guard-mode ``recover`` (:mod:`repro.health`): the search
+  heals with at least one rollback and one resurrection, loses no agent
+  below the restart cap, and keeps a finite best reward.
+* ``proc`` — SIGKILLed workers and really crashing/hanging evaluations
+  over the supervised process backend.
+* ``crashpoint`` — SIGKILL the whole search at stratified journal
+  records; resume must be bit-identical with zero re-evaluation.
 
 Run via ``make chaos`` or::
 
     PYTHONPATH=src python -m repro.search.chaos --minutes 45
-    PYTHONPATH=src python -m repro.search.chaos --profile numeric
+    PYTHONPATH=src python -m repro.search.chaos --profile all --methods a2c
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
-import shutil
 import signal
 import subprocess
 import sys
@@ -44,8 +44,11 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
-from ..events import EVAL_DONE
+from ..evaluator.process import ProcConfig, ProcessEvaluator
+from ..events import (EVAL_DONE, QUARANTINE, WORKER_CRASH, WORKER_RESPAWN,
+                      WORKER_SPAWN, RecordingSink)
 from ..health import GuardConfig
 from ..hpc import NodeAllocation, TrainingCostModel
 from ..hpc.faults import FaultConfig
@@ -56,14 +59,11 @@ from ..rewards import SurrogateReward
 from ..rewards.base import EvalResult, RewardModel
 from .base import SearchConfig
 from .journal import JOURNAL_NAME, read_journal, resume_durable
-from .methods import SEARCH_METHODS
 from .runner import NasSearch
 
-__all__ = ["ChaosEvalModel", "CountingRewardModel", "fault_levels",
-           "fault_matrix", "check_rows", "numeric_matrix",
-           "check_numeric_rows", "proc_matrix", "check_proc_rows",
-           "crashpoint_child", "crashpoint_matrix",
-           "check_crashpoint_rows", "main"]
+__all__ = ["ChaosEvalModel", "Scenario", "SCENARIOS", "fault_levels",
+           "crashpoint_child", "journal_real_evals", "run", "check",
+           "report", "main"]
 
 #: default chaos allocation: small enough to run in seconds, large
 #: enough that node failures hit busy pilots
@@ -72,7 +72,7 @@ _ALLOCATION = NodeAllocation(32, 4, 3)
 
 @dataclass
 class ChaosEvalModel(RewardModel):
-    """A reward model that really crashes, hangs, or stalls.
+    """A reward model that really crashes, hangs, or stalls — and counts.
 
     Wraps an inner model and, per architecture, draws a deterministic
     fault: ``crash_frac`` of architectures hard-kill their worker with
@@ -83,6 +83,12 @@ class ChaosEvalModel(RewardModel):
     ``(seed, arch.key)`` only — the *same* architecture faults the same
     way on every attempt in every process, which is exactly what makes
     it a poison job the quarantine must catch.
+
+    ``calls`` counts ``evaluate`` invocations in this process.  With no
+    fault configured the model is a pure counting pass-through: the
+    crash-point fuzzer wraps every resumed run with it, so any
+    journal-covered evaluation that sneaks past the replay layer and
+    re-executes bumps the count.
 
     The class lives here (an importable ``src`` module, not a test
     file) because ``spawn``-context workers must re-import it by module
@@ -97,7 +103,11 @@ class ChaosEvalModel(RewardModel):
     seed: int = 0
     #: exit code of injected crashes (visible in WORKER_CRASH causes)
     crash_exit_code: int = 23
+    calls: int = 0
     plan_cache: object = field(default=None, repr=False)
+    #: serializes ``calls`` updates from thread-backend workers; a class
+    #: attribute, so pickled models (spawn workers) carry none
+    _calls_lock = threading.Lock()
 
     def _draw(self, arch: Architecture) -> float:
         return zlib.crc32(repr((self.seed, arch.key)).encode()) / 2.0 ** 32
@@ -112,6 +122,8 @@ class ChaosEvalModel(RewardModel):
         return "ok"
 
     def evaluate(self, arch: Architecture, agent_seed: int = 0) -> EvalResult:
+        with self._calls_lock:
+            self.calls += 1
         kind = self.fault_kind(arch)
         if kind == "crash":
             os._exit(self.crash_exit_code)
@@ -129,27 +141,26 @@ class ChaosEvalModel(RewardModel):
         self.inner.prefetch_plan(arch)
 
 
-@dataclass
-class CountingRewardModel(RewardModel):
-    """Counts real ``evaluate`` calls (module-level so ``spawn``-context
-    workers can unpickle it).  The crash-point fuzzer wraps the resumed
-    run's reward model with it: any journal-covered evaluation that
-    sneaks past the replay layer and re-executes bumps the count."""
+def _surrogate(space) -> SurrogateReward:
+    """The combo-small surrogate every scenario searches against."""
+    return SurrogateReward(
+        space, COMBO_PAPER_SHAPES, combo_head(),
+        TrainingCostModel.combo_paper(),
+        epochs=1, train_fraction=0.1, timeout=600.0,
+        log_params_opt=6.5, seed=7)
 
-    inner: RewardModel
-    calls: int = 0
-    plan_cache: object = field(default=None, repr=False)
 
-    def evaluate(self, arch: Architecture, agent_seed: int = 0) -> EvalResult:
-        self.calls += 1
-        return self.inner.evaluate(arch, agent_seed=agent_seed)
-
-    def set_plan_cache(self, cache) -> None:
-        self.plan_cache = cache
-        self.inner.set_plan_cache(cache)
-
-    def prefetch_plan(self, arch: Architecture) -> None:
-        self.inner.prefetch_plan(arch)
+def _run_row(level: str, search: NasSearch, columns) -> dict:
+    """Run ``search`` into one result row: the columns every search
+    scenario shares, then ``columns(search, result)``'s own."""
+    result = search.run()
+    best = result.best().reward if result.records else float("-inf")
+    return {"level": level, "method": search.config.method,
+            "evaluations": result.num_evaluations, "best_reward": best,
+            "finite_best": math.isfinite(best),
+            "failed_evals": result.num_failed_evals,
+            "failed_agents": len(result.failed_agents),
+            **columns(search, result)}
 
 
 def fault_levels(minutes: float, seed: int) -> list[tuple[str,
@@ -179,10 +190,9 @@ def fault_levels(minutes: float, seed: int) -> list[tuple[str,
     ]
 
 
-def fault_matrix(minutes: float = 45.0, seed: int = 1,
-                 method: str = "a3c",
-                 levels: tuple[str, ...] | None = None) -> list[dict]:
-    """Run the matrix; returns one result row per fault level.
+def _fault_cell(method: str, minutes: float = 45.0, seed: int = 1,
+                levels: tuple[str, ...] | None = None) -> list[dict]:
+    """One row per fault level for ``method``, fault-free first.
 
     ``levels`` restricts the run to a subset of the matrix (the
     fault-free ``"none"`` row is the comparison baseline and should be
@@ -193,131 +203,61 @@ def fault_matrix(minutes: float = 45.0, seed: int = 1,
     for name, faults in fault_levels(minutes, seed):
         if levels is not None and name not in levels:
             continue
-        reward_model = SurrogateReward(
-            space, COMBO_PAPER_SHAPES, combo_head(),
-            TrainingCostModel.combo_paper(),
-            epochs=1, train_fraction=0.1, timeout=600.0,
-            log_params_opt=6.5, seed=7)
         cfg = SearchConfig(
             method=method, allocation=_ALLOCATION,
-            wall_time=minutes * 60.0, seed=seed,
-            faults=faults,
+            wall_time=minutes * 60.0, seed=seed, faults=faults,
             batch_deadline=(None if faults is None else minutes * 60.0 / 4))
-        search = NasSearch(space, reward_model, cfg)
-        result = search.run()
-        rows.append({
-            "level": name,
-            "evaluations": result.num_evaluations,
-            "best_reward": (result.best().reward
-                            if result.records else float("-inf")),
-            "failed_evals": result.num_failed_evals,
-            "failed_agents": len(result.failed_agents),
-            "node_failures": search.cluster.num_failures,
-            "job_restarts": search.service.num_restarts,
-            "mean_utilization": search.cluster.mean_utilization(
-                result.end_time),
-            "end_time": result.end_time,
-        })
+        search = NasSearch(space, _surrogate(space), cfg)
+        rows.append(_run_row(f"faults/{method}/{name}", search, lambda s, r: {
+            "node_failures": s.cluster.num_failures,
+            "job_restarts": s.service.num_restarts,
+            "mean_utilization": s.cluster.mean_utilization(r.end_time)}))
     return rows
 
 
-def check_rows(rows: list[dict], tolerance: float = 0.05) -> list[str]:
-    """Robustness invariants over a fault-matrix result; returns the
-    list of violations (empty = pass)."""
-    problems = []
-    baseline = rows[0]
+def _reward_drop(rows: list[dict], tolerance: float) -> list[str]:
+    """Each faulted row's best-reward drop against the fault-free row
+    of the same method (the first row that method produced)."""
+    problems, baselines = [], {}
     for row in rows:
-        if row["failed_agents"]:
-            problems.append(
-                f"{row['level']}: {row['failed_agents']} agent(s) lost")
-        if row["evaluations"] == 0:
-            problems.append(f"{row['level']}: produced no evaluations")
-    for row in rows[1:]:
-        drop = baseline["best_reward"] - row["best_reward"]
-        if drop > tolerance * abs(baseline["best_reward"]):
+        base = baselines.setdefault(row["method"], row)
+        drop = base["best_reward"] - row["best_reward"]
+        if drop > tolerance * abs(base["best_reward"]):
             problems.append(
                 f"{row['level']}: best reward degraded by {drop:.4f} "
                 f"(> {tolerance:.0%} of fault-free "
-                f"{baseline['best_reward']:.4f})")
+                f"{base['best_reward']:.4f})")
     return problems
 
 
-def numeric_matrix(minutes: float = 40.0, seed: int = 1,
-                   methods: tuple[str, ...] = ("a3c", "a2c"),
-                   max_restarts: int = 3) -> list[dict]:
-    """Numerical-chaos profile: one row per PPO method.
+def _numeric_cell(method: str, minutes: float = 40.0, seed: int = 1,
+                  max_restarts: int = 3) -> list[dict]:
+    """Numerical-health chaos: one row for ``method`` (a PPO method).
 
-    Each run injects NaN gradients, exploding updates, and corrupt
+    The run injects NaN gradients, exploding updates, and corrupt
     exchange deltas while the health layer runs in ``recover`` mode —
     rollback first, resurrection when the rollback budget is spent.
     """
     space = combo_small()
-    faults = FaultConfig(nan_grad_prob=0.05, exploding_loss_prob=0.02,
-                         corrupt_delta_prob=0.05, seed=seed + 2)
-    rows = []
-    for method in methods:
-        reward_model = SurrogateReward(
-            space, COMBO_PAPER_SHAPES, combo_head(),
-            TrainingCostModel.combo_paper(),
-            epochs=1, train_fraction=0.1, timeout=600.0,
-            log_params_opt=6.5, seed=7)
-        cfg = SearchConfig(
-            method=method, allocation=_ALLOCATION,
-            wall_time=minutes * 60.0, seed=seed,
-            faults=faults, guard=GuardConfig(mode="recover"),
-            max_restarts=max_restarts)
-        search = NasSearch(space, reward_model, cfg)
-        result = search.run()
-        best = (result.best().reward if result.records else float("nan"))
-        rows.append({
-            "level": f"numeric/{method}",
-            "evaluations": result.num_evaluations,
-            "best_reward": best,
-            "rollbacks": result.num_rollbacks,
-            "restarts": result.num_restarts,
-            "failed_agents": len(result.failed_agents),
-            "numeric_faults": (search.injector.num_numeric_faults
-                               if search.injector else 0),
-            "rejected_deltas": (search.ps.num_rejected_deltas
-                                if search.ps is not None
-                                and hasattr(search.ps,
-                                            "num_rejected_deltas") else 0),
-            "end_time": result.end_time,
-        })
-    return rows
+    cfg = SearchConfig(
+        method=method, allocation=_ALLOCATION,
+        wall_time=minutes * 60.0, seed=seed,
+        faults=FaultConfig(nan_grad_prob=0.05, exploding_loss_prob=0.02,
+                           corrupt_delta_prob=0.05, seed=seed + 2),
+        guard=GuardConfig(mode="recover"), max_restarts=max_restarts)
+    search = NasSearch(space, _surrogate(space), cfg)
+    return [_run_row(f"numeric/{method}", search, lambda s, r: {
+        "rollbacks": r.num_rollbacks, "restarts": r.num_restarts,
+        "numeric_faults": (s.injector.num_numeric_faults
+                           if s.injector else 0),
+        "rejected_deltas": getattr(s.ps, "num_rejected_deltas", 0)})]
 
 
-def check_numeric_rows(rows: list[dict]) -> list[str]:
-    """Health-layer invariants over the numeric profile; returns the
-    list of violations (empty = pass)."""
-    problems = []
-    for row in rows:
-        level = row["level"]
-        if row["evaluations"] == 0:
-            problems.append(f"{level}: produced no evaluations")
-        best = row["best_reward"]
-        if not (best == best and abs(best) != float("inf")):
-            problems.append(f"{level}: best reward not finite ({best!r})")
-        if row["numeric_faults"] == 0:
-            problems.append(f"{level}: no numeric faults fired — the "
-                            f"profile tested nothing")
-        if row["rollbacks"] == 0:
-            problems.append(f"{level}: guards never rolled a policy back")
-        if row["restarts"] == 0:
-            problems.append(f"{level}: no agent was resurrected")
-        if row["failed_agents"]:
-            problems.append(
-                f"{level}: {row['failed_agents']} agent(s) permanently "
-                f"lost below the restart cap")
-    return problems
-
-
-def proc_matrix(seed: int = 1, iterations: int = 3,
-                kill_interval: float = 0.4, max_kills: int = 4,
-                methods: tuple[str, ...] = ("a3c",)) -> list[dict]:
+def _proc_cell(method: str, seed: int = 1, iterations: int = 3,
+               kill_interval: float = 0.4, max_kills: int = 4) -> list[dict]:
     """Real-fault chaos over the supervised process backend.
 
-    Each row runs a small search with ``backend="process"`` against a
+    The row runs a small search with ``backend="process"`` against a
     :class:`ChaosEvalModel` whose architectures really crash
     (``os._exit``) and really hang, while a killer thread SIGKILLs live
     worker processes mid-evaluation.  The supervision layer must absorb
@@ -330,102 +270,51 @@ def proc_matrix(seed: int = 1, iterations: int = 3,
     so retries — however the killer interleaves with them — return the
     same values and the sampled trajectory stays seed-deterministic.
     """
-    from ..evaluator.process import ProcConfig, ProcessEvaluator
-    from ..events import (QUARANTINE, WORKER_CRASH, WORKER_RESPAWN,
-                          WORKER_SPAWN, RecordingSink)
-
     space = combo_small()
-    rows = []
-    for method in methods:
-        inner = SurrogateReward(
-            space, COMBO_PAPER_SHAPES, combo_head(),
-            TrainingCostModel.combo_paper(),
-            epochs=1, train_fraction=0.1, timeout=600.0,
-            log_params_opt=6.5, seed=7)
-        model = ChaosEvalModel(inner, crash_frac=0.10, hang_frac=0.08,
-                               hang_seconds=30.0, eval_seconds=0.05,
-                               seed=seed)
-        # generous respawn budget: quarantine (2 distinct kills) must
-        # always fire before the pool can exhaust, because the inline
-        # fallback must never execute a not-yet-quarantined poison job
-        # in the parent process
-        cfg = SearchConfig(
-            method=method, allocation=NodeAllocation(10, 2, 3),
-            wall_time=3600.0, seed=seed, backend="process",
-            max_iterations=iterations,
-            proc=ProcConfig(workers=2, job_deadline=1.0,
-                            heartbeat_interval=0.1,
-                            retry_backoff=0.02, max_respawns=50))
-        sink = RecordingSink()
-        search = NasSearch(space, model, cfg, event_sink=sink)
+    model = ChaosEvalModel(_surrogate(space), crash_frac=0.10,
+                           hang_frac=0.08, hang_seconds=30.0,
+                           eval_seconds=0.05, seed=seed)
+    # generous respawn budget: quarantine (2 distinct kills) must always
+    # fire before the pool can exhaust, because the inline fallback must
+    # never execute a not-yet-quarantined poison job in the parent
+    cfg = SearchConfig(
+        method=method, allocation=NodeAllocation(10, 2, 3),
+        wall_time=3600.0, seed=seed, backend="process",
+        max_iterations=iterations,
+        proc=ProcConfig(workers=2, job_deadline=1.0, heartbeat_interval=0.1,
+                        retry_backoff=0.02, max_respawns=50))
+    sink = RecordingSink()
+    search = NasSearch(space, model, cfg, event_sink=sink)
+    stop = threading.Event()
+    kills = [0]
 
-        stop = threading.Event()
-        kills = [0]
+    def killer():
+        while not stop.is_set() and kills[0] < max_kills:
+            stop.wait(kill_interval)
+            pids = [pid for ev in search.evaluators
+                    if isinstance(ev, ProcessEvaluator)
+                    for pid in ev.worker_pids()]
+            if not pids:
+                continue
+            try:
+                os.kill(pids[kills[0] % len(pids)], signal.SIGKILL)
+                kills[0] += 1
+            except OSError:
+                pass    # worker exited between listing and kill
 
-        def killer(search=search, stop=stop, kills=kills):
-            while not stop.is_set() and kills[0] < max_kills:
-                stop.wait(kill_interval)
-                pids = [pid for ev in search.evaluators
-                        if isinstance(ev, ProcessEvaluator)
-                        for pid in ev.worker_pids()]
-                if not pids:
-                    continue
-                try:
-                    os.kill(pids[kills[0] % len(pids)], signal.SIGKILL)
-                    kills[0] += 1
-                except OSError:
-                    pass    # worker exited between listing and kill
-
-        thread = threading.Thread(target=killer, daemon=True)
-        thread.start()
-        try:
-            result = search.run()
-        finally:
-            stop.set()
-            thread.join(5.0)
-        stats = result.worker_stats
-        kinds = set(sink.kinds())
-        rows.append({
-            "level": f"proc/{method}",
-            "evaluations": result.num_evaluations,
-            "best_reward": (result.best().reward
-                            if result.records else float("-inf")),
-            "failed_evals": result.num_failed_evals,
-            "failed_agents": len(result.failed_agents),
-            "external_kills": kills[0],
-            "worker_crashes": stats.get("worker_crashes", 0),
-            "worker_timeouts": stats.get("worker_timeouts", 0),
-            "respawns": stats.get("respawns", 0),
-            "quarantined": stats.get("quarantined", 0),
-            "inline_evals": stats.get("inline_evals", 0),
+    thread = threading.Thread(target=killer, daemon=True)
+    thread.start()
+    try:
+        row = _run_row(f"proc/{method}", search, lambda s, r: {
+            **r.worker_stats, "worker_faults": (
+                r.worker_stats["worker_crashes"]
+                + r.worker_stats["worker_timeouts"]),
             "events_ok": ({WORKER_SPAWN, WORKER_CRASH, WORKER_RESPAWN,
-                           QUARANTINE} <= kinds),
-        })
-    return rows
-
-
-def check_proc_rows(rows: list[dict]) -> list[str]:
-    """Supervision invariants over the proc profile; returns the list
-    of violations (empty = pass)."""
-    problems = []
-    for row in rows:
-        level = row["level"]
-        if row["evaluations"] == 0:
-            problems.append(f"{level}: produced no evaluations")
-        if row["failed_agents"]:
-            problems.append(
-                f"{level}: {row['failed_agents']} agent(s) lost")
-        if row["worker_crashes"] + row["worker_timeouts"] == 0:
-            problems.append(f"{level}: no worker was ever killed — the "
-                            f"profile tested nothing")
-        if row["respawns"] == 0:
-            problems.append(f"{level}: no worker was respawned")
-        if row["quarantined"] == 0:
-            problems.append(f"{level}: no architecture was quarantined")
-        if not row["events_ok"]:
-            problems.append(f"{level}: WORKER_*/QUARANTINE events missing "
-                            f"from the stream")
-    return problems
+                           QUARANTINE} <= set(sink.kinds()))})
+    finally:
+        stop.set()
+        thread.join(5.0)
+    return [{**row, "external_kills": kills[0]}]
 
 
 # ----------------------------------------------------------------------
@@ -433,8 +322,7 @@ def check_proc_rows(rows: list[dict]) -> list[str]:
 # ----------------------------------------------------------------------
 def crashpoint_child(journal_dir, method: str = "a3c",
                      backend: str = "serial", seed: int = 3,
-                     iterations: int = 4, throttle: float = 0.0,
-                     count: bool = False):
+                     iterations: int = 4, throttle: float = 0.0):
     """One durable search over ``journal_dir`` — first launch and every
     relaunch alike (it goes through
     :func:`~repro.search.journal.resume_durable`).
@@ -442,37 +330,26 @@ def crashpoint_child(journal_dir, method: str = "a3c",
     This is both the subprocess entry the fuzzer SIGKILLs (``throttle``
     stalls each evaluation so the parent can aim between journal
     records; the stall never touches rewards or modeled durations, so
-    fingerprints are unaffected) and the in-parent resume path
-    (``count=True`` wraps the reward model in
-    :class:`CountingRewardModel`).  Returns ``(result, search,
-    counter)``.
+    fingerprints are unaffected) and the in-parent resume path.  The
+    reward model is a :class:`ChaosEvalModel` whose ``calls`` counts
+    this process's real executions.  Returns ``(result, search,
+    model)``.
     """
     space = combo_small()
-    model: RewardModel = SurrogateReward(
-        space, COMBO_PAPER_SHAPES, combo_head(),
-        TrainingCostModel.combo_paper(),
-        epochs=1, train_fraction=0.1, timeout=600.0,
-        log_params_opt=6.5, seed=7)
-    if throttle > 0:
-        model = ChaosEvalModel(model, eval_seconds=throttle, seed=seed)
-    counter = None
-    if count:
-        model = counter = CountingRewardModel(model)
-    proc = None
-    if backend == "process":
-        from ..evaluator.process import ProcConfig
-        proc = ProcConfig(workers=2)
+    model = ChaosEvalModel(_surrogate(space), eval_seconds=throttle,
+                           seed=seed)
     cfg = SearchConfig(
         method=method, allocation=NodeAllocation(10, 2, 3),
         wall_time=3600.0, seed=seed, backend=backend,
-        max_iterations=iterations, proc=proc,
+        max_iterations=iterations,
+        proc=ProcConfig(workers=2) if backend == "process" else None,
         journal_dir=os.fspath(journal_dir), checkpoint_every_records=6)
     search = resume_durable(space, model, cfg)
     result = search.run()
-    return result, search, counter
+    return result, search, model
 
 
-def _journal_real_evals(journal_dir) -> int:
+def journal_real_evals(journal_dir) -> int:
     """Real executions recorded in the journal: ``eval-done`` records
     that are neither cache hits (those emit ``cache-hit``) nor replay
     re-emissions (``replayed=True``)."""
@@ -532,15 +409,15 @@ def _spawn_and_kill_at(journal_dir, k: int, method: str, backend: str,
         child.wait()
 
 
-def crashpoint_matrix(seed: int = 3, iterations: int = 4, points: int = 3,
-                      methods: tuple[str, ...] = ("a3c", "a2c", "rdm"),
-                      backends: tuple[str, ...] = ("serial", "thread",
-                                                   "process"),
-                      throttle: float = 0.05) -> list[dict]:
+def _crashpoint_cell(method: str, seed: int = 3, iterations: int = 4,
+                     points: int = 3,
+                     backends: tuple[str, ...] = ("serial", "thread",
+                                                  "process"),
+                     throttle: float = 0.05) -> list[dict]:
     """SIGKILL-anywhere fuzzing of the write-ahead journal: one row per
-    (method, backend) cell.
+    backend for ``method``.
 
-    Per cell: run the search uninterrupted once (the baseline journal
+    Per backend: run the search uninterrupted once (the baseline journal
     gives the total record count, the real-execution count, and the
     reference fingerprint), pick ``points`` stratified kill indices over
     the record range, and for each index run a fresh subprocess, SIGKILL
@@ -551,121 +428,203 @@ def crashpoint_matrix(seed: int = 3, iterations: int = 4, points: int = 3,
     uninterrupted run's (zero re-evaluation).
     """
     rows = []
-    for method in methods:
-        for backend in backends:
-            base_dir = tempfile.mkdtemp(prefix="crashpoint-base-")
-            try:
-                base_result, _search, base_counter = crashpoint_child(
-                    base_dir, method, backend, seed, iterations, count=True)
-                base_fp = base_result.fingerprint()
-                base_real = _journal_real_evals(base_dir)
-                journal_path = Path(base_dir) / JOURNAL_NAME
-                total = journal_path.read_bytes().count(b"\n")
-            finally:
-                shutil.rmtree(base_dir, ignore_errors=True)
-            kill_points = sorted({max(1, total * i // (points + 1))
-                                  for i in range(1, points + 1)})
-            row = {"level": f"crashpoint/{method}/{backend}",
-                   "journal_records": total, "baseline_evals": base_real,
-                   "kill_points": kill_points, "kills_landed": 0,
-                   "replay_loaded": 0, "fingerprint_mismatches": 0,
-                   "reevaluations": 0, "replay_leftover": 0,
-                   "direct_reexec": 0}
-            for k in kill_points:
-                crash_dir = tempfile.mkdtemp(prefix="crashpoint-")
-                try:
-                    landed = _spawn_and_kill_at(
-                        crash_dir, k, method, backend, seed, iterations,
-                        throttle)
-                    row["kills_landed"] += int(landed)
-                    real_at_kill = _journal_real_evals(crash_dir)
-                    result, search, counter = crashpoint_child(
-                        crash_dir, method, backend, seed, iterations,
-                        count=True)
-                    row["replay_loaded"] += search.num_replay_loaded
-                    if result.fingerprint() != base_fp:
-                        row["fingerprint_mismatches"] += 1
-                    # zero re-evaluation, from the journal itself: real
-                    # executions across dead run + resume must equal the
-                    # uninterrupted run's (works for every backend — the
-                    # broker journals eval-done in the search head)
-                    row["reevaluations"] += max(
-                        0, _journal_real_evals(crash_dir) - base_real)
-                    # every armed replay entry must have been consumed
-                    row["replay_leftover"] += sum(
-                        ev.replay_pending() for ev in search.evaluators)
-                    if counter is not None and backend != "process":
-                        # in-process backends: the resumed run's direct
-                        # call count must be exactly the journal deficit
-                        row["direct_reexec"] += max(
-                            0, counter.calls - (base_real - real_at_kill))
-                finally:
-                    shutil.rmtree(crash_dir, ignore_errors=True)
-            rows.append(row)
+    for backend in backends:
+        with tempfile.TemporaryDirectory(prefix="crashpoint-base-",
+                                         ignore_cleanup_errors=True) as base:
+            base_fp = crashpoint_child(base, method, backend, seed,
+                                       iterations)[0].fingerprint()
+            base_real = journal_real_evals(base)
+            total = (Path(base) / JOURNAL_NAME).read_bytes().count(b"\n")
+        kill_points = sorted({max(1, total * i // (points + 1))
+                              for i in range(1, points + 1)})
+        row = {"level": f"crashpoint/{method}/{backend}",
+               "journal_records": total, "baseline_evals": base_real,
+               "kill_points": kill_points, "kills_landed": 0,
+               "replay_loaded": 0, "fingerprint_mismatches": 0,
+               "reevaluations": 0, "replay_leftover": 0,
+               "direct_reexec": 0}
+        for k in kill_points:
+            with tempfile.TemporaryDirectory(
+                    prefix="crashpoint-", ignore_cleanup_errors=True) as crash:
+                row["kills_landed"] += int(_spawn_and_kill_at(
+                    crash, k, method, backend, seed, iterations, throttle))
+                real_at_kill = journal_real_evals(crash)
+                result, search, model = crashpoint_child(
+                    crash, method, backend, seed, iterations)
+                row["replay_loaded"] += search.num_replay_loaded
+                row["fingerprint_mismatches"] += int(
+                    result.fingerprint() != base_fp)
+                # zero re-evaluation, from the journal itself: real
+                # executions across dead run + resume must equal the
+                # uninterrupted run's (works for every backend — the
+                # broker journals eval-done in the search head)
+                row["reevaluations"] += max(
+                    0, journal_real_evals(crash) - base_real)
+                # every armed replay entry must have been consumed
+                row["replay_leftover"] += sum(
+                    ev.replay_pending() for ev in search.evaluators)
+                if backend != "process":
+                    # in-process backends: the resumed run's direct call
+                    # count must be exactly the journal deficit
+                    row["direct_reexec"] += max(
+                        0, model.calls - (base_real - real_at_kill))
+        rows.append(row)
     return rows
 
 
-def check_crashpoint_rows(rows: list[dict]) -> list[str]:
-    """Durability invariants over the crash-point profile; returns the
-    list of violations (empty = pass)."""
+def _replay_loaded(rows: list[dict], tolerance: float) -> list[str]:
+    """At least one resume across the profile loaded a replay entry
+    (otherwise every kill landed on a checkpoint boundary)."""
+    if rows and not any(row["replay_loaded"] for row in rows):
+        return [f"{', '.join(row['level'] for row in rows)}: no run ever "
+                f"loaded a replay entry — every kill landed on a "
+                f"checkpoint boundary"]
+    return []
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One chaos scenario: how its cells run and what must hold."""
+
+    #: ``cell(method, **options) -> rows`` for one method's cell(s)
+    cell: Callable[..., list[dict]]
+    #: methods when the caller (or ``--methods``) names none
+    methods: tuple[str, ...]
+    #: column -> violation message when it is non-zero (``{}`` = value)
+    zero: dict[str, str]
+    #: column -> violation message when it is zero/false
+    fire: dict[str, str]
+    #: columns :func:`report` prints after ``level``
+    columns: tuple[str, ...]
+    #: the cell options the CLI's flags set
+    options: Callable[[argparse.Namespace], dict]
+    #: ``across(rows, tolerance) -> problems``: the one cross-row check
+    across: Callable[[list[dict], float], list[str]] | None = None
+
+
+_NO_EVALS = {"evaluations": "produced no evaluations"}
+
+SCENARIOS: dict[str, Scenario] = {
+    "faults": Scenario(
+        _fault_cell, ("a3c",),
+        zero={"failed_agents": "{} agent(s) lost"}, fire=_NO_EVALS,
+        across=_reward_drop,
+        columns=("evaluations", "best_reward", "failed_evals",
+                 "failed_agents", "node_failures", "job_restarts",
+                 "mean_utilization"),
+        options=lambda a: {"minutes": a.minutes, "seed": a.seed}),
+    "numeric": Scenario(
+        _numeric_cell, ("a3c", "a2c"),
+        zero={"failed_agents": "{} agent(s) permanently lost below the "
+                               "restart cap"},
+        fire={**_NO_EVALS,
+              "finite_best": "best reward not finite",
+              "numeric_faults": "no numeric faults fired — the profile "
+                                "tested nothing",
+              "rollbacks": "guards never rolled a policy back",
+              "restarts": "no agent was resurrected"},
+        columns=("evaluations", "best_reward", "numeric_faults",
+                 "rollbacks", "restarts", "rejected_deltas",
+                 "failed_agents"),
+        options=lambda a: {"minutes": a.minutes, "seed": a.seed}),
+    "proc": Scenario(
+        _proc_cell, ("a3c",),
+        zero={"failed_agents": "{} agent(s) lost"},
+        fire={**_NO_EVALS,
+              "worker_faults": "no worker was ever killed — the profile "
+                               "tested nothing",
+              "respawns": "no worker was respawned",
+              "quarantined": "no architecture was quarantined",
+              "events_ok": "WORKER_*/QUARANTINE events missing from the "
+                           "stream"},
+        columns=("evaluations", "best_reward", "external_kills",
+                 "worker_crashes", "worker_timeouts", "respawns",
+                 "quarantined", "inline_evals"),
+        options=lambda a: {"seed": a.seed}),
+    "crashpoint": Scenario(
+        _crashpoint_cell, ("a3c", "a2c", "rdm"),
+        zero={"fingerprint_mismatches": "{} resumed run(s) diverged from "
+                                        "the uninterrupted fingerprint",
+              "reevaluations": "{} journaled evaluation(s) were "
+                               "re-executed after resume",
+              "direct_reexec": "reward model re-invoked {} time(s) beyond "
+                               "the journal deficit",
+              "replay_leftover": "{} armed replay entr(y/ies) never "
+                                 "consumed"},
+        fire={"kills_landed": "no SIGKILL landed — every child finished "
+                              "first, the profile tested nothing"},
+        across=_replay_loaded,
+        columns=("journal_records", "baseline_evals", "kills_landed",
+                 "replay_loaded", "fingerprint_mismatches",
+                 "reevaluations", "replay_leftover"),
+        # the fuzzer's cells search two seeds above the CLI's --seed
+        options=lambda a: {"seed": a.seed + 2, "points": a.points,
+                           "backends": tuple(a.backends.split(","))}),
+}
+
+
+def run(profile: str, methods: tuple[str, ...] | None = None,
+        **options) -> list[dict]:
+    """Every cell of one scenario, method by method (its default methods
+    when ``methods`` is None); ``options`` go to each cell."""
+    scenario = SCENARIOS[profile]
+    return [row for method in methods or scenario.methods
+            for row in scenario.cell(method, **options)]
+
+
+def check(profile: str, rows: list[dict],
+          tolerance: float = 0.05) -> list[str]:
+    """Every invariant of ``profile``'s scenario over its result rows;
+    returns the violations (empty = pass).  ``tolerance`` is the
+    allowed fractional best-reward drop of the faults scenario."""
+    scenario = SCENARIOS[profile]
     problems = []
     for row in rows:
-        level = row["level"]
-        if row["fingerprint_mismatches"]:
-            problems.append(
-                f"{level}: {row['fingerprint_mismatches']} resumed run(s) "
-                f"diverged from the uninterrupted fingerprint")
-        if row["reevaluations"]:
-            problems.append(
-                f"{level}: {row['reevaluations']} journaled evaluation(s) "
-                f"were re-executed after resume")
-        if row["direct_reexec"]:
-            problems.append(
-                f"{level}: reward model re-invoked "
-                f"{row['direct_reexec']} time(s) beyond the journal "
-                f"deficit")
-        if row["replay_leftover"]:
-            problems.append(
-                f"{level}: {row['replay_leftover']} armed replay "
-                f"entr(y/ies) never consumed")
-        if row["kills_landed"] == 0:
-            problems.append(
-                f"{level}: no SIGKILL landed — every child finished "
-                f"first, the profile tested nothing")
-    if rows and not any(row["replay_loaded"] for row in rows):
-        problems.append("crashpoint: no run ever loaded a replay entry — "
-                        "every kill landed on a checkpoint boundary")
+        problems += [f"{row['level']}: " + message.format(row[column])
+                     for column, message in scenario.zero.items()
+                     if row[column]]
+        problems += [f"{row['level']}: {message}"
+                     for column, message in scenario.fire.items()
+                     if not row[column]]
+    if scenario.across is not None:
+        problems += scenario.across(rows, tolerance)
     return problems
+
+
+def report(rows: list[dict], columns: tuple[str, ...]) -> None:
+    """Print ``rows`` as a table of ``level`` plus ``columns``."""
+    table = [("level", *columns)] + [
+        (row["level"], *(f"{row[c]:.4f}" if isinstance(row[c], float)
+                         else str(row[c]) for c in columns))
+        for row in rows]
+    widths = [max(map(len, cells)) for cells in zip(*table)]
+    for level, *cells in table:
+        print(level.ljust(widths[0]),
+              *(cell.rjust(w) for cell, w in zip(cells, widths[1:])))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-chaos",
-        description="fault-matrix smoke of the fault-tolerant pipeline")
+        prog="repro-chaos", description=__doc__, allow_abbrev=False,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--profile", default="faults",
+                        choices=(*SCENARIOS, "all"),
+                        help="scenario to run, or all of them in table "
+                             "order (default faults)")
+    defaults = ", ".join(f"{name} {','.join(scenario.methods)}"
+                         for name, scenario in SCENARIOS.items())
+    parser.add_argument("--methods", type=lambda t: tuple(t.split(",")),
+                        help="comma-separated search methods every "
+                             f"scenario runs (default {defaults})")
     parser.add_argument("--minutes", type=float, default=45.0,
-                        help="virtual wall time per run (default 45)")
+                        help="virtual wall time per faults/numeric run "
+                             "(default 45)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--method", default="a3c",
-                        choices=tuple(sorted(SEARCH_METHODS)))
     parser.add_argument("--tolerance", type=float, default=0.05,
                         help="allowed best-reward degradation vs "
                              "fault-free, as a fraction (default 0.05)")
-    parser.add_argument("--profile", default="faults",
-                        choices=("faults", "numeric", "proc",
-                                 "crashpoint", "all"),
-                        help="faults = infrastructure fault matrix; "
-                             "numeric = numerical health-layer chaos; "
-                             "proc = real-process supervision chaos "
-                             "(SIGKILLed workers, crashing/hanging "
-                             "evals); crashpoint = SIGKILL the whole "
-                             "search at stratified journal records and "
-                             "prove bit-identical zero-re-eval resume; "
-                             "all = every profile (default faults)")
     parser.add_argument("--points", type=int, default=3,
                         help="kill points per crashpoint cell (default 3)")
-    parser.add_argument("--methods", default="a3c,a2c,rdm",
-                        help="comma-separated methods for the crashpoint "
-                             "profile (default a3c,a2c,rdm)")
     parser.add_argument("--backends", default="serial,thread,process",
                         help="comma-separated backends for the "
                              "crashpoint profile "
@@ -673,60 +632,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     problems: list[str] = []
-    if args.profile in ("faults", "all"):
-        rows = fault_matrix(minutes=args.minutes, seed=args.seed,
-                            method=args.method)
-        header = (f"{'level':12s} {'evals':>6s} {'best':>8s} "
-                  f"{'failed':>7s} {'lost':>5s} {'nodefail':>8s} "
-                  f"{'restarts':>8s} {'util':>6s}")
-        print(header)
-        for row in rows:
-            print(f"{row['level']:12s} {row['evaluations']:6d} "
-                  f"{row['best_reward']:8.4f} {row['failed_evals']:7d} "
-                  f"{row['failed_agents']:5d} {row['node_failures']:8d} "
-                  f"{row['job_restarts']:8d} "
-                  f"{row['mean_utilization']:6.3f}")
-        problems += check_rows(rows, tolerance=args.tolerance)
-
-    if args.profile in ("numeric", "all"):
-        rows = numeric_matrix(minutes=args.minutes, seed=args.seed)
-        print(f"{'level':12s} {'evals':>6s} {'best':>8s} {'faults':>7s} "
-              f"{'rollbk':>6s} {'resur':>6s} {'reject':>6s} {'lost':>5s}")
-        for row in rows:
-            print(f"{row['level']:12s} {row['evaluations']:6d} "
-                  f"{row['best_reward']:8.4f} {row['numeric_faults']:7d} "
-                  f"{row['rollbacks']:6d} {row['restarts']:6d} "
-                  f"{row['rejected_deltas']:6d} {row['failed_agents']:5d}")
-        problems += check_numeric_rows(rows)
-
-    if args.profile in ("proc", "all"):
-        rows = proc_matrix(seed=args.seed)
-        print(f"{'level':12s} {'evals':>6s} {'best':>8s} {'kills':>6s} "
-              f"{'crash':>6s} {'tmout':>6s} {'respwn':>6s} {'quar':>5s} "
-              f"{'inline':>6s}")
-        for row in rows:
-            print(f"{row['level']:12s} {row['evaluations']:6d} "
-                  f"{row['best_reward']:8.4f} {row['external_kills']:6d} "
-                  f"{row['worker_crashes']:6d} {row['worker_timeouts']:6d} "
-                  f"{row['respawns']:6d} {row['quarantined']:5d} "
-                  f"{row['inline_evals']:6d}")
-        problems += check_proc_rows(rows)
-
-    if args.profile in ("crashpoint", "all"):
-        rows = crashpoint_matrix(
-            seed=args.seed + 2, points=args.points,
-            methods=tuple(args.methods.split(",")),
-            backends=tuple(args.backends.split(",")))
-        print(f"{'level':24s} {'recs':>5s} {'evals':>6s} {'kills':>6s} "
-              f"{'replay':>6s} {'fpmis':>6s} {'reeval':>6s} {'left':>5s}")
-        for row in rows:
-            print(f"{row['level']:24s} {row['journal_records']:5d} "
-                  f"{row['baseline_evals']:6d} {row['kills_landed']:6d} "
-                  f"{row['replay_loaded']:6d} "
-                  f"{row['fingerprint_mismatches']:6d} "
-                  f"{row['reevaluations']:6d} {row['replay_leftover']:5d}")
-        problems += check_crashpoint_rows(rows)
-
+    for name in (SCENARIOS if args.profile == "all" else (args.profile,)):
+        scenario = SCENARIOS[name]
+        rows = run(name, args.methods, **scenario.options(args))
+        report(rows, scenario.columns)
+        problems += check(name, rows, tolerance=args.tolerance)
     for problem in problems:
         print(f"chaos: FAIL — {problem}")
     if not problems:

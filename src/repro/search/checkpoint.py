@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..nas.arch import Architecture
 from ..rewards.base import EvalResult
 from .base import RewardRecord
 
@@ -142,7 +141,7 @@ class SearchCheckpoint:
             "converged_agents": self.converged_agents,
             "failed_agents": [list(fa) for fa in self.failed_agents],
             "ps_state": self.ps_state,
-            "records": [_record_to_json(r) for r in self.records],
+            "records": [r.to_json() for r in self.records],
             "agents": [_agent_to_json(a) for a in self.agents],
         }
         if self.agent_restarts or self.agent_rollbacks or self.quarantine:
@@ -170,7 +169,7 @@ class SearchCheckpoint:
             space_name=data["space_name"],
             num_agents=int(data["num_agents"]),
             wall_time=float(data["wall_time"]),
-            records=[_record_from_json(r) for r in data["records"]],
+            records=[RewardRecord.from_json(r) for r in data["records"]],
             agents=[_agent_from_json(a) for a in data["agents"]],
             ps_state=data["ps_state"],
             converged_agents=int(data["converged_agents"]),
@@ -218,22 +217,6 @@ def _result_to_json(res: EvalResult) -> list:
 def _result_from_json(data: list) -> EvalResult:
     return EvalResult(float(data[0]), float(data[1]), int(data[2]),
                       bool(data[3]))
-
-
-def _record_to_json(rec: RewardRecord) -> dict:
-    return {"time": rec.time, "agent_id": rec.agent_id,
-            "arch": rec.arch.to_dict(), "reward": rec.reward,
-            "params": rec.params, "duration": rec.duration,
-            "cached": rec.cached, "timed_out": rec.timed_out}
-
-
-def _record_from_json(data: dict) -> RewardRecord:
-    return RewardRecord(
-        time=float(data["time"]), agent_id=int(data["agent_id"]),
-        arch=Architecture.from_dict(data["arch"]),
-        reward=float(data["reward"]), params=int(data["params"]),
-        duration=float(data["duration"]), cached=bool(data["cached"]),
-        timed_out=bool(data["timed_out"]))
 
 
 def _agent_to_json(agent: AgentCheckpoint) -> dict:

@@ -15,11 +15,10 @@ and RDM (no learning, no exchange).  Each mode is one
 * ``export_state`` / ``restore_state`` — checkpoint plumbing for the
   underlying server.
 
-New modes (local-SGD, elastic averaging, ...) are one new class in
-:data:`EXCHANGE_STRATEGIES` plus a pairing row in
-:data:`repro.search.methods.SEARCH_METHODS`; the agent loop and runner
-consult the registries, so there is no ``if mode ==`` arm left to
-extend.
+New modes (local-SGD, elastic averaging, ...) are one new class plus a
+pairing row in :data:`repro.search.methods.SEARCH_METHODS`; the agent
+loop and runner consult that registry, so there is no ``if mode ==``
+arm left to extend.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from ..rl.parameter_server import ParameterServer
 from ..rl.policy import LSTMPolicy
 from ..rl.sharded_ps import ShardedParameterServer
 
-__all__ = ["ExchangeStrategy", "A3CExchange", "A2CExchange",
-           "RandomExchange", "EXCHANGE_STRATEGIES"]
+__all__ = ["ExchangeStrategy", "A3CExchange", "A2CExchange", "RandomExchange"]
 
 
 class ExchangeStrategy:
@@ -46,8 +44,6 @@ class ExchangeStrategy:
     """
 
     name = "?"
-    #: whether the mode learns at all (RDM builds no policy/updater)
-    learns = True
 
     def __init__(self, ps: ParameterServer | ShardedParameterServer | None,
                  sink: EventSink | None = None) -> None:
@@ -178,7 +174,6 @@ class RandomExchange(ExchangeStrategy):
     still present so the agent loop stays method-agnostic."""
 
     name = "rdm"
-    learns = False
 
     @classmethod
     def build(cls, sim, config, space, sink=None):
@@ -187,14 +182,3 @@ class RandomExchange(ExchangeStrategy):
     def on_gradient(self, agent_id, delta, iteration):
         return None
         yield   # pragma: no cover — never driven (RDM computes no delta)
-
-
-#: exchange mode name -> strategy class.  This stays the *exchange*
-#: registry (three modes, §3.2); method-level registration — which
-#: proposer pairs with which exchange — lives in
-#: :data:`repro.search.methods.SEARCH_METHODS`.
-EXCHANGE_STRATEGIES: dict[str, type[ExchangeStrategy]] = {
-    A3CExchange.name: A3CExchange,
-    A2CExchange.name: A2CExchange,
-    RandomExchange.name: RandomExchange,
-}

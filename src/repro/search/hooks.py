@@ -58,9 +58,6 @@ class LifecycleHooks:
         """
         return delta, push_delta
 
-    def on_iteration_end(self, loop) -> None:
-        """Bottom of the iteration, after the digest advanced."""
-
 
 class HookStack(LifecycleHooks):
     """Runs hooks in order; ``after_update`` threads the delta pair."""
@@ -81,10 +78,6 @@ class HookStack(LifecycleHooks):
             delta, push_delta = hook.after_update(loop, delta, push_delta,
                                                   stats)
         return delta, push_delta
-
-    def on_iteration_end(self, loop) -> None:
-        for hook in self.hooks:
-            hook.on_iteration_end(loop)
 
 
 class BoundaryHook(LifecycleHooks):

@@ -161,6 +161,5 @@ class AgentLoop:
         else:
             self.consecutive_cached = 0
         self.iteration += 1
-        self.hooks.on_iteration_end(self)
         if self.consecutive_cached >= self.config.convergence_patience:
             self.converged = True

@@ -10,8 +10,8 @@ on the proposer seam and ride the no-op
 
 Everything method-specific in the runtime consults this table — config
 validation, the runner's composition root, CLI ``--method`` choices,
-``repro search --list-methods``, the chaos matrix, and the bench
-comparison — so registering a new method is one proposer class plus one
+``repro search --list-methods``, and the bench comparison — so
+registering a new method is one proposer class plus one
 :class:`SearchMethod` row here.
 """
 

@@ -24,12 +24,10 @@ the runner next to the exchange).  The contract:
   for methods whose proposals depend only on per-agent state), captured
   into each iteration boundary so a resumed agent re-proposes from
   exactly the history prefix it originally saw;
-* ``rebuild(records)`` / ``export_state`` / ``restore_state`` —
-  checkpoint plumbing.  History proposers derive their entire state
-  from the reward-record stream, so resume rebuilds it from the
-  checkpoint's (boundary-trimmed) records instead of serializing a
-  second copy; the export/restore pair exists for proposers that ever
-  need state beyond the records.
+* ``rebuild(records)`` — checkpoint plumbing.  History proposers
+  derive their entire state from the reward-record stream, so resume
+  rebuilds it from the checkpoint's (boundary-trimmed) records instead
+  of serializing a second copy.
 
 Registering a new method is one :class:`Proposer` subclass plus one
 :class:`~repro.search.methods.SearchMethod` row in
@@ -66,9 +64,6 @@ class Proposer:
     """Base contract between the agent loop and architecture proposal."""
 
     name = "?"
-    #: whether the method learns a policy (the runner builds per-agent
-    #: LSTMPolicy/PPOUpdater pairs only when True)
-    learns = False
 
     @classmethod
     def build(cls, config, space, exchange) -> "Proposer":
@@ -94,14 +89,6 @@ class Proposer:
     def rebuild(self, records) -> None:
         """Re-fold shared state from the (trimmed) reward records a
         checkpoint restore or resurrection kept."""
-
-    def export_state(self) -> dict | None:
-        """State beyond what ``rebuild`` recovers from the records
-        (None for every built-in proposer)."""
-        return None
-
-    def restore_state(self, state: dict | None) -> None:
-        """Inverse of :meth:`export_state`."""
 
 
 class RandomProposer(Proposer):
@@ -140,7 +127,6 @@ class PolicyProposer(Proposer):
     """
 
     name = "policy"
-    learns = True
 
     def __init__(self, exchange) -> None:
         self.exchange = exchange

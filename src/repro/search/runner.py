@@ -406,18 +406,8 @@ class NasSearch:
         double-release a barrier.
         """
         self.exchange.leave(failed=True)
-        # drop records the crashed lifetime appended past the boundary;
-        # the replay re-records them (same trimming checkpoint resume
-        # applies)
-        budget = boundary.num_records
-        kept = []
-        for rec in self.records:
-            if rec.agent_id == agent_id:
-                if budget <= 0:
-                    continue
-                budget -= 1
-            kept.append(rec)
-        self.records = kept
+        self.records = _trim_to_boundaries(
+            self.records, {agent_id: boundary.num_records})
         # shared-history proposers re-fold their state from the kept
         # records (the records ARE the history; see proposer.rebuild)
         self.proposer.rebuild(self.records)
@@ -572,18 +562,12 @@ class NasSearch:
 
     def _apply_checkpoint(self, ckpt: SearchCheckpoint) -> None:
         self._validate_checkpoint(ckpt)
-        # drop records a resuming agent appended past its boundary (a
-        # sync agent parked at the barrier has already recorded its
-        # in-flight iteration); the replay re-records them
-        budget = {a.agent_id: a.boundary.num_records for a in ckpt.agents
-                  if not a.done and a.boundary is not None}
-        self.records = []
-        for rec in ckpt.records:
-            if rec.agent_id in budget:
-                if budget[rec.agent_id] <= 0:
-                    continue
-                budget[rec.agent_id] -= 1
-            self.records.append(rec)
+        # a sync agent parked at the barrier has already recorded its
+        # in-flight iteration
+        self.records = _trim_to_boundaries(
+            ckpt.records, {a.agent_id: a.boundary.num_records
+                           for a in ckpt.agents
+                           if not a.done and a.boundary is not None})
         # shared-history proposers re-fold their state from the kept
         # records; each resuming agent's first proposal then reads up to
         # its boundary's proposer_seen watermark
@@ -610,6 +594,22 @@ class NasSearch:
             self._restore_agent_state(agent.agent_id, agent.boundary)
         self.exchange.restore_state(ckpt.ps_state)
         self._records_at_ckpt = len(self.records)
+
+
+def _trim_to_boundaries(records: list[RewardRecord],
+                        budgets: dict[int, int]) -> list[RewardRecord]:
+    """Keep each budgeted agent's first ``budgets[agent_id]`` records
+    (those up to its iteration boundary; its replay re-records the
+    rest) and every record of the other agents."""
+    left = dict(budgets)
+    kept = []
+    for rec in records:
+        if rec.agent_id in left:
+            if left[rec.agent_id] <= 0:
+                continue
+            left[rec.agent_id] -= 1
+        kept.append(rec)
+    return kept
 
 
 def run_search(space: Structure, reward_model: RewardModel,

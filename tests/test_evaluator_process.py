@@ -25,7 +25,8 @@ from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.rewards.base import RewardModel
-from repro.search.chaos import ChaosEvalModel, check_proc_rows, proc_matrix
+from repro.search import chaos
+from repro.search.chaos import ChaosEvalModel
 
 pytestmark = pytest.mark.proc
 
@@ -201,8 +202,8 @@ class TestChaosProfile:
     def test_proc_matrix_invariants(self):
         """The end-to-end chaos profile: external SIGKILLs + crashing +
         hanging evals over a real search, all invariants green."""
-        rows = proc_matrix(seed=1)
-        assert check_proc_rows(rows) == []
+        rows = chaos.run("proc", seed=1)
+        assert chaos.check("proc", rows) == []
         row = rows[0]
         assert row["evaluations"] > 0
         assert row["respawns"] >= 1

@@ -14,8 +14,7 @@ from repro.hpc import FaultConfig, NodeAllocation, TrainingCostModel
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
-from repro.search import NasSearch, SearchConfig, run_search
-from repro.search.chaos import check_numeric_rows, numeric_matrix
+from repro.search import NasSearch, SearchConfig, chaos, run_search
 
 pytestmark = pytest.mark.health
 
@@ -74,10 +73,10 @@ class TestNumericChaos:
         """The ISSUE 4 chaos criterion: NaN-gradient + corrupt-delta runs
         for a3c and a2c complete with a finite best reward, at least one
         rollback and one resurrection, and no agent permanently lost."""
-        rows = numeric_matrix(minutes=40.0)
+        rows = chaos.run("numeric", minutes=40.0)
         assert {row["level"] for row in rows} == {"numeric/a3c",
                                                   "numeric/a2c"}
-        assert check_numeric_rows(rows) == []
+        assert chaos.check("numeric", rows) == []
 
     def test_recover_counters_consistent(self, space):
         cfg = small_config(minutes=40, faults=numeric_faults(),

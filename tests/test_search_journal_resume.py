@@ -7,7 +7,7 @@ then reproduce the uninterrupted run bit-for-bit (determinism
 fingerprint) without re-executing any journaled evaluation.  The
 ``crashfuzz``-marked test at the bottom runs the real thing — a
 subprocess search SIGKILLed mid-journal via
-:func:`repro.search.chaos.crashpoint_matrix`.
+:func:`repro.search.chaos.run` on its ``crashpoint`` scenario.
 """
 
 import json
@@ -22,17 +22,16 @@ from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
-from repro.search import NasSearch, SearchConfig
-from repro.search.chaos import (check_crashpoint_rows, crashpoint_child,
-                                crashpoint_matrix, _journal_real_evals)
+from repro.search import NasSearch, SearchConfig, chaos
+from repro.search.chaos import crashpoint_child, journal_real_evals
 from repro.search.journal import GENERATIONS_DIR, JOURNAL_NAME, read_journal
 
 
 def run_durable(journal_dir, method="a3c", backend="serial"):
     """One durable search (first launch and relaunch alike) with the
-    fuzzer's config; returns ``(result, search, counter)``."""
-    return crashpoint_child(journal_dir, method=method, backend=backend,
-                            count=True)
+    fuzzer's config; returns ``(result, search, counter)``, where
+    ``counter.calls`` counts this process's reward-model executions."""
+    return crashpoint_child(journal_dir, method=method, backend=backend)
 
 
 def journal_lines(journal_dir) -> int:
@@ -75,7 +74,7 @@ def baselines(tmp_path_factory):
         out[method] = {
             "dir": directory,
             "fingerprint": result.fingerprint(),
-            "real": _journal_real_evals(directory),
+            "real": journal_real_evals(directory),
             "lines": journal_lines(directory),
             "evals": result.num_evaluations,
             "counters": broker_counters(search),
@@ -104,7 +103,7 @@ class TestTruncateCrashResume:
         # zero re-evaluation: real executions across crash + resume
         # equal the uninterrupted run's, and the reward model was only
         # invoked for the journal deficit
-        assert _journal_real_evals(work) == base["real"]
+        assert journal_real_evals(work) == base["real"]
         assert counter.calls == base["real"] - real_evals_before(work, k)
         assert all(ev.replay_pending() == 0 for ev in search.evaluators)
 
@@ -125,7 +124,7 @@ class TestTruncateCrashResume:
         result, search, _counter = run_durable(work)
         assert search.num_replay_loaded == real_evals_before(work, k) > 0
         assert result.fingerprint() == base["fingerprint"]
-        assert _journal_real_evals(work) == base["real"]
+        assert journal_real_evals(work) == base["real"]
 
     def test_two_successive_crashes(self, baselines, tmp_path):
         """Crash, resume, crash the resumed run, resume again: the
@@ -140,7 +139,7 @@ class TestTruncateCrashResume:
         crash_at(work, int(journal_lines(work) * 0.8))
         result, search, _counter = run_durable(work)
         assert result.fingerprint() == base["fingerprint"]
-        assert _journal_real_evals(work) == base["real"]
+        assert journal_real_evals(work) == base["real"]
         assert all(ev.replay_pending() == 0 for ev in search.evaluators)
 
     def test_corrupt_newest_generation_falls_back(self, baselines,
@@ -166,7 +165,7 @@ class TestTruncateCrashResume:
             result, _search, _counter = run_durable(work)
         assert any("falling back" in rec.message for rec in caplog.records)
         assert result.fingerprint() == base["fingerprint"]
-        assert _journal_real_evals(work) == base["real"]
+        assert journal_real_evals(work) == base["real"]
 
 
 def real_evals_before(journal_dir, k: int) -> int:
@@ -303,7 +302,7 @@ def test_crashpoint_fuzzer_smoke():
     """The real thing, bounded: SIGKILL a journaled subprocess search at
     one stratified journal record, resume, and hold both durability
     promises (bit-identical fingerprint, zero re-evaluation)."""
-    rows = crashpoint_matrix(points=1, methods=("a3c",),
-                             backends=("serial",))
+    rows = chaos.run("crashpoint", ("a3c",), points=1,
+                     backends=("serial",))
     assert rows and rows[0]["kills_landed"] >= 1
-    assert check_crashpoint_rows(rows) == []
+    assert chaos.check("crashpoint", rows) == []

@@ -19,8 +19,9 @@ from repro.nas.spaces import combo_small, get_space
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.problems.nt3 import NT3_PAPER_SHAPES, nt3_head
 from repro.rewards import SurrogateReward, TabularReward
-from repro.search import (EXCHANGE_STRATEGIES, SEARCH_METHODS, NasSearch,
-                          SearchConfig, run_search)
+from repro.search import (SEARCH_METHODS, A2CExchange, A3CExchange,
+                          NasSearch, RandomExchange, SearchConfig,
+                          run_search)
 from repro.search.ambs import AmbsProposer, RidgeEnsemble, encode_rows
 from repro.search.evolution import EvolutionProposer
 from repro.search.proposer import (HistoryProposer, PolicyProposer,
@@ -56,15 +57,20 @@ class TestRegistry:
                                        "ambs", "evolution"}
 
     def test_exchange_registry_is_still_rl_only(self):
-        # the proposer seam did not leak new names into the
-        # exchange-level registry
-        assert set(EXCHANGE_STRATEGIES) == {"a3c", "a2c", "rdm"}
+        # the proposer seam added no exchange: the new methods ride the
+        # no-op RDM exchange, so the rows still pair the paper's three
+        assert {m.exchange for m in SEARCH_METHODS.values()} == {
+            A3CExchange, A2CExchange, RandomExchange}
+        for name in ("ambs", "evolution"):
+            assert SEARCH_METHODS[name].exchange is RandomExchange
 
     def test_method_rows_are_consistent(self):
         for name, m in SEARCH_METHODS.items():
             assert m.name == name
             assert m.summary
-            assert m.learns == m.proposer.learns
+            # the runner builds policies exactly for the proposer that
+            # samples them
+            assert m.learns == (m.proposer is PolicyProposer)
         assert SEARCH_METHODS["a3c"].proposer is PolicyProposer
         assert SEARCH_METHODS["rdm"].proposer is RandomProposer
         assert SEARCH_METHODS["ambs"].proposer is AmbsProposer
@@ -165,11 +171,11 @@ class TestCheckpointResume:
 @pytest.mark.crashfuzz
 @pytest.mark.parametrize("method", NEW_METHODS)
 def test_crashpoint_cell_zero_reevaluation(method):
-    from repro.search.chaos import check_crashpoint_rows, crashpoint_matrix
-    rows = crashpoint_matrix(methods=(method,), backends=("serial",),
-                             points=1)
+    from repro.search import chaos
+    rows = chaos.run("crashpoint", (method,), backends=("serial",),
+                     points=1)
     assert rows and rows[0]["kill_points"]
-    assert check_crashpoint_rows(rows) == []
+    assert chaos.check("crashpoint", rows) == []
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.rewards.base import EvalResult
-from repro.search import (EXCHANGE_STRATEGIES, A2CExchange, A3CExchange,
+from repro.search import (SEARCH_METHODS, A2CExchange, A3CExchange,
                           NasSearch, RandomExchange, SearchConfig,
                           build_exchange)
 
@@ -73,10 +73,9 @@ class TestRunnerShape:
 
 class TestExchangeSeam:
     def test_registry_covers_methods(self):
-        assert set(EXCHANGE_STRATEGIES) == {"a3c", "a2c", "rdm"}
-        assert EXCHANGE_STRATEGIES["a2c"] is A2CExchange
-        assert EXCHANGE_STRATEGIES["a3c"] is A3CExchange
-        assert EXCHANGE_STRATEGIES["rdm"] is RandomExchange
+        assert SEARCH_METHODS["a2c"].exchange is A2CExchange
+        assert SEARCH_METHODS["a3c"].exchange is A3CExchange
+        assert SEARCH_METHODS["rdm"].exchange is RandomExchange
 
     def test_config_validates_against_registry(self):
         with pytest.raises(ValueError, match="unknown method"):
@@ -94,7 +93,8 @@ class TestExchangeSeam:
         from repro.hpc.sim import Simulator
         exchange = build_exchange(Simulator(), small_config("rdm"), space)
         assert exchange.ps is None
-        assert not type(exchange).learns
+        assert isinstance(exchange, RandomExchange)
+        assert not SEARCH_METHODS["rdm"].learns
         exchange.leave()                # lifecycle calls are no-ops
         exchange.rejoin(0)
         assert exchange.export_state() is None
