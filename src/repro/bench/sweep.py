@@ -3,7 +3,7 @@
 The sweeper turns a search space plus a reward model into a benchmark
 table: it walks :func:`~repro.bench.subspace.enumerate_space`'s
 deterministic stream, fans evaluations out through the existing
-:class:`~repro.evaluator.broker.EvalBroker` machinery (serial, thread
+:class:`~repro.evaluator.base.Evaluator` front-end (serial, thread
 pool, or the supervised multi-process pool), and appends one row per
 isomorphism class to a crash-consistent
 :class:`~repro.bench.table.TableWriter`.
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from ..evaluator.process import ProcConfig, ProcessEvaluator
 from ..evaluator.serial import SerialEvaluator
 from ..evaluator.thread import ThreadEvaluator
-from ..nas.plancache import PlanCache, SignatureResolver, exact_key
+from ..nas.plancache import PlanCache, SignatureResolver
 from ..nas.space import Structure
 from ..rewards.base import RewardModel
 from .subspace import enumerate_space, enumeration_count
@@ -56,7 +56,7 @@ class SweepConfig:
     backend: str = "serial"
     #: worker threads / processes for the parallel backends
     workers: int = 2
-    #: architectures submitted per broker batch (barrier per batch)
+    #: architectures submitted per evaluator batch (barrier per batch)
     batch_size: int = 16
     #: rows per table shard before it is sealed + published
     shard_size: int = 256
@@ -190,9 +190,9 @@ class SpaceSweeper:
         evaluator.wait_all()
         results = {}
         for rec in evaluator.get_finished_evals():
-            results[exact_key(rec.arch)] = rec.result
+            results[rec.arch.key] = rec.result
         for sig, arch in batch:
-            result = results[exact_key(arch)]
+            result = results[arch.key]
             if result.reward == RewardModel.FAILURE_REWARD:
                 report.failed += 1
             writer.append(TableRow(

@@ -2,13 +2,11 @@
 
 from .balsam import BalsamEvaluator, BalsamJob, BalsamService
 from .base import EvalRecord, Evaluator
-from .broker import EvalBackend, EvalBroker, RewardModelBackend
 from .cache import EvalCache
 from .process import ProcConfig, ProcessEvaluator
 from .serial import SerialEvaluator
 from .thread import ThreadEvaluator
 
-__all__ = ['BalsamEvaluator', 'BalsamJob', 'BalsamService', 'EvalBackend',
-           'EvalBroker', 'EvalCache', 'EvalRecord', 'Evaluator',
-           'ProcConfig', 'ProcessEvaluator', 'RewardModelBackend',
+__all__ = ['BalsamEvaluator', 'BalsamJob', 'BalsamService', 'EvalCache',
+           'EvalRecord', 'Evaluator', 'ProcConfig', 'ProcessEvaluator',
            'SerialEvaluator', 'ThreadEvaluator']

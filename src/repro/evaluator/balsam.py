@@ -37,7 +37,7 @@ from ..hpc.faults import FaultInjector
 from ..hpc.sim import AllOf, Event, Interrupt, Process, Simulator, Timeout
 from ..nas.arch import Architecture
 from ..rewards.base import EvalResult, RewardModel
-from .broker import EvalBroker, RewardModelBackend
+from .base import Evaluator
 
 __all__ = ["BalsamJob", "BalsamService", "BalsamEvaluator"]
 
@@ -199,7 +199,7 @@ class BalsamService:
         return sum(j.num_retries for j in self.jobs)
 
 
-class BalsamEvaluator(EvalBroker):
+class BalsamEvaluator(Evaluator):
     """Per-agent evaluator backed by the shared Balsam service.
 
     ``add_eval_batch`` returns an event that fires when the whole batch
@@ -212,42 +212,46 @@ class BalsamEvaluator(EvalBroker):
     job can never hang the agent.  ``None`` (default) waits forever,
     which is safe whenever a fault-free service is used.
 
-    All cache / counter / failure bookkeeping lives in
-    :class:`~repro.evaluator.broker.EvalBroker` (with the simulator as
-    its clock); this class only owns job submission and the
-    finisher/watchdog processes.
+    Everything but job submission and the finisher/watchdog processes
+    lives in :class:`~repro.evaluator.base.Evaluator`, with the
+    simulator as its clock.  The reward model runs at submission, to
+    learn the job's modelled duration; when it raises, the failure
+    record is delivered at submit time and no job is submitted, and a
+    batch of only such rejections completes after ``submit_latency``.
     """
 
     def __init__(self, service: BalsamService, reward_model: RewardModel,
                  agent_id: int, use_cache: bool = True,
                  batch_deadline: float | None = None,
                  sink: EventSink | None = None) -> None:
-        super().__init__(agent_id=agent_id, use_cache=use_cache,
-                         clock=lambda: service.sim.now, sink=sink,
-                         plan_source=reward_model)
+        super().__init__(reward_model, agent_id=agent_id,
+                         use_cache=use_cache,
+                         clock=lambda: service.sim.now, sink=sink)
         if batch_deadline is not None and batch_deadline <= 0:
             raise ValueError("batch_deadline must be positive")
         self.service = service
-        self.reward_model = reward_model
-        self.backend = RewardModelBackend(reward_model, agent_id)
         self.batch_deadline = batch_deadline
+        #: submissions of the current batch rejected at submit time
+        self._rejected = 0
 
-    def add_eval_batch(self, archs: list[Architecture]) -> Event:
+    def _start(self, arch: Architecture,
+               submit_time: float) -> BalsamJob | None:
+        result = self._evaluate(arch)
+        if result is None:
+            self._deliver(arch, None, submit_time)
+            self._rejected += 1
+            return None
+        return self.service.submit(self.agent_id, arch, result)
+
+    def _end_batch(self, jobs: list[BalsamJob]) -> Event:
         sim = self.service.sim
-        self._begin_batch(archs)
-        jobs: list[BalsamJob] = []
-        all_cached = True
-        for arch in archs:
-            self.num_submitted += 1
-            if self._cache_hit(arch, sim.now):
-                continue
-            all_cached = False
-            result = self.backend.execute(arch)
-            jobs.append(self.service.submit(self.agent_id, arch, result))
-        # NOTE: an *empty* batch is reported as not-all-cached — absence
-        # of submissions is no evidence of cache convergence
-        self.last_batch_all_cached = all_cached and bool(archs)
-
+        rejected, self._rejected = self._rejected, 0
+        if not jobs and rejected:
+            # every submission was rejected: the batch still costs the
+            # launcher's round trip, so a reward model that always
+            # raises cannot stall the virtual clock of a search bounded
+            # only by its wall time
+            return sim.timeout_event(self.service.submit_latency)
         batch_done = sim.event()
         if not jobs:
             # empty or fully cached batch: nothing to wait for — succeed
@@ -263,12 +267,11 @@ class BalsamEvaluator(EvalBroker):
                     # the paper's failure reward
                     start = (job.start_time if job.start_time >= 0
                              else job.submit_time)
-                    self._fail(job.arch, job.result.duration,
-                               job.result.params, job.submit_time, start,
-                               sim.now)
+                    self._deliver(job.arch, job.result, job.submit_time,
+                                  start, failed=True)
                     continue
-                self._complete(job.arch, job.result, job.submit_time,
-                               job.start_time, job.end_time)
+                self._deliver(job.arch, job.result, job.submit_time,
+                              job.start_time, job.end_time)
             batch_done.succeed()
 
         sim.process(finisher(), name=f"agent{self.agent_id}.batch")

@@ -12,7 +12,6 @@ generates cache hits).
 from __future__ import annotations
 
 from ..nas.arch import Architecture
-from ..nas.plancache import exact_key
 from ..rewards.base import EvalResult
 
 __all__ = ["EvalCache"]
@@ -21,8 +20,8 @@ __all__ = ["EvalCache"]
 class EvalCache:
     """Maps architecture keys to results for one agent.
 
-    Keys are the *exact* ``(space, choices)`` keys from
-    :func:`repro.nas.plancache.exact_key` — deliberately not the
+    Keys are the *exact* ``(space, choices)`` :attr:`Architecture.key
+    <repro.nas.arch.Architecture.key>` — deliberately not the
     isomorphism signature: the same structure evaluated from a different
     action sequence draws different agent-specific weights, so exact
     keying is load-bearing for the paper's protocol (the signature-keyed
@@ -35,7 +34,7 @@ class EvalCache:
         self.misses = 0
 
     def get(self, arch: Architecture) -> EvalResult | None:
-        result = self._store.get(exact_key(arch))
+        result = self._store.get(arch.key)
         if result is None:
             self.misses += 1
         else:
@@ -43,10 +42,10 @@ class EvalCache:
         return result
 
     def put(self, arch: Architecture, result: EvalResult) -> None:
-        self._store[exact_key(arch)] = result
+        self._store[arch.key] = result
 
     def __contains__(self, arch: Architecture) -> bool:
-        return exact_key(arch) in self._store
+        return arch.key in self._store
 
     # -- checkpoint support -------------------------------------------
     def snapshot(self, limit: int | None = None) -> list:
@@ -65,10 +64,7 @@ class EvalCache:
         """Replace the store with checkpointed (key, result) entries.
 
         ``hits``/``misses`` restore the lookup tally alongside the
-        store; left ``None`` the counters are untouched (they used to be
-        silently dropped on checkpoint resume — the broker now passes
-        them so resumed caches report the same hit rate as the original
-        run).
+        store; left ``None`` the counters are untouched.
         """
         self._store = dict(entries)
         if hits is not None:

@@ -30,16 +30,16 @@ pool is *supervised*:
 
 Supervision emits typed :mod:`repro.events` records (``worker-spawn``,
 ``worker-crash``, ``worker-respawn``, ``worker-timeout``,
-``quarantine``), and all cache / counter / failure bookkeeping lives in
-:class:`~repro.evaluator.broker.EvalBroker`, so the backend is drop-in
-interchangeable with serial/thread/Balsam behind the same front-end: in
-deterministic mode (no faults, generous deadlines) its rewards — and
-therefore search fingerprints — are bit-identical to the serial
-backend's, because retries re-run the same pure
+``quarantine``), and the submit loop, cache, counters and failure
+records live in :class:`~repro.evaluator.base.Evaluator`, so the
+backend is drop-in interchangeable with serial/thread/Balsam behind the
+same front-end: in deterministic mode (no faults, generous deadlines)
+its rewards — and therefore search fingerprints — are bit-identical to
+the serial backend's, because retries re-run the same pure
 ``reward_model.evaluate(arch, agent_seed)`` call.
 
 Supervision timing always uses ``time.monotonic`` regardless of the
-broker's record clock, so a virtual-clock search driving this backend
+evaluator's record clock, so a virtual-clock search driving this backend
 still enforces real wall-clock deadlines.
 """
 
@@ -58,7 +58,7 @@ from ..events import (QUARANTINE, WORKER_CRASH, WORKER_RESPAWN, WORKER_SPAWN,
                       WORKER_TIMEOUT, EventSink, emit)
 from ..nas.arch import Architecture
 from ..rewards.base import EvalResult, RewardModel
-from .broker import EvalBroker, RewardModelBackend
+from .base import Evaluator
 
 __all__ = ["ProcConfig", "ProcessEvaluator"]
 
@@ -191,18 +191,19 @@ class _Job:
         self.state = "pending"      # pending | inflight | resolved
 
 
-class ProcessEvaluator(EvalBroker):
+class ProcessEvaluator(Evaluator):
     """Evaluator backend over a supervised pool of worker processes."""
+
+    #: compiled plans cannot cross the process boundary, so a
+    #: parent-side batch gather would only waste work
+    gathers_plans = False
 
     def __init__(self, reward_model: RewardModel, agent_id: int = 0,
                  config: ProcConfig | None = None, use_cache: bool = True,
                  clock=time.monotonic, sink: EventSink | None = None,
                  start: bool = True) -> None:
-        # no plan_source: compiled plans cannot cross the process
-        # boundary, so a parent-side batch gather would only waste work
-        super().__init__(agent_id=agent_id, use_cache=use_cache,
-                         clock=clock, sink=sink, plan_source=None)
-        self.reward_model = reward_model
+        super().__init__(reward_model, agent_id=agent_id,
+                         use_cache=use_cache, clock=clock, sink=sink)
         self.proc_config = config or ProcConfig()
         self._ctx = mp.get_context("spawn")
         self._payload = self._pickle_reward_model(reward_model)
@@ -218,8 +219,6 @@ class ProcessEvaluator(EvalBroker):
         self.quarantined: dict[tuple, dict] = {}
         self._respawn_budget = self.proc_config.max_respawns
         self._stopped = False
-        # in-process fallback once the pool is gone (graceful degradation)
-        self._inline_backend = RewardModelBackend(reward_model, agent_id)
         # supervision counters (surfaced via stats())
         self.num_worker_spawns = 0
         self.num_worker_crashes = 0
@@ -284,31 +283,21 @@ class ProcessEvaluator(EvalBroker):
                 "inline_evals": self.num_inline_evals}
 
     # -- submission ----------------------------------------------------
-    def add_eval_batch(self, archs: list[Architecture]) -> None:
-        self._begin_batch(archs)
-        all_cached = True
-        for arch in archs:
-            submit = self.clock()
-            self.num_submitted += 1
-            # replay outranks quarantine: a journaled completion — even
-            # a journaled failure of a quarantined poison arch — is
-            # re-served as recorded, never re-dispatched to the pool
-            if self._replay_hit(arch, submit):
-                all_cached = False
-                continue
-            if self._cache_hit(arch, submit):
-                continue
-            all_cached = False
-            if arch.key in self.quarantined:
-                # known poison: failure reward without touching the pool
-                self.quarantined[arch.key]["resubmits"] += 1
-                self._fail(arch, 0.0, 0, submit, submit, self.clock())
-                continue
-            job = _Job(self._next_job_id, arch, submit)
-            self._next_job_id += 1
-            self._jobs[job.job_id] = job
-            self._pending.append(job)
-        self.last_batch_all_cached = all_cached and bool(archs)
+    def _start(self, arch: Architecture, submit_time: float) -> None:
+        if arch.key in self.quarantined:
+            # known poison: failure reward without touching the pool.
+            # The submit loop tries the replay first, so a journaled
+            # completion — even a journaled failure of a poison arch —
+            # is still re-served as recorded
+            self.quarantined[arch.key]["resubmits"] += 1
+            self._deliver(arch, None, submit_time)
+            return
+        job = _Job(self._next_job_id, arch, submit_time)
+        self._next_job_id += 1
+        self._jobs[job.job_id] = job
+        self._pending.append(job)
+
+    def _end_batch(self, started: list) -> None:
         self._pump(0.0)
 
     # -- polling / lifecycle -------------------------------------------
@@ -405,12 +394,10 @@ class ProcessEvaluator(EvalBroker):
             result = EvalResult(float(reward), float(duration), int(params),
                                 bool(timed_out), bool(nonfinite))
             self._resolve(job)
-            self._complete(job.arch, result, job.submit_time,
-                           job.submit_time, self.clock())
+            self._deliver(job.arch, result, job.submit_time)
         else:           # _ERR: the reward model raised inside the worker
             self._resolve(job)
-            self._fail(job.arch, 0.0, 0, job.submit_time, job.submit_time,
-                       self.clock())
+            self._deliver(job.arch, None, job.submit_time)
 
     def _resolve(self, job: _Job) -> None:
         job.state = "resolved"
@@ -473,13 +460,11 @@ class ProcessEvaluator(EvalBroker):
             emit(self.sink, QUARANTINE, self.clock(), self.agent_id,
                  arch=job.arch.to_dict(), kills=len(kills))
             self._resolve(job)
-            self._fail(job.arch, 0.0, 0, job.submit_time, job.submit_time,
-                       self.clock())
+            self._deliver(job.arch, None, job.submit_time)
             return
         if job.attempts > cfg.max_job_retries:
             self._resolve(job)
-            self._fail(job.arch, 0.0, 0, job.submit_time, job.submit_time,
-                       self.clock())
+            self._deliver(job.arch, None, job.submit_time)
             return
         backoff = min(cfg.retry_backoff * 2.0 ** (job.attempts - 1),
                       cfg.retry_backoff_cap)
@@ -523,11 +508,4 @@ class ProcessEvaluator(EvalBroker):
     def _run_inline(self, job: _Job) -> None:
         self.num_inline_evals += 1
         self._resolve(job)
-        try:
-            result = self._inline_backend.execute(job.arch)
-        except Exception:   # noqa: BLE001 — same conversion as every backend
-            self._fail(job.arch, 0.0, 0, job.submit_time, job.submit_time,
-                       self.clock())
-            return
-        self._complete(job.arch, result, job.submit_time, job.submit_time,
-                       self.clock())
+        self._deliver(job.arch, self._evaluate(job.arch), job.submit_time)

@@ -5,51 +5,19 @@ Evaluations run immediately and synchronously on ``add_eval_batch``;
 examples and by real-training searches, where the reward model's
 duration is genuine wall time.
 
-All cache / counter / failure bookkeeping lives in
-:class:`~repro.evaluator.broker.EvalBroker`; this class is only the
-dispatch policy (run it now, inline).  A reward-model exception becomes
-a ``FAILURE_REWARD`` record — the same conversion every other backend
-applies — so serial runs are drop-in interchangeable behind the broker.
+Everything but the dispatch policy (run it now, inline) lives in
+:class:`~repro.evaluator.base.Evaluator`, including the guarded reward
+call that turns an exception into a ``FAILURE_REWARD`` record.
 """
 
 from __future__ import annotations
 
-import time
-
-from ..events import EventSink
 from ..nas.arch import Architecture
-from ..rewards.base import RewardModel
-from .broker import EvalBroker, RewardModelBackend
+from .base import Evaluator
 
 __all__ = ["SerialEvaluator"]
 
 
-class SerialEvaluator(EvalBroker):
-    def __init__(self, reward_model: RewardModel, agent_id: int = 0,
-                 use_cache: bool = True, clock=time.monotonic,
-                 sink: EventSink | None = None) -> None:
-        super().__init__(agent_id=agent_id, use_cache=use_cache,
-                         clock=clock, sink=sink, plan_source=reward_model)
-        self.reward_model = reward_model
-        self.backend = RewardModelBackend(reward_model, agent_id)
-
-    def add_eval_batch(self, archs: list[Architecture]) -> None:
-        self._begin_batch(archs)
-        all_cached = True
-        for arch in archs:
-            submit = self.clock()
-            self.num_submitted += 1
-            if self._replay_hit(arch, submit):
-                all_cached = False
-                continue
-            if self._cache_hit(arch, submit):
-                continue
-            all_cached = False
-            try:
-                result = self.backend.execute(arch)
-            except Exception:   # noqa: BLE001 — surfaced as failure record
-                self._fail(arch, max(0.0, self.clock() - submit), 0,
-                           submit, submit, self.clock())
-                continue
-            self._complete(arch, result, submit, submit, self.clock())
-        self.last_batch_all_cached = all_cached and bool(archs)
+class SerialEvaluator(Evaluator):
+    def _start(self, arch: Architecture, submit_time: float) -> None:
+        self._deliver(arch, self._evaluate(arch), submit_time)

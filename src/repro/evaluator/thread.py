@@ -10,9 +10,9 @@ per-agent batch barrier the search loop needs.
 numpy releases the GIL inside BLAS kernels, so real-training reward
 models get genuine overlap on multi-core machines.
 
-All cache / counter / failure bookkeeping lives in
-:class:`~repro.evaluator.broker.EvalBroker`; this class only owns the
-pool and the pending-future set.
+Everything but the pool and the pending-future set lives in
+:class:`~repro.evaluator.base.Evaluator`: pool threads run its guarded
+reward call, and the outcomes are delivered on the caller's thread.
 """
 
 from __future__ import annotations
@@ -23,53 +23,31 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 from ..events import EventSink
 from ..nas.arch import Architecture
 from ..rewards.base import RewardModel
-from .broker import EvalBroker, RewardModelBackend
+from .base import Evaluator
 
 __all__ = ["ThreadEvaluator"]
 
 
-class ThreadEvaluator(EvalBroker):
+class ThreadEvaluator(Evaluator):
     def __init__(self, reward_model: RewardModel, agent_id: int = 0,
                  max_workers: int = 4, use_cache: bool = True,
                  clock=time.monotonic, sink: EventSink | None = None) -> None:
-        super().__init__(agent_id=agent_id, use_cache=use_cache,
-                         clock=clock, sink=sink, plan_source=reward_model)
-        self.reward_model = reward_model
-        self.backend = RewardModelBackend(reward_model, agent_id)
+        super().__init__(reward_model, agent_id=agent_id,
+                         use_cache=use_cache, clock=clock, sink=sink)
         self._pool = ThreadPoolExecutor(max_workers=max_workers)
         self._pending: list[tuple[Architecture, float, Future]] = []
 
-    def add_eval_batch(self, archs: list[Architecture]) -> None:
-        self._begin_batch(archs)
-        all_cached = True
-        for arch in archs:
-            submit = self.clock()
-            self.num_submitted += 1
-            if self._replay_hit(arch, submit):
-                all_cached = False
-                continue
-            if self._cache_hit(arch, submit):
-                continue
-            all_cached = False
-            future = self._pool.submit(self.backend.execute, arch)
-            self._pending.append((arch, submit, future))
-        self.last_batch_all_cached = all_cached and bool(archs)
+    def _start(self, arch: Architecture, submit_time: float) -> None:
+        future = self._pool.submit(self._evaluate, arch)
+        self._pending.append((arch, submit_time, future))
 
     def _poll(self) -> None:
         still_pending = []
         for arch, submit, future in self._pending:
-            if not future.done():
+            if future.done():
+                self._deliver(arch, future.result(), submit)
+            else:
                 still_pending.append((arch, submit, future))
-                continue
-            try:
-                result = future.result()
-            except Exception:   # noqa: BLE001 — worker died; any
-                # reward-model exception becomes a failure record
-                # instead of propagating into the caller's drain loop
-                self._fail(arch, max(0.0, self.clock() - submit), 0,
-                           submit, submit, self.clock())
-                continue
-            self._complete(arch, result, submit, submit, self.clock())
         self._pending = still_pending
 
     def wait_all(self, timeout: float | None = None) -> None:

@@ -1,6 +1,6 @@
 """Structured search-event stream.
 
-Every layer of the search runtime — the evaluation broker, the exchange
+Every layer of the search runtime — the evaluator, the exchange
 strategies, the lifecycle hooks, and the runner itself — emits typed
 :class:`SearchEvent` records to a pluggable sink.  The stream is the
 observability substrate for tracing/metrics work, and it is how tests
@@ -26,9 +26,9 @@ __all__ = [
     "CallbackSink", "TeeSink", "EventLog", "emit",
 ]
 
-#: a batch of architectures entered the evaluation broker
+#: a batch of architectures entered the evaluator
 SUBMIT = "submit"
-#: the broker gathered a batch against the shared plan cache; payload
+#: the evaluator gathered a batch against the shared plan cache; payload
 #: carries the batch size, distinct-architecture count, and the plan
 #: hit / miss / isomorphism-hit deltas of the gather
 BATCH_STATS = "batch-stats"

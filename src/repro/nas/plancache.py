@@ -37,21 +37,9 @@ from .builder import Plan, compile_architecture
 from .ops import Operation
 from .space import Structure
 
-__all__ = ["PlanCache", "SignatureResolver", "exact_key", "plan_signature"]
+__all__ = ["PlanCache", "SignatureResolver", "plan_signature"]
 
 Shape = tuple[int, ...]
-
-
-def exact_key(arch) -> tuple:
-    """The raw ``(space, choices)`` cache key of an architecture.
-
-    Every layer that keys architectures by their action sequence — the
-    agent-local :class:`~repro.evaluator.cache.EvalCache`, the exact
-    level of :class:`PlanCache`, the bench table's sequence index — goes
-    through this one helper, so "what exactly identifies an action
-    sequence" is defined in a single place.
-    """
-    return (arch.space, tuple(int(c) for c in arch.choices))
 
 
 def _op_token(op: Operation | None) -> str | None:
@@ -123,7 +111,7 @@ class SignatureResolver:
     def signature(self, arch) -> str:
         """Canonical signature of ``arch``; raises on an architecture
         that does not compile (invalid in this space)."""
-        space, choices = exact_key(arch)
+        space, choices = arch.key
         if space != self.structure.name:
             raise ValueError(
                 f"architecture of space {space!r} resolved against "
@@ -190,7 +178,7 @@ class PlanCache:
 
         Compile errors (invalid architectures) propagate and are never
         cached, so a failing architecture stays re-attemptable — the
-        same rule the evaluation broker applies to failure rewards.
+        same rule the evaluator applies to failure rewards.
         """
         key = (structure.name, tuple(int(c) for c in choices))
         plan = self._plans.get(key)

@@ -198,7 +198,7 @@ def _plan_cache_hit():
 
 def _search_iteration():
     # end to end: a short a3c surrogate search (4 agents x 3 workers, 20
-    # virtual minutes) through the full runner/broker/exchange stack,
+    # virtual minutes) through the full runner/evaluator/exchange stack,
     # with a cold reward model (and plan cache) per call
     from repro.hpc import NodeAllocation, TrainingCostModel
     from repro.nas.spaces import combo_small

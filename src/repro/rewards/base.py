@@ -64,7 +64,7 @@ class RewardModel:
     def prefetch_plan(self, arch: Architecture) -> None:
         """Warm the plan cache for ``arch`` before evaluation.
 
-        The broker calls this once per distinct architecture of a batch
+        The evaluator calls this once per distinct architecture of a batch
         so the compile cost is paid (and shared) at gather time.  The
         base implementation is a no-op; subclasses that compile override
         it.  Must never raise — invalid architectures surface as failure

@@ -30,27 +30,3 @@ __all__ = ['A2CExchange', 'A3CExchange', 'AgentCheckpoint', 'AgentLoop',
            'build_exchange', 'build_proposer', 'resume_durable',
            'run_search']
 
-
-def a3c_config(**kwargs) -> SearchConfig:
-    """Asynchronous advantage actor-critic configuration."""
-    return SearchConfig(method="a3c", **kwargs)
-
-
-def a2c_config(**kwargs) -> SearchConfig:
-    """Synchronous advantage actor-critic configuration."""
-    return SearchConfig(method="a2c", **kwargs)
-
-
-def rdm_config(**kwargs) -> SearchConfig:
-    """Random-search baseline configuration."""
-    return SearchConfig(method="rdm", **kwargs)
-
-
-def ambs_config(**kwargs) -> SearchConfig:
-    """Asynchronous model-based search configuration."""
-    return SearchConfig(method="ambs", **kwargs)
-
-
-def evolution_config(**kwargs) -> SearchConfig:
-    """Aging-evolution configuration."""
-    return SearchConfig(method="evolution", **kwargs)

@@ -54,7 +54,7 @@ class SearchConfig:
     use_cache: bool = True
     #: shared isomorphism-keyed compile cache
     #: (:class:`~repro.nas.plancache.PlanCache`): plans amortize across
-    #: agents and iterations, and the broker batch-gathers each
+    #: agents and iterations, and the evaluator batch-gathers each
     #: submission against it.  Plans are immutable, so this never
     #: perturbs the determinism fingerprint; disable for ablations
     plan_cache: bool = True

@@ -457,7 +457,7 @@ def _crashpoint_cell(method: str, seed: int = 3, iterations: int = 4,
                 # zero re-evaluation, from the journal itself: real
                 # executions across dead run + resume must equal the
                 # uninterrupted run's (works for every backend — the
-                # broker journals eval-done in the search head)
+                # evaluator journals eval-done in the search head)
                 row["reevaluations"] += max(
                     0, journal_real_evals(crash) - base_real)
                 # every armed replay entry must have been consumed

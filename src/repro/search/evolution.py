@@ -3,7 +3,7 @@
 §7 lists "comparing our approach with extremely scalable evolutionary
 approaches" as future work; :class:`EvolutionProposer` provides that
 comparator *inside* the search runtime: asynchronous steady-state aging
-evolution (Real et al., 2018) riding the same broker, event stream,
+evolution (Real et al., 2018) riding the same evaluator, event stream,
 checkpoints, journal, and chaos coverage as every other method
 (``SearchConfig(method="evolution")``).
 

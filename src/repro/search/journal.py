@@ -12,10 +12,10 @@ JSONL write-ahead journal, and checkpoints are written as verified
    back generation by generation when the newest is torn or corrupt);
 2. read the journal — tolerating a torn trailing record and skipping
    interior corruption — and turn its ``eval-done`` suffix into
-   per-agent :class:`~repro.evaluator.broker.ReplayEval` queues;
+   per-agent :class:`~repro.evaluator.base.ReplayEval` queues;
 3. restart the search from the checkpoint; when the resumed agents
    deterministically re-submit the architectures the dead run had
-   already paid for, the brokers answer from the replay queues instead
+   already paid for, the evaluators answer from the replay queues instead
    of re-executing the reward model.
 
 The resumed run's determinism fingerprint is bit-identical to the
@@ -43,10 +43,9 @@ import re
 import zlib
 from pathlib import Path
 
-from ..evaluator.broker import ReplayEval
+from ..evaluator.base import ReplayEval
 from ..events import (EVAL_DONE, RESTART, EventLog, EventSink, SearchEvent)
 from ..nas.arch import Architecture
-from ..nas.plancache import exact_key
 from ..util.atomicio import FsyncPolicy, atomic_write_json
 from .checkpoint import SearchCheckpoint
 
@@ -333,7 +332,7 @@ def build_replay(events, checkpoint: SearchCheckpoint | None
             continue
         arch = Architecture.from_dict(payload["arch"])
         per_agent.setdefault(event.agent_id, []).append(ReplayEval(
-            key=exact_key(arch),
+            key=arch.key,
             reward=float(payload["reward"]),
             duration=float(payload.get("duration", 0.0)),
             params=int(payload.get("params", 0)),

@@ -6,7 +6,7 @@ knows *nothing* about how architectures are chosen or learned from (the
 :class:`~repro.search.proposer.Proposer` does — RL methods pair a
 policy proposer with an :class:`~repro.search.exchange.ExchangeStrategy`
 behind that seam), nothing about cache or failure bookkeeping (the
-:class:`~repro.evaluator.broker.EvalBroker` does), and nothing about
+:class:`~repro.evaluator.base.Evaluator` does), and nothing about
 checkpoints, chaos, or health guards (the
 :class:`~repro.search.hooks.LifecycleHooks` stack does).  One instance
 drives one agent *lifetime*; the runner builds a fresh loop when it

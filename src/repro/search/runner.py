@@ -7,8 +7,8 @@ seams (see ``docs/architecture.md``):
 * a shared :class:`~repro.search.proposer.Proposer` paired with an
   :class:`~repro.search.exchange.ExchangeStrategy` by the method
   registry (:data:`~repro.search.methods.SEARCH_METHODS`);
-* a per-agent :class:`~repro.evaluator.balsam.BalsamEvaluator`
-  (an :class:`~repro.evaluator.broker.EvalBroker`) over the shared
+* a per-agent :class:`~repro.evaluator.base.Evaluator` — by default a
+  :class:`~repro.evaluator.balsam.BalsamEvaluator` over the shared
   Balsam service;
 * a :class:`~repro.search.hooks.HookStack` through which checkpoint
   boundary capture, numeric fault injection, and health guards attach.
@@ -44,6 +44,7 @@ import signal
 import numpy as np
 
 from ..evaluator.balsam import BalsamEvaluator, BalsamService
+from ..evaluator.base import Evaluator
 from ..evaluator.process import ProcessEvaluator
 from ..evaluator.serial import SerialEvaluator
 from ..evaluator.thread import ThreadEvaluator
@@ -129,7 +130,7 @@ class NasSearch:
         self._records_at_ckpt = 0
         #: a deferred record-count capture is already scheduled
         self._record_ckpt_pending = False
-        #: journal-replay entries armed across all brokers at resume
+        #: journal-replay entries armed across all evaluators at resume
         self.num_replay_loaded = 0
         #: health-layer bookkeeping: per-agent resurrections and
         #: policy rollbacks (repro.health; stays empty with guards off)
@@ -163,7 +164,7 @@ class NasSearch:
                      if self.journal is not None else event_sink)
 
     def _load_replay(self, replay: dict | None) -> None:
-        """Arm each broker with the dead run's journaled completions;
+        """Arm each evaluator with the dead run's journaled completions;
         the resumed trajectory deterministically re-submits exactly
         these architectures and they answer without re-executing."""
         if not replay:
@@ -206,7 +207,7 @@ class NasSearch:
         learns = SEARCH_METHODS[cfg.method].learns
         self.policies: list[LSTMPolicy | None] = []
         self.updaters: list[PPOUpdater | None] = []
-        self.evaluators: list[BalsamEvaluator] = []
+        self.evaluators: list[Evaluator] = []
         for agent_id in range(cfg.allocation.num_agents):
             self.evaluators.append(self._build_evaluator(agent_id))
             if not learns:

@@ -15,7 +15,7 @@ from repro.hpc import NodeAllocation
 from repro.nas.arch import Architecture
 from repro.nas.nodes import VariableNode
 from repro.nas.ops import DenseOp
-from repro.nas.plancache import SignatureResolver, exact_key
+from repro.nas.plancache import SignatureResolver
 from repro.nas.space import Block, Cell, Structure
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import TableMiss, TabularReward
@@ -87,11 +87,10 @@ def test_isomorphic_archs_hit_the_same_table_row(tmp_path):
     model = TabularReward(table, resolver)
     assert model.evaluate(a) == model.evaluate(b)
 
-    # regression for the shared-helper refactor: the agent-local
-    # EvalCache deliberately keys on the *exact* (space, choices) pair —
-    # isomorphic archs are distinct entries there (agent-specific weight
-    # init), while the table collapses them
-    assert exact_key(a) != exact_key(b)
+    # the agent-local EvalCache deliberately keys on the *exact*
+    # (space, choices) pair — isomorphic archs are distinct entries
+    # there (agent-specific weight init), while the table collapses them
+    assert a.key != b.key
     cache = EvalCache()
     cache.put(a, EvalResult(0.5, 1.0, 10))
     assert a in cache and b not in cache
@@ -100,7 +99,7 @@ def test_isomorphic_archs_hit_the_same_table_row(tmp_path):
 def test_identical_sequences_share_exact_key():
     a = Architecture("iso-toy", (0, 1))
     b = Architecture("iso-toy", (0, 1))
-    assert exact_key(a) == exact_key(b)
+    assert a.key == b.key
     cache = EvalCache()
     cache.put(a, EvalResult(0.5, 1.0, 10))
     assert cache.get(b) == EvalResult(0.5, 1.0, 10)

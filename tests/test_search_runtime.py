@@ -14,8 +14,12 @@ import numpy as np
 import pytest
 
 import repro.search.runner as runner_module
-from repro.evaluator import EvalBroker, EvalCache, SerialEvaluator
+from repro.evaluator import (BalsamEvaluator, BalsamService, EvalCache,
+                             Evaluator, ProcessEvaluator, SerialEvaluator,
+                             ThreadEvaluator)
 from repro.hpc import NodeAllocation, TrainingCostModel
+from repro.hpc.cluster import Cluster
+from repro.hpc.sim import Simulator
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
@@ -32,10 +36,10 @@ def space():
     return combo_small()
 
 
-def make_surrogate(space, seed=7):
-    return SurrogateReward(space, COMBO_PAPER_SHAPES, combo_head(),
-                           TrainingCostModel.combo_paper(), epochs=1,
-                           train_fraction=0.1, timeout=600.0, seed=seed)
+def make_surrogate(space, seed=7, cls=SurrogateReward):
+    return cls(space, COMBO_PAPER_SHAPES, combo_head(),
+               TrainingCostModel.combo_paper(), epochs=1,
+               train_fraction=0.1, timeout=600.0, seed=seed)
 
 
 def small_config(method, minutes=40, **kwargs):
@@ -105,11 +109,36 @@ class TestExchangeSeam:
         assert search.ps is search.exchange.ps
 
 
+class OddFirstChoiceRaises(SurrogateReward):
+    """A reward model that raises on every odd first choice."""
+
+    def evaluate(self, arch, agent_seed=0):
+        if arch.choices[0] % 2:
+            raise RuntimeError("odd first choice")
+        return super().evaluate(arch, agent_seed)
+
+
+def make_evaluator(backend, reward_model):
+    if backend == "serial":
+        return SerialEvaluator(reward_model, agent_id=0)
+    if backend == "thread":
+        return ThreadEvaluator(reward_model, agent_id=0, max_workers=2)
+    sim = Simulator()
+    return BalsamEvaluator(BalsamService(sim, Cluster(sim, 2)),
+                           reward_model, agent_id=0)
+
+
 class TestBrokerSeam:
     def test_balsam_evaluator_is_a_broker(self, space):
         search = NasSearch(space, make_surrogate(space),
                            small_config("a3c"))
-        assert all(isinstance(ev, EvalBroker) for ev in search.evaluators)
+        assert all(isinstance(ev, Evaluator) for ev in search.evaluators)
+
+    @pytest.mark.parametrize("cls", [SerialEvaluator, ThreadEvaluator,
+                                     ProcessEvaluator, BalsamEvaluator])
+    def test_backends_inherit_the_one_submit_loop(self, cls):
+        assert issubclass(cls, Evaluator)
+        assert "add_eval_batch" not in vars(cls)
 
     def test_serial_has_lifecycle_surface(self, space):
         ev = SerialEvaluator(make_surrogate(space))
@@ -117,18 +146,65 @@ class TestBrokerSeam:
             ev.wait_all()
         ev.shutdown()                   # idempotent
 
-    def test_serial_converts_exceptions_to_failure_records(self, space):
+    @pytest.mark.parametrize("backend", ["serial", "thread", "balsam"])
+    def test_converts_exceptions_to_failure_records(self, space, backend):
         class Exploding:
             def evaluate(self, arch, agent_seed=0):
                 raise RuntimeError("boom")
 
-        ev = SerialEvaluator(Exploding(), agent_id=0)
+        ev = make_evaluator(backend, Exploding())
         archs = [space.decode(np.zeros(len(space.action_dims), dtype=int))]
-        ev.add_eval_batch(archs)
+        done = ev.add_eval_batch(archs)
+        ev.wait_all()
         recs = ev.get_finished_evals()
+        ev.shutdown()
         assert ev.num_failed == 1
-        assert recs[0].reward == -1.0
+        assert [rec.reward for rec in recs] == [-1.0]
         assert len(ev.cache) == 0       # failures are never cached
+        if backend == "balsam":
+            # delivered at submit, no job; the rejected batch still
+            # costs the launcher's round trip in virtual time
+            service = ev.service
+            assert service.jobs == [] and recs[0].end_time == 0.0
+            assert not done.triggered
+            service.sim.run()
+            assert done.triggered and service.sim.now == service.submit_latency
+
+    def test_raising_reward_model_costs_balsam_no_agent(self, space):
+        def probe(backend):
+            reward = make_surrogate(space, cls=OddFirstChoiceRaises)
+            cfg = small_config("rdm", allocation=NodeAllocation(9, 2, 3),
+                               max_iterations=5, seed=0, backend=backend)
+            return NasSearch(space, reward, cfg).run()
+
+        serial, balsam = probe("serial"), probe("balsam")
+        assert serial.failed_agents == [] and serial.num_failed_evals > 0
+        assert balsam.failed_agents == []
+        assert (balsam.num_evaluations, balsam.num_failed_evals) \
+            == (serial.num_evaluations, serial.num_failed_evals)
+
+    def test_rejected_balsam_batch_still_advances_the_clock(self, space):
+        # A balsam search may run without max_iterations because its
+        # batches cost virtual time.  A batch whose every submission is
+        # rejected must too, or the search spins at one timestamp.
+        class AlwaysRaises(SurrogateReward):
+            calls = 0
+
+            def evaluate(self, arch, agent_seed=0):
+                AlwaysRaises.calls += 1
+                if AlwaysRaises.calls > 20_000:
+                    pytest.fail("the virtual clock stopped advancing")
+                raise RuntimeError("shapes do not match")
+
+        reward = make_surrogate(space, cls=AlwaysRaises)
+        cfg = small_config("rdm", minutes=1,
+                           allocation=NodeAllocation(9, 2, 3), seed=0)
+        assert cfg.backend == "balsam" and cfg.max_iterations is None
+        result = NasSearch(space, reward, cfg).run()
+        assert result.failed_agents == []
+        assert result.num_failed_evals > 0
+        assert {r.reward for r in result.records} == {-1.0}
+        assert max(r.time for r in result.records) <= cfg.wall_time
 
 
 class TestCacheCounterRestore:
