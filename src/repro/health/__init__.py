@@ -11,8 +11,8 @@ not cover.  This package is the numerical counterpart:
   checks, EWMA loss-spike z-scores, PPO approx-KL / ratio divergence
   limits, bundled in :class:`GuardConfig` with a three-position ``mode``
   (``off`` / ``check`` / ``recover``);
-* :mod:`repro.health.recovery` — automatic recovery: per-agent
-  last-known-good snapshot rings with rollback + learning-rate backoff,
+* :mod:`repro.health.recovery` — automatic recovery: rollback to the
+  agent's last iteration boundary with learning-rate backoff,
   escalation to agent resurrection, and parameter-server delta
   sanitization.
 
@@ -24,8 +24,8 @@ guards observe, they never perturb.  See ``docs/robustness.md``.
 from .guards import (GUARD_MODES, GuardConfig, LossSpikeDetector,
                      NumericalAnomaly, PPODivergenceDetector, all_finite,
                      require_finite)
-from .recovery import AgentHealth, DeltaSanitizer, SnapshotRing
+from .recovery import AgentHealth, DeltaSanitizer
 
 __all__ = ["GUARD_MODES", "GuardConfig", "NumericalAnomaly", "all_finite",
            "require_finite", "LossSpikeDetector", "PPODivergenceDetector",
-           "AgentHealth", "DeltaSanitizer", "SnapshotRing"]
+           "AgentHealth", "DeltaSanitizer"]

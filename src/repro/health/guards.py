@@ -89,10 +89,9 @@ class GuardConfig:
     delta_norm_factor: float = 50.0
     delta_warmup: int = 8
     max_delta_age: float | None = None
-    #: recovery: snapshots kept per agent, learning-rate multiplier
-    #: applied on each rollback (with a floor), and how many rollbacks
-    #: one agent lifetime absorbs before escalating to a restart
-    snapshot_ring: int = 4
+    #: recovery: learning-rate multiplier applied on each rollback
+    #: (with a floor), and how many rollbacks one agent lifetime absorbs
+    #: before escalating to a restart
     lr_backoff: float = 0.5
     min_lr_fraction: float = 1.0 / 64.0
     escalate_after: int = 2
@@ -112,8 +111,6 @@ class GuardConfig:
                 "delta_norm_factor must be > 1 and delta_warmup >= 1")
         if self.max_delta_age is not None and self.max_delta_age <= 0:
             raise ValueError("max_delta_age must be positive")
-        if self.snapshot_ring < 1:
-            raise ValueError("snapshot_ring must be >= 1")
         if not 0.0 < self.lr_backoff < 1.0:
             raise ValueError("lr_backoff must be in (0, 1)")
         if not 0.0 < self.min_lr_fraction <= 1.0:

@@ -1,19 +1,18 @@
-"""Recovery actuators: policy snapshot rings, rollback, delta hygiene.
+"""Recovery actuators: rollback budget, learning-rate backoff, delta
+hygiene.
 
-Where :mod:`repro.health.guards` only observes, this module acts.  Three
+Where :mod:`repro.health.guards` only observes, this module acts.  Two
 actuators implement the self-healing ladder:
 
-* :class:`SnapshotRing` — a bounded ring of last-known-good
-  (policy parameters, optimizer moments) snapshots per agent.  Snapshots
-  are taken at iteration boundaries *before* the PPO update, so a
-  poisoned update is undone exactly by restoring the newest entry.
 * :class:`AgentHealth` — one agent's monitor + actuator.  It runs the
-  detectors over each update, and in ``recover`` mode rolls the policy
-  and Adam moments back to the newest good snapshot while backing off
-  the learning rate.  An agent whose lifetime accumulates
-  ``escalate_after`` rollbacks is declared beyond local repair and
-  escalates with :class:`~repro.health.guards.NumericalAnomaly` — the
-  search runner then resurrects it from its iteration boundary.
+  detectors over each update, and in ``recover`` mode backs off the
+  learning rate each time the caller has rolled the policy and Adam
+  moments back to the last known good state (the search restores the
+  agent's iteration boundary, taken before the update).  An agent whose
+  lifetime accumulates ``escalate_after`` rollbacks is declared beyond
+  local repair and escalates with
+  :class:`~repro.health.guards.NumericalAnomaly` — the search runner
+  then resurrects it from that same boundary.
 * :class:`DeltaSanitizer` — parameter-server ingress hygiene: rejects
   non-finite deltas outright and, once an EWMA of accepted-delta norms
   is warmed up, rejects norm outliers (a diverging agent's update must
@@ -23,39 +22,12 @@ actuators implement the self-healing ladder:
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .guards import (GuardConfig, LossSpikeDetector, NumericalAnomaly,
                      PPODivergenceDetector, all_finite)
 
-__all__ = ["SnapshotRing", "AgentHealth", "DeltaSanitizer"]
-
-
-class SnapshotRing:
-    """Bounded ring of (iteration, policy_flat, opt_state) snapshots."""
-
-    def __init__(self, capacity: int = 4) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._ring: deque[tuple[int, np.ndarray, dict | None]] = \
-            deque(maxlen=capacity)
-
-    def push(self, iteration: int, policy_flat: np.ndarray,
-             opt_state: dict | None) -> None:
-        """Record a known-good snapshot (arrays are copied on entry)."""
-        self._ring.append((iteration, np.array(policy_flat, copy=True),
-                           None if opt_state is None else {
-                               "t": int(opt_state["t"]),
-                               "m": np.array(opt_state["m"], copy=True),
-                               "v": np.array(opt_state["v"], copy=True)}))
-
-    def latest(self) -> tuple[int, np.ndarray, dict | None] | None:
-        return self._ring[-1] if self._ring else None
-
-    def __len__(self) -> int:
-        return len(self._ring)
+__all__ = ["AgentHealth", "DeltaSanitizer"]
 
 
 class AgentHealth:
@@ -63,23 +35,22 @@ class AgentHealth:
 
     Lifecycle per search iteration::
 
-        health.snapshot(iteration, policy.get_flat(), opt.export_state())
         delta, stats = updater.update_delta(rollout, rewards)
         anomaly = health.check_update(policy.get_flat(), delta, stats)
         if anomaly:             # recover mode
-            health.rollback(policy, updater.optimizer)   # may escalate
+            restore_boundary(boundary, policy, updater.optimizer)
+            health.rollback(updater.optimizer)           # may escalate
 
-    ``check_update`` is pure observation.  ``rollback`` restores the
-    newest snapshot, multiplies the optimizer's learning rate by the
-    configured backoff (floored at ``min_lr_fraction`` of the base
-    rate), and raises :class:`NumericalAnomaly` once this lifetime has
-    used up its rollback budget or has no snapshot to return to.
+    ``check_update`` is pure observation.  ``rollback`` multiplies the
+    just-restored optimizer's learning rate by the configured backoff
+    (floored at ``min_lr_fraction`` of the base rate), and raises
+    :class:`NumericalAnomaly` once this lifetime has used up its
+    rollback budget.
     """
 
     def __init__(self, config: GuardConfig, base_lr: float) -> None:
         self.config = config
         self.base_lr = float(base_lr)
-        self.ring = SnapshotRing(config.snapshot_ring)
         self.loss_detector = LossSpikeDetector(
             config.loss_spike_zscore, config.loss_ewma_alpha,
             config.loss_warmup)
@@ -91,11 +62,6 @@ class AgentHealth:
         self.delta_check = DeltaSanitizer.from_guard(config)
         self.num_rollbacks = 0
         self.last_anomaly: str | None = None
-
-    def snapshot(self, iteration: int, policy_flat: np.ndarray,
-                 opt_state: dict | None) -> None:
-        """Record the pre-update state as last known good."""
-        self.ring.push(iteration, policy_flat, opt_state)
 
     def check_update(self, policy_flat: np.ndarray, delta: np.ndarray,
                      stats=None) -> str | None:
@@ -125,29 +91,20 @@ class AgentHealth:
         self.last_anomaly = None
         return None
 
-    def rollback(self, policy, optimizer) -> tuple[int, float]:
-        """Restore the newest good snapshot and back off the learning
-        rate; returns ``(iteration_restored, new_lr)``.  Escalates with
-        :class:`NumericalAnomaly` when the lifetime rollback budget is
-        spent or no snapshot exists."""
-        entry = self.ring.latest()
-        if entry is None:
-            raise NumericalAnomaly(
-                "rollback_exhausted", "agent",
-                f"no snapshot to restore after {self.last_anomaly}")
+    def rollback(self, optimizer) -> float:
+        """Count one rollback of a policy the caller has just restored
+        and back off ``optimizer``'s learning rate; returns the new
+        rate.  Escalates with :class:`NumericalAnomaly` when the
+        lifetime rollback budget is spent."""
         if self.num_rollbacks + 1 >= self.config.escalate_after:
             raise NumericalAnomaly(
                 "rollback_exhausted", "agent",
                 f"{self.num_rollbacks + 1} rollbacks this lifetime "
                 f"(last anomaly: {self.last_anomaly})")
-        iteration, policy_flat, opt_state = entry
-        policy.set_flat(policy_flat)
-        if opt_state is not None:
-            optimizer.restore_state(opt_state)
         floor = self.base_lr * self.config.min_lr_fraction
         optimizer.lr = max(optimizer.lr * self.config.lr_backoff, floor)
         self.num_rollbacks += 1
-        return iteration, optimizer.lr
+        return optimizer.lr
 
 
 class DeltaSanitizer:

@@ -3,7 +3,6 @@
 from .parameter_server import ParameterServer
 from .policy import LSTMPolicy, Rollout
 from .ppo import PPOConfig, PPOStats, PPOUpdater
-from .sharded_ps import ShardedParameterServer
 
 __all__ = ["LSTMPolicy", "PPOConfig", "PPOStats", "PPOUpdater",
-           "ParameterServer", "Rollout", "ShardedParameterServer"]
+           "ParameterServer", "Rollout"]

@@ -9,7 +9,7 @@ from .evolution import EvolutionProposer
 from .exchange import (A2CExchange, A3CExchange, ExchangeStrategy,
                        RandomExchange)
 from .hooks import (BoundaryHook, HealthHook, HookStack, LifecycleHooks,
-                    NumericFaultHook, RecordCheckpointHook)
+                    NumericFaultHook)
 from .journal import SearchJournal, resume_durable
 from .loop import AgentLoop
 from .methods import (SEARCH_METHODS, SearchMethod, build_exchange,
@@ -24,7 +24,7 @@ __all__ = ['A2CExchange', 'A3CExchange', 'AgentCheckpoint', 'AgentLoop',
            'HistoryProposer', 'HookStack', 'LifecycleHooks',
            'NasSearch', 'NodeAllocation', 'NumericFaultHook',
            'PolicyProposer', 'Proposer', 'RandomExchange',
-           'RandomProposer', 'RecordCheckpointHook', 'RewardRecord',
+           'RandomProposer', 'RewardRecord',
            'SEARCH_METHODS', 'SearchCheckpoint', 'SearchConfig',
            'SearchJournal', 'SearchMethod', 'SearchResult',
            'build_exchange', 'build_proposer', 'resume_durable',

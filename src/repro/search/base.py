@@ -64,9 +64,10 @@ class SearchConfig:
     #: simulated seconds the parameter server needs to process one full
     #: update vector (0 = free exchange); makes PS contention visible
     ps_service_time: float = 0.0
-    #: shard the A3C parameter server across this many independent
-    #: servers (§7's "multiparameter servers"); each serves its slice in
-    #: ps_service_time / ps_shards
+    #: shard the A3C parameter server across this many servers (§7's
+    #: "multiparameter servers").  Every shard would receive the same
+    #: push stream, so k shards move in lockstep and are modelled
+    #: exactly as one server with service time ps_service_time / k
     ps_shards: int = 1
     #: fault model driving node failures, job crashes, stragglers and
     #: service outages (None = fault layer fully inert)
@@ -80,13 +81,11 @@ class SearchConfig:
     max_eval_retries: int = 3
     retry_backoff: float = 5.0
     retry_backoff_cap: float = 120.0
-    #: capture a resumable search checkpoint every this many virtual
-    #: seconds (None = checkpointing off)
-    checkpoint_interval: float | None = None
     #: numerical-health guards (repro.health): None or mode "off" leaves
     #: every guarded code path bit-identical to the unguarded build;
     #: "check" detects and crashes the offending agent; "recover" rolls
-    #: back to the last good snapshot with learning-rate backoff first
+    #: back to the agent's iteration boundary with learning-rate backoff
+    #: first
     guard: GuardConfig | None = None
     #: restart crashed (or guard-escalated) agents from their last
     #: iteration boundary up to this many times per agent (0 = crashed
@@ -117,9 +116,11 @@ class SearchConfig:
     #: fsync the journal after every Nth record (None = never fsync —
     #: flush-only, survives process crashes but not host crashes)
     journal_fsync_every: int | None = None
-    #: additionally capture a checkpoint every time this many new reward
-    #: records have accumulated since the last capture (None = off);
-    #: fires at iteration boundaries, so resumed runs stay bit-identical
+    #: capture a resumable search checkpoint every time this many new
+    #: reward records have accumulated since the last capture (None =
+    #: checkpointing off).  The one checkpoint clock: it fires at
+    #: iteration boundaries on every backend, so resumed runs stay
+    #: bit-identical
     checkpoint_every_records: int | None = None
     #: method="evolution": aging-population window and tournament draw
     #: (defaults follow Real et al., 2018)
@@ -184,9 +185,8 @@ class SearchConfig:
             raise ValueError("wall_time must be positive")
         if self.batch_deadline is not None and self.batch_deadline <= 0:
             raise ValueError("batch_deadline must be positive")
-        if self.checkpoint_interval is not None \
-                and self.checkpoint_interval <= 0:
-            raise ValueError("checkpoint_interval must be positive")
+        if self.ps_shards < 1:
+            raise ValueError("ps_shards must be >= 1")
         if self.max_eval_retries < 0:
             raise ValueError("max_eval_retries must be non-negative")
         if self.journal_fsync_every is not None \

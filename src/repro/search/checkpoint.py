@@ -46,14 +46,20 @@ import numpy as np
 from ..rewards.base import EvalResult
 from .base import RewardRecord
 
-__all__ = ["AgentBoundary", "AgentCheckpoint", "SearchCheckpoint"]
+__all__ = ["AgentBoundary", "AgentCheckpoint", "SearchCheckpoint",
+           "restore_boundary"]
 
 FORMAT_VERSION = 1
 
 
 @dataclass
 class AgentBoundary:
-    """State of one agent at the start of its last begun iteration."""
+    """State of one agent at the start of its last begun iteration.
+
+    The only copy of an agent's restorable state: checkpoint capture
+    and apply, in-run resurrection and health rollback all read it
+    (:class:`~repro.search.hooks.BoundaryHook` takes it).
+    """
 
     time: float                       # virtual seconds at the boundary
     iteration: int                    # 0-based index of the iteration
@@ -85,6 +91,22 @@ class AgentBoundary:
     #: one saw.  None for the RL/rdm methods (proposals depend only on
     #: per-agent state), keeping the v1 schema for them unchanged.
     proposer_seen: int | None = None
+
+
+def restore_boundary(boundary: AgentBoundary, policy, optimizer) -> None:
+    """Put a boundary's policy vector, Adam moments and learning rate
+    back onto ``policy`` / ``optimizer`` (either may be None, as for
+    RDM).  The one restore path of checkpoint apply, in-run
+    resurrection and health rollback; the boundary itself is only read,
+    so it stays valid for the next consumer."""
+    if policy is not None and boundary.policy_flat is not None:
+        policy.set_flat(np.asarray(boundary.policy_flat))
+    if optimizer is None:
+        return
+    if boundary.opt_state is not None:
+        optimizer.restore_state(boundary.opt_state)
+    if boundary.lr is not None:
+        optimizer.lr = boundary.lr
 
 
 @dataclass

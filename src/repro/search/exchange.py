@@ -29,8 +29,6 @@ from ..events import BARRIER, PUSH, EventSink, emit
 from ..health.recovery import DeltaSanitizer
 from ..hpc.sim import Simulator
 from ..rl.parameter_server import ParameterServer
-from ..rl.policy import LSTMPolicy
-from ..rl.sharded_ps import ShardedParameterServer
 
 __all__ = ["ExchangeStrategy", "A3CExchange", "A2CExchange", "RandomExchange"]
 
@@ -45,7 +43,7 @@ class ExchangeStrategy:
 
     name = "?"
 
-    def __init__(self, ps: ParameterServer | ShardedParameterServer | None,
+    def __init__(self, ps: ParameterServer | None,
                  sink: EventSink | None = None) -> None:
         self.ps = ps
         self.sink = sink
@@ -81,18 +79,16 @@ class ExchangeStrategy:
 
     # -- checkpoint plumbing ------------------------------------------
     def export_state(self) -> dict | None:
-        if isinstance(self.ps, ParameterServer):
-            return self.ps.export_state()
-        return None     # sharded/absent servers carry no exchange history
+        return None if self.ps is None else self.ps.export_state()
 
     def restore_state(self, state: dict | None) -> None:
-        if state is not None and isinstance(self.ps, ParameterServer):
+        if state is not None and self.ps is not None:
             self.ps.restore_state(state)
 
     # -- shared construction helpers ----------------------------------
     @staticmethod
     def _sanitizer(config) -> tuple[DeltaSanitizer | None, float | None]:
-        """Ingress hygiene for the unsharded servers (guard-driven)."""
+        """Ingress hygiene for the server (guard-driven)."""
         guard = config.guard
         if guard is not None and guard.enabled:
             return DeltaSanitizer.from_guard(guard), guard.max_delta_age
@@ -102,42 +98,31 @@ class ExchangeStrategy:
 class A3CExchange(ExchangeStrategy):
     """Asynchronous exchange: push, receive the rolling average of
     recent updates, never wait for other agents.  With a modelled
-    service time (or a sharded server) the push itself takes simulated
-    time; otherwise it is instantaneous."""
+    service time the push itself takes simulated time; otherwise it is
+    instantaneous.
+
+    ``ps_shards = k`` builds one server with service time
+    ``ps_service_time / k``: k shards of the vector would receive the
+    same push stream, so their queues and staleness windows would move
+    in lockstep with that one faster server's.
+    """
 
     name = "a3c"
-
-    def __init__(self, ps, service_time: float = 0.0,
-                 sink: EventSink | None = None) -> None:
-        super().__init__(ps, sink)
-        self.service_time = service_time
 
     @classmethod
     def build(cls, sim, config, space, sink=None):
         sanitizer, max_age = cls._sanitizer(config)
-        if config.ps_shards > 1:
-            # shards screen their own slices; whole-vector delta
-            # hygiene is only wired for the unsharded servers
-            probe = LSTMPolicy(space.action_dims, hidden=config.hidden,
-                               embed_dim=config.embed_dim, seed=0)
-            ps = ShardedParameterServer(
-                sim, config.allocation.num_agents,
-                vector_size=probe.num_params,
-                num_shards=config.ps_shards,
-                staleness_window=config.staleness_window,
-                service_time=config.ps_service_time)
-        else:
-            ps = ParameterServer(
-                sim, config.allocation.num_agents, mode="async",
-                staleness_window=config.staleness_window,
-                service_time=config.ps_service_time,
-                sanitizer=sanitizer, max_delta_age=max_age)
-        return cls(ps, service_time=config.ps_service_time, sink=sink)
+        ps = ParameterServer(
+            sim, config.allocation.num_agents, mode="async",
+            staleness_window=config.staleness_window,
+            service_time=config.ps_service_time / config.ps_shards,
+            sanitizer=sanitizer, max_delta_age=max_age)
+        return cls(ps, sink=sink)
 
     def on_gradient(self, agent_id, delta, iteration):
         emit(self.sink, PUSH, self.ps.sim.now, agent_id, iteration,
              mode=self.name)
-        if self.service_time > 0.0:
+        if self.ps.service_time > 0.0:
             avg = yield self.ps.push_async_timed(delta)
         else:
             avg = self.ps.push_async(delta)

@@ -7,8 +7,9 @@ one :class:`LifecycleHooks` implementation composed into a
 stack, matching the per-lifetime semantics of rollback budgets and the
 restart-keyed numeric fault draw):
 
-* :class:`BoundaryHook` — captures the iteration boundary feeding both
-  checkpoint capture and in-run resurrection;
+* :class:`BoundaryHook` — captures the iteration boundary, the one
+  snapshot that checkpoint capture and apply, in-run resurrection and
+  health rollback read, and fires the record-count checkpoint trigger;
 * :class:`NumericFaultHook` — chaos-layer numerical fault injection
   (NaN gradients, exploding losses, in-flight delta corruption);
 * :class:`HealthHook` — the :mod:`repro.health` guard/rollback layer.
@@ -28,10 +29,10 @@ from ..events import ROLLBACK, EventSink, emit
 from ..health.guards import GuardConfig, NumericalAnomaly
 from ..health.recovery import AgentHealth
 from ..hpc.faults import FaultInjector
-from .checkpoint import AgentBoundary
+from .checkpoint import AgentBoundary, restore_boundary
 
 __all__ = ["LifecycleHooks", "HookStack", "BoundaryHook",
-           "RecordCheckpointHook", "NumericFaultHook", "HealthHook"]
+           "NumericFaultHook", "HealthHook"]
 
 
 class LifecycleHooks:
@@ -45,9 +46,6 @@ class LifecycleHooks:
 
     def on_iteration_start(self, loop) -> None:
         """Top of the iteration, before sampling."""
-
-    def before_update(self, loop) -> None:
-        """A learning step is about to run (pre-update state is live)."""
 
     def after_update(self, loop, delta: np.ndarray, push_delta: np.ndarray,
                      stats) -> tuple[np.ndarray, np.ndarray]:
@@ -69,10 +67,6 @@ class HookStack(LifecycleHooks):
         for hook in self.hooks:
             hook.on_iteration_start(loop)
 
-    def before_update(self, loop) -> None:
-        for hook in self.hooks:
-            hook.before_update(loop)
-
     def after_update(self, loop, delta, push_delta, stats):
         for hook in self.hooks:
             delta, push_delta = hook.after_update(loop, delta, push_delta,
@@ -85,14 +79,26 @@ class BoundaryHook(LifecycleHooks):
 
     The boundary is everything a fresh lifetime needs to replay from
     this exact point — RNG state, policy/optimizer vectors, counters,
-    digest — and feeds both periodic checkpoints and in-run
-    resurrection.  ``capture_lr`` additionally records the (possibly
-    backed-off) learning rate when the recover-mode health layer is on.
+    digest.  It is also the pre-update state of the iteration, so the
+    recover-mode health layer rolls a poisoned update back to it.
+    ``capture_lr`` additionally records the (possibly backed-off)
+    learning rate when that layer is on.
+
+    ``on_boundary`` (the runner's record-count checkpoint trigger,
+    ``SearchConfig.checkpoint_every_records``) runs once the boundary
+    is stored.  Counting reward records is a clock that works on every
+    backend, including real ones that never advance virtual time.  The
+    callback only *triggers*: the runner defers the capture itself to a
+    zero-delay sim process (``NasSearch._maybe_record_checkpoint``
+    explains why capturing inline here would tear a sync exchange round
+    in half).
     """
 
-    def __init__(self, store: dict, capture_lr: bool = False) -> None:
+    def __init__(self, store: dict, capture_lr: bool = False,
+                 on_boundary=None) -> None:
         self.store = store
         self.capture_lr = capture_lr
+        self.on_boundary = on_boundary
 
     def on_iteration_start(self, loop) -> None:
         evaluator, updater = loop.evaluator, loop.updater
@@ -114,27 +120,8 @@ class BoundaryHook(LifecycleHooks):
             lr=(updater.optimizer.lr
                 if updater is not None and self.capture_lr else None),
             proposer_seen=loop.proposer.seen())
-
-
-class RecordCheckpointHook(LifecycleHooks):
-    """Gives the runner a record-count checkpoint opportunity at every
-    iteration start (``SearchConfig.checkpoint_every_records``).
-
-    Real (host-time) backends never advance the virtual clock, so the
-    interval checkpoint timer never fires for them; counting reward
-    records is the clock that works on every backend.  The callback only
-    *triggers* — the runner defers the actual capture to a zero-delay
-    sim process so it observes the same globally consistent
-    parked-at-yield-points state the interval clock does (see
-    ``NasSearch._maybe_record_checkpoint`` for why capturing inline
-    here would tear a sync exchange round in half).
-    """
-
-    def __init__(self, callback) -> None:
-        self.callback = callback
-
-    def on_iteration_start(self, loop) -> None:
-        self.callback()
+        if self.on_boundary is not None:
+            self.on_boundary()
 
 
 class NumericFaultHook(LifecycleHooks):
@@ -179,25 +166,27 @@ class NumericFaultHook(LifecycleHooks):
 
 
 class HealthHook(LifecycleHooks):
-    """Health layer: snapshot before the update, check it after, and
-    roll back (or crash, in check mode) on a numerical anomaly.
+    """Health layer: check each update, and on a numerical anomaly roll
+    back to the agent's current iteration boundary (or crash, in check
+    mode).
 
-    One instance per agent lifetime, like the :class:`AgentHealth` it
-    wraps — rollback budgets are per-lifetime by design.
+    ``boundaries`` is the runner's store that :class:`BoundaryHook`
+    fills at each iteration start.  Nothing moves the policy or the
+    optimizer between that point and the update, so the boundary is the
+    last known good state, and restoring it undoes a poisoned update
+    exactly.  One instance per agent lifetime, like the
+    :class:`AgentHealth` it wraps — rollback budgets are per-lifetime by
+    design.
     """
 
     def __init__(self, guard: GuardConfig, base_lr: float,
-                 rollbacks: dict, sink: EventSink | None = None) -> None:
+                 rollbacks: dict, boundaries: dict,
+                 sink: EventSink | None = None) -> None:
         self.guard = guard
         self.health = AgentHealth(guard, base_lr=base_lr)
         self.rollbacks = rollbacks      # shared agent_id -> count store
+        self.boundaries = boundaries    # shared agent_id -> AgentBoundary
         self.sink = sink
-
-    def before_update(self, loop) -> None:
-        # pre-update state is last-known-good: a poisoned update is
-        # undone exactly by restoring it
-        self.health.snapshot(loop.iteration, loop.policy.get_flat(),
-                             loop.updater.optimizer.export_state())
 
     def after_update(self, loop, delta, push_delta, stats):
         anomaly = self.health.check_update(loop.policy.get_flat(), delta,
@@ -209,9 +198,12 @@ class HealthHook(LifecycleHooks):
             # resurrects it (or reports it) from there
             raise NumericalAnomaly(anomaly, f"agent{loop.agent_id}",
                                    "numerical guard tripped (mode=check)")
-        # recover mode: roll back to the last good snapshot with LR
-        # backoff (escalates to a crash once the lifetime budget is spent)
-        self.health.rollback(loop.policy, loop.updater.optimizer)
+        # recover mode: restore the iteration boundary, then back off
+        # the LR (escalates to a crash once the lifetime budget is spent)
+        optimizer = loop.updater.optimizer
+        restore_boundary(self.boundaries[loop.agent_id], loop.policy,
+                         optimizer)
+        self.health.rollback(optimizer)
         self.rollbacks[loop.agent_id] = \
             self.rollbacks.get(loop.agent_id, 0) + 1
         emit(self.sink, ROLLBACK, loop.sim.now, loop.agent_id,

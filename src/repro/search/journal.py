@@ -1,12 +1,12 @@
 """Write-ahead search journal + checkpoint generations (crash-anywhere
 durability).
 
-Interval checkpoints bound the re-execution window of a killed search to
-one checkpoint interval.  This module shrinks it to (at most) one
-*evaluation*: every :class:`~repro.events.SearchEvent` the search emits
-is appended — checksummed, before the search acts on it further — to a
-JSONL write-ahead journal, and checkpoints are written as verified
-*generations* next to it.  Resume then becomes:
+Record-clock checkpoints bound the re-execution window of a killed
+search to the work since the last capture.  This module shrinks it to
+(at most) one *evaluation*: every :class:`~repro.events.SearchEvent`
+the search emits is appended — checksummed, before the search acts on
+it further — to a JSONL write-ahead journal, and checkpoints are
+written as verified *generations* next to it.  Resume then becomes:
 
 1. load the newest checkpoint generation whose sha256 verifies (falling
    back generation by generation when the newest is torn or corrupt);

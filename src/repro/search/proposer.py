@@ -120,10 +120,10 @@ class PolicyProposer(Proposer):
     """RL proposal: sample the agent's LSTM policy, learn via PPO, and
     run the configured exchange round.
 
-    ``observe`` is the pre-seam ``_learn`` body unchanged: hook
-    transforms around ``update_delta``, the exchange round (a3c push /
-    a2c barrier — the only part that may wait on simulator events), and
-    the average applied in place of the local delta.
+    ``observe`` is the pre-seam ``_learn`` body: the hook transform
+    after ``update_delta``, the exchange round (a3c push / a2c barrier —
+    the only part that may wait on simulator events), and the average
+    applied in place of the local delta.
     """
 
     name = "policy"
@@ -144,7 +144,6 @@ class PolicyProposer(Proposer):
 
     def observe(self, loop, actions, rewards):
         rollout = self._rollouts.pop(loop.agent_id)
-        loop.hooks.before_update(loop)
         delta, stats = loop.updater.update_delta(rollout, rewards)
         delta, push_delta = loop.hooks.after_update(loop, delta, delta,
                                                     stats)

@@ -10,13 +10,18 @@ seams (see ``docs/architecture.md``):
 * a per-agent :class:`~repro.evaluator.base.Evaluator` — by default a
   :class:`~repro.evaluator.balsam.BalsamEvaluator` over the shared
   Balsam service;
-* a :class:`~repro.search.hooks.HookStack` through which checkpoint
+* a :class:`~repro.search.hooks.HookStack` through which iteration
   boundary capture, numeric fault injection, and health guards attach.
 
 What is left here is orchestration: spawning agents, the crash-safe
 wrapper with resurrection, checkpoint capture/restore, and final
-accounting.  All layers emit :class:`~repro.events.SearchEvent` records
-to an optional ``event_sink``.
+accounting.  Capture and apply stay here because they read and write
+the runner's own state (records, evaluators, exchange, per-agent
+bookkeeping); the boundary they share with resurrection and health
+rollback, and the one function that restores it, live in
+:mod:`repro.search.checkpoint`.  All layers emit
+:class:`~repro.events.SearchEvent` records to an optional
+``event_sink``.
 
 The search stops when every agent has stopped, or at the wall-time
 limit, whichever is first — matching the paper's runs, where A3C on
@@ -31,7 +36,7 @@ service retries failed jobs with capped exponential backoff and
 surfaces exhausted jobs as failure rewards; a crashed agent coroutine
 deregisters from the parameter server cleanly (no deadlocked barrier)
 and is reported in ``SearchResult.failed_agents``; and
-``checkpoint_interval`` captures resumable
+``checkpoint_every_records`` captures resumable
 :class:`~repro.search.checkpoint.SearchCheckpoint` snapshots from which
 a killed search continues deterministically.  With none of these knobs
 set, the loop is byte-for-byte the fault-free search.
@@ -40,8 +45,6 @@ set, the loop is byte-for-byte the fault-free search.
 from __future__ import annotations
 
 import signal
-
-import numpy as np
 
 from ..evaluator.balsam import BalsamEvaluator, BalsamService
 from ..evaluator.base import Evaluator
@@ -52,17 +55,17 @@ from ..events import (AGENT_DONE, CHECKPOINT, CRASH, PREEMPT, RESTART,
                       EventSink, TeeSink, emit)
 from ..hpc.cluster import Cluster
 from ..hpc.faults import FaultInjector
-from ..hpc.sim import Interrupt, Simulator, Timeout
+from ..hpc.sim import Interrupt, Simulator
 from ..nas.plancache import PlanCache
 from ..nas.space import Structure
 from ..rewards.base import RewardModel
 from ..rl.policy import LSTMPolicy
 from ..rl.ppo import PPOConfig, PPOUpdater
 from .base import RewardRecord, SearchConfig, SearchResult
-from .checkpoint import AgentBoundary, AgentCheckpoint, SearchCheckpoint
+from .checkpoint import (AgentBoundary, AgentCheckpoint, SearchCheckpoint,
+                         restore_boundary)
 from .methods import SEARCH_METHODS, build_exchange, build_proposer
-from .hooks import (BoundaryHook, HealthHook, HookStack, NumericFaultHook,
-                    RecordCheckpointHook)
+from .hooks import BoundaryHook, HealthHook, HookStack, NumericFaultHook
 from .journal import SearchJournal
 from .loop import AgentLoop
 
@@ -114,12 +117,12 @@ class NasSearch:
         self._converged_agents = 0
         self._failed_agents: list[tuple[int, str]] = []
         self._done_agents: dict[int, bool] = {}    # agent_id -> converged
+        #: each live agent's current iteration boundary, the one copy of
+        #: its restorable state; a lifetime starts from it when present
         self._boundaries: dict[int, AgentBoundary] = {}
         #: per-agent rolling trajectory digests (repro.verify.fingerprint)
         self._digests: dict[int, str] = {}
-        self._resume: dict[int, AgentBoundary] = {}
         self._search_end_time: float | None = None
-        self._ckpt_proc = None
         #: preemption cause (signal name or explicit request); None while
         #: the search is allowed to keep running
         self._preempt_cause: str | None = None
@@ -260,9 +263,6 @@ class NasSearch:
         cfg = self.config
         if self.injector is not None:
             self.injector.attach(self.cluster)
-        if cfg.checkpoint_interval is not None and self._live_agents > 0:
-            self._ckpt_proc = self.sim.process(self._checkpoint_clock(),
-                                               name="checkpoint")
         for agent_id in range(cfg.allocation.num_agents):
             if agent_id in self._done_agents:
                 continue
@@ -291,8 +291,8 @@ class NasSearch:
                     worker_stats[key] = worker_stats.get(key, 0) + val
         now = self.sim.now
         if self._live_agents == 0 and self._search_end_time is not None:
-            # ignore stale timers (checkpoint clock, retry backoffs,
-            # injector repairs) that outlived the last agent
+            # ignore stale timers (retry backoffs, injector repairs)
+            # that outlived the last agent
             now = self._search_end_time
         end_time = min(now, cfg.wall_time)
         converged = (self._converged_agents == cfg.allocation.num_agents
@@ -316,28 +316,31 @@ class NasSearch:
         updater = self.updaters[agent_id]
         guard = cfg.guard
         guarded = updater is not None and guard is not None and guard.enabled
-        capture = (cfg.checkpoint_interval is not None
-                   or cfg.checkpoint_every_records is not None
-                   or cfg.max_restarts > 0 or cfg.preemptible
-                   or self.journal is not None)
+        record_clock = cfg.checkpoint_every_records is not None
+        # boundaries cost a policy/optimizer copy per iteration, so they
+        # are captured only when something will read them
+        capture = (record_clock or cfg.max_restarts > 0 or cfg.preemptible
+                   or self.journal is not None
+                   or (guarded and guard.recovers))
         hooks = HookStack([
             BoundaryHook(self._boundaries,
-                         capture_lr=guard is not None and guard.recovers)
+                         capture_lr=guard is not None and guard.recovers,
+                         on_boundary=(self._maybe_record_checkpoint
+                                      if record_clock else None))
             if capture else None,
-            RecordCheckpointHook(self._maybe_record_checkpoint)
-            if cfg.checkpoint_every_records is not None else None,
             NumericFaultHook(self.injector,
                              self._restarts.get(agent_id, 0))
             if self.injector is not None and updater is not None else None,
             HealthHook(guard, base_lr=cfg.lr, rollbacks=self._rollbacks,
-                       sink=self.sink) if guarded else None,
+                       boundaries=self._boundaries, sink=self.sink)
+            if guarded else None,
         ])
         return AgentLoop(
             sim=self.sim, space=self.space, config=cfg, agent_id=agent_id,
             evaluator=self.evaluators[agent_id],
             policy=self.policies[agent_id], updater=updater,
             proposer=self.proposer, hooks=hooks, records=self.records,
-            digests=self._digests, resume=self._resume.pop(agent_id, None))
+            digests=self._digests, resume=self._boundaries.get(agent_id))
 
     def _agent(self, agent_id: int):
         """Crash-safe wrapper: whatever happens inside the agent loop,
@@ -389,8 +392,6 @@ class NasSearch:
         self._live_agents -= 1
         if self._live_agents == 0:
             self._search_end_time = self.sim.now
-            if self._ckpt_proc is not None:
-                self._ckpt_proc.interrupt("search finished")
             if self.injector is not None:
                 self.injector.stop()
 
@@ -424,25 +425,27 @@ class NasSearch:
     def _restore_agent_state(self, agent_id: int,
                              boundary: AgentBoundary) -> None:
         """Rewind one agent's evaluator/policy/optimizer to a boundary
-        and queue it for a boundary resume (shared by in-run
-        resurrection and checkpoint restore)."""
+        and make it the agent's current boundary (shared by in-run
+        resurrection and checkpoint restore).
+
+        The agent's next lifetime resumes from it, and until that
+        lifetime's first iteration start replaces it, it is what a
+        checkpoint captures and what a crash resurrects from — a
+        resumed agent still asleep towards its boundary time is
+        checkpointed at that boundary, not dropped.
+        """
         self.evaluators[agent_id].restore_counters(
             boundary.num_submitted, boundary.num_cache_hits,
             boundary.num_failed)
-        policy = self.policies[agent_id]
-        if policy is not None and boundary.policy_flat is not None:
-            policy.set_flat(np.asarray(boundary.policy_flat))
         updater = self.updaters[agent_id]
-        if updater is not None and boundary.opt_state is not None:
-            updater.optimizer.restore_state(boundary.opt_state)
-        if updater is not None and boundary.lr is not None:
-            updater.optimizer.lr = boundary.lr
-        self._resume[agent_id] = boundary
+        restore_boundary(boundary, self.policies[agent_id],
+                         None if updater is None else updater.optimizer)
+        self._boundaries[agent_id] = boundary
 
     # -- checkpointing --------------------------------------------------
     def _maybe_record_checkpoint(self) -> None:
-        """Record-count trigger (fires from :class:`RecordCheckpointHook`
-        at an iteration start).
+        """Record-count trigger (fires from :class:`BoundaryHook` at an
+        iteration start, once the boundary is stored).
 
         The capture itself is *deferred* to a fresh zero-delay sim
         process rather than taken inline: the triggering agent's hook
@@ -453,21 +456,20 @@ class NasSearch:
         resume would push that round twice.  A process scheduled *now*
         gets a later sequence number than every already-queued wakeup,
         so by the time it runs each agent is parked at a yield point
-        with a fresh boundary — exactly the state the interval
-        checkpoint clock observes.
+        with a fresh boundary — the same globally consistent state a
+        preemption captures.
         """
         every = self.config.checkpoint_every_records
-        if every is None or self._record_ckpt_pending:
-            return
-        if len(self.records) - self._records_at_ckpt < every:
+        if self._record_ckpt_pending \
+                or len(self.records) - self._records_at_ckpt < every:
             return
         self._record_ckpt_pending = True
         self.sim.process(self._record_checkpoint_proc(), name="record-ckpt")
 
     def _record_checkpoint_proc(self):
         try:
-            # re-check: a capture scheduled just before another trigger
-            # (or the interval clock) may have already covered the gap
+            # re-check: a resurrection in this same instant may have
+            # trimmed the records back below the threshold
             every = self.config.checkpoint_every_records
             if len(self.records) - self._records_at_ckpt >= every:
                 self._capture_checkpoint()
@@ -475,15 +477,6 @@ class NasSearch:
             self._record_ckpt_pending = False
         return
         yield   # pragma: no cover — generator so sim.process can run it
-
-    def _checkpoint_clock(self):
-        interval = self.config.checkpoint_interval
-        try:
-            while True:
-                yield Timeout(interval)
-                self._capture_checkpoint()
-        except Interrupt:
-            return
 
     def _capture_checkpoint(self) -> SearchCheckpoint:
         """Snapshot the search into a :class:`SearchCheckpoint`."""

@@ -5,11 +5,11 @@ import pytest
 
 from repro.health import (AgentHealth, DeltaSanitizer, GuardConfig,
                           LossSpikeDetector, NumericalAnomaly,
-                          PPODivergenceDetector, SnapshotRing, all_finite,
-                          require_finite)
+                          PPODivergenceDetector, all_finite, require_finite)
 from repro.nn import Dense, GraphModel
 from repro.nn.training import Trainer
 from repro.rl.ppo import PPOStats
+from repro.search.checkpoint import AgentBoundary, restore_boundary
 
 
 def stats(policy_loss=0.1, value_loss=0.2, approx_kl=0.01, max_ratio=1.2):
@@ -36,7 +36,6 @@ class TestGuardConfig:
         dict(ratio_limit=1.0),
         dict(delta_norm_factor=1.0),
         dict(max_delta_age=0.0),
-        dict(snapshot_ring=0),
         dict(lr_backoff=1.0),
         dict(min_lr_fraction=0.0),
         dict(escalate_after=0),
@@ -104,30 +103,6 @@ class TestPPODivergenceDetector:
     def test_nonfinite_stat(self):
         assert PPODivergenceDetector().check(
             stats(policy_loss=float("nan"))) == "nonfinite"
-
-
-class TestSnapshotRing:
-    def test_bounded_latest(self):
-        ring = SnapshotRing(capacity=2)
-        for i in range(4):
-            ring.push(i, np.full(3, float(i)), None)
-        assert len(ring) == 2
-        it, vec, _ = ring.latest()
-        assert it == 3 and vec[0] == 3.0
-
-    def test_entries_are_copies(self):
-        ring = SnapshotRing()
-        src = np.zeros(3)
-        opt = {"t": 1, "m": np.zeros(3), "v": np.zeros(3)}
-        ring.push(0, src, opt)
-        src[:] = 9.0
-        opt["m"][:] = 9.0
-        _, vec, state = ring.latest()
-        assert vec[0] == 0.0 and state["m"][0] == 0.0
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            SnapshotRing(capacity=0)
 
 
 class TestDeltaSanitizer:
@@ -201,11 +176,27 @@ class _Opt:
         self.v = np.asarray(state["v"]).copy()
 
 
+def _boundary(policy, opt, iteration=0):
+    """The recover-mode iteration boundary of ``policy``/``opt`` (what
+    the search's BoundaryHook captures before the update)."""
+    return AgentBoundary(
+        time=0.0, iteration=iteration, rng_state={},
+        policy_flat=policy.get_flat(), opt_state=opt.export_state(),
+        consecutive_cached=0, cache_len=0, num_records=0, num_submitted=0,
+        num_cache_hits=0, num_failed=0, lr=opt.lr)
+
+
 class TestAgentHealth:
     def make(self, **overrides):
         defaults = dict(mode="recover", escalate_after=3)
         defaults.update(overrides)
         return AgentHealth(GuardConfig(**defaults), base_lr=0.1)
+
+    def roll_back(self, health, boundary, policy, opt):
+        """The search's recover path: restore the boundary, then let
+        the health layer back off the learning rate."""
+        restore_boundary(boundary, policy, opt)
+        return health.rollback(opt)
 
     def test_healthy_update_passes(self):
         health = self.make()
@@ -233,38 +224,35 @@ class TestAgentHealth:
         health = self.make()
         policy, opt = _Policy([1.0, 2.0, 3.0]), _Opt(lr=0.1)
         opt.t = 5
-        health.snapshot(0, policy.get_flat(), opt.export_state())
+        boundary = _boundary(policy, opt)
         policy.set_flat([np.nan] * 3)
         opt.t = 6
-        iteration, lr = health.rollback(policy, opt)
-        assert iteration == 0
+        lr = self.roll_back(health, boundary, policy, opt)
         np.testing.assert_array_equal(policy.vec, [1.0, 2.0, 3.0])
         assert opt.t == 5
         assert lr == pytest.approx(0.05)
         assert health.num_rollbacks == 1
+        # the boundary is only read: it still holds the good state
+        np.testing.assert_array_equal(boundary.policy_flat, [1.0, 2.0, 3.0])
+        assert boundary.lr == 0.1
 
     def test_lr_floor(self):
         health = self.make(escalate_after=20, lr_backoff=0.5,
                            min_lr_fraction=0.25)
         policy, opt = _Policy([0.0]), _Opt(lr=0.1)
-        for _ in range(5):
-            health.snapshot(0, policy.get_flat(), opt.export_state())
-            health.rollback(policy, opt)
+        for iteration in range(5):
+            # each iteration's boundary carries the backed-off rate
+            self.roll_back(health, _boundary(policy, opt, iteration),
+                           policy, opt)
         assert opt.lr == pytest.approx(0.1 * 0.25)
 
     def test_escalates_after_budget(self):
         health = self.make(escalate_after=2)
         policy, opt = _Policy([0.0]), _Opt()
-        health.snapshot(0, policy.get_flat(), opt.export_state())
-        health.rollback(policy, opt)
-        health.snapshot(1, policy.get_flat(), opt.export_state())
+        self.roll_back(health, _boundary(policy, opt, 0), policy, opt)
         with pytest.raises(NumericalAnomaly) as exc:
-            health.rollback(policy, opt)
+            self.roll_back(health, _boundary(policy, opt, 1), policy, opt)
         assert exc.value.kind == "rollback_exhausted"
-
-    def test_rollback_without_snapshot_escalates(self):
-        with pytest.raises(NumericalAnomaly):
-            self.make().rollback(_Policy([0.0]), _Opt())
 
 
 def _dense_model(seed=0):

@@ -123,7 +123,7 @@ class TestCheckpointHealth:
     def run_checkpointed(self, space, **overrides):
         cfg = small_config(minutes=40, faults=numeric_faults(),
                            guard=GuardConfig(mode="recover"),
-                           max_restarts=3, checkpoint_interval=600.0,
+                           max_restarts=3, checkpoint_every_records=18,
                            **overrides)
         search = NasSearch(space, make_surrogate(space), cfg)
         result = search.run()
@@ -151,7 +151,7 @@ class TestCheckpointHealth:
             assert resumed.agent_rollbacks.get(agent_id, 0) >= n
 
     def test_guard_off_checkpoint_has_no_health_key(self, space):
-        cfg = small_config(minutes=30, checkpoint_interval=600.0)
+        cfg = small_config(minutes=30, checkpoint_every_records=33)
         search = NasSearch(space, make_surrogate(space), cfg)
         search.run()
         data = search.checkpoints[-1].to_json()

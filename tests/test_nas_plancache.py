@@ -196,7 +196,7 @@ class TestSearchIntegration:
         """Resuming keeps the reward model's warm cache (the runner must
         not replace an attached cache) and reproduces the fingerprint."""
         surrogate = make_surrogate(space)
-        cfg = small_config(minutes=30, checkpoint_interval=600.0)
+        cfg = small_config(minutes=30, checkpoint_every_records=30)
         search = NasSearch(space, surrogate, cfg)
         full = search.run()
         cache = surrogate.plan_cache

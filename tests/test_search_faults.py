@@ -103,7 +103,7 @@ class TestFaultedSearch:
 class TestCheckpointResume:
     @pytest.mark.parametrize("method", ["a3c", "a2c", "rdm"])
     def test_resume_reproduces_trajectory(self, space, method):
-        cfg = small_config(method, checkpoint_interval=600.0)
+        cfg = small_config(method, checkpoint_every_records=33)
         search = NasSearch(space, make_surrogate(space), cfg)
         full = search.run()
         assert len(search.checkpoints) >= 3
@@ -120,7 +120,7 @@ class TestCheckpointResume:
         a verified generation under ``journal_dir``, and
         ``resume_durable`` continues from the newest one (balsam skips
         evaluation replay, so the generation alone carries the run)."""
-        cfg = small_config(minutes=30, checkpoint_interval=600.0,
+        cfg = small_config(minutes=30, checkpoint_every_records=33,
                            journal_dir=str(tmp_path))
         search = NasSearch(space, make_surrogate(space), cfg)
         full = search.run()
@@ -134,7 +134,7 @@ class TestCheckpointResume:
         assert signature(resumed.run()) == signature(full)
 
     def test_checkpoint_counters_restored(self, space):
-        cfg = small_config(minutes=30, checkpoint_interval=600.0)
+        cfg = small_config(minutes=30, checkpoint_every_records=33)
         search = NasSearch(space, make_surrogate(space), cfg)
         full = search.run()
         resumed = NasSearch(space, make_surrogate(space),
@@ -146,7 +146,7 @@ class TestCheckpointResume:
     def test_mismatched_config_rejected(self, space):
         search = NasSearch(space, make_surrogate(space),
                            small_config(minutes=20,
-                                        checkpoint_interval=300.0))
+                                        checkpoint_every_records=12))
         search.run()
         ckpt = search.checkpoints[0]
         with pytest.raises(ValueError):
@@ -159,14 +159,14 @@ class TestCheckpointResume:
     def test_unsupported_version_rejected(self, space):
         search = NasSearch(space, make_surrogate(space),
                            small_config(minutes=20,
-                                        checkpoint_interval=300.0))
+                                        checkpoint_every_records=12))
         search.run()
         data = search.checkpoints[0].to_json()
         data["version"] = 999
         with pytest.raises(ValueError):
             SearchCheckpoint.from_json(data)
 
-    def test_no_checkpointing_without_interval(self, space):
+    def test_no_checkpointing_without_record_clock(self, space):
         search = NasSearch(space, make_surrogate(space),
                            small_config(minutes=20))
         search.run()
@@ -212,7 +212,7 @@ class TestChaosAcceptance:
         """Kill-at-T emulation: a checkpoint taken mid-run, resumed in a
         fresh process (JSON round trip), reproduces the uninterrupted
         fault-free remaining trajectory exactly."""
-        cfg = small_config(minutes=90, checkpoint_interval=900.0)
+        cfg = small_config(minutes=90, checkpoint_every_records=50)
         search = NasSearch(space, make_surrogate(space), cfg)
         full = search.run()
         for ckpt in search.checkpoints:

@@ -157,7 +157,7 @@ def make_checkpoint():
                                 timeout=600.0, seed=7)
     cfg = SearchConfig(method="a3c", allocation=NodeAllocation(32, 4, 3),
                        wall_time=30 * 60.0, seed=1,
-                       checkpoint_interval=300.0)
+                       checkpoint_every_records=15)
     search = NasSearch(space, surrogate, cfg)
     search.run()
     return search.checkpoints[len(search.checkpoints) // 2]

@@ -145,7 +145,7 @@ class TestCheckpointResume:
     @pytest.mark.parametrize("method", NEW_METHODS)
     def test_mid_checkpoint_resume_is_bit_identical(self, space, method):
         surrogate = make_surrogate(space)
-        cfg = small_config(method, checkpoint_interval=300.0)
+        cfg = small_config(method, checkpoint_every_records=24)
         search = NasSearch(space, surrogate, cfg)
         full = search.run()
         assert len(search.checkpoints) >= 2
@@ -157,7 +157,7 @@ class TestCheckpointResume:
     @pytest.mark.parametrize("method", NEW_METHODS)
     def test_boundaries_carry_the_history_watermark(self, space, method):
         surrogate = make_surrogate(space)
-        cfg = small_config(method, checkpoint_interval=300.0)
+        cfg = small_config(method, checkpoint_every_records=24)
         search = NasSearch(space, surrogate, cfg)
         search.run()
         ckpt = search.checkpoints[-1]

@@ -16,6 +16,7 @@ import pytest
 from repro.events import (EVAL_DONE, PREEMPT, CallbackSink, RecordingSink,
                           TeeSink)
 from repro.hpc import NodeAllocation, TrainingCostModel
+from repro.hpc.sim import Timeout
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
@@ -107,10 +108,50 @@ class TestPreemption:
         assert search.checkpoints
 
 
+class TestResumedPreemption:
+    """A restored boundary is the agent's current boundary: a resumed
+    agent still asleep towards its boundary time is checkpointed at it,
+    not dropped."""
+
+    @pytest.mark.parametrize("method", ["a3c", "a2c", "rdm"])
+    def test_preempt_before_wake_keeps_boundaries(self, space, method):
+        kwargs = dict(CFG, method=method)
+        search = NasSearch(space, make_surrogate(space),
+                           SearchConfig(**kwargs,
+                                        checkpoint_every_records=24))
+        base = search.run()
+        mid = search.checkpoints[len(search.checkpoints) // 2]
+        live = {a.agent_id: a.boundary for a in mid.agents
+                if not a.done and a.boundary is not None}
+        assert live and min(b.time for b in live.values()) > 60.0
+
+        resumed = NasSearch(space, make_surrogate(space),
+                            SearchConfig(**kwargs, preemptible=True),
+                            resume_from=mid.round_trip())
+
+        def preempt_at_60s():
+            yield Timeout(60.0)
+            resumed.request_preemption("test")
+
+        resumed.sim.process(preempt_at_60s(), name="preempt")
+        assert resumed.run().preempted
+        ckpt = resumed.checkpoints[-1]
+        kept = {a.agent_id: a.boundary for a in ckpt.agents
+                if a.boundary is not None}
+        assert sorted(kept) == sorted(live)
+        assert all(kept[i].iteration == live[i].iteration for i in live)
+
+        final = NasSearch(space, make_surrogate(space),
+                          SearchConfig(**kwargs),
+                          resume_from=ckpt.round_trip()).run()
+        assert final.fingerprint() == base.fingerprint()
+        assert final.num_evaluations == base.num_evaluations
+
+
 class TestCheckpointDurability:
     @pytest.fixture()
     def ckpt(self, space):
-        cfg = SearchConfig(**CFG, checkpoint_interval=600.0)
+        cfg = SearchConfig(**CFG, checkpoint_every_records=24)
         search = NasSearch(space, make_surrogate(space), cfg,
                            event_sink=RecordingSink())
         search.run()

@@ -229,7 +229,7 @@ class TestCacheCounterRestore:
         assert (ev.cache.hits, ev.cache.misses) == (4, 6)
 
     def test_checkpoint_resume_restores_cache_tally(self, space):
-        cfg = small_config("a3c", checkpoint_interval=300.0)
+        cfg = small_config("a3c", checkpoint_every_records=18)
         search = NasSearch(space, make_surrogate(space), cfg)
         search.run()
         ckpt = search.checkpoints[1]

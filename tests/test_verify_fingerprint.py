@@ -117,7 +117,7 @@ class TestResumeFingerprint:
     @pytest.mark.parametrize("method", ["a3c", "a2c", "rdm"])
     def test_resume_matches_uninterrupted(self, space, surrogate, method):
         cfg = config(method=method, minutes=30,
-                     checkpoint_interval=300.0)
+                     checkpoint_every_records=84)
         search = NasSearch(space, surrogate, cfg)
         full = search.run()
         assert len(search.checkpoints) >= 2
@@ -134,7 +134,7 @@ class TestResumeFingerprint:
 
     def test_checkpoint_fingerprint_survives_round_trip(self, space,
                                                         surrogate):
-        cfg = config(minutes=30, checkpoint_interval=300.0)
+        cfg = config(minutes=30, checkpoint_every_records=84)
         search = NasSearch(space, surrogate, cfg)
         search.run()
         ckpt = search.checkpoints[len(search.checkpoints) // 2]

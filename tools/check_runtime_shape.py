@@ -10,7 +10,10 @@ seam modules, so a future method can't quietly grow a new monolith in
 ``ambs.py`` or ``evolution.py`` either.  The chaos harness is held to
 the same budget, which keeps each of its scenarios a row of one table
 served by one runner, check and report, and so is the evaluation
-front-end, which holds the one submit loop every backend inherits.
+front-end, which holds the one submit loop every backend inherits.  The
+lifecycle hooks, the checkpoint/boundary module and the exchange
+strategies are held to it too: they carry the one agent snapshot and
+the one parameter server every method shares.
 Docstrings don't count against the budget.  Run via ``make lint``.
 
 Exit status: 0 when every function fits, 1 with an offender report.
@@ -31,6 +34,9 @@ SEAM_MODULES = (
     "src/repro/search/ambs.py",
     "src/repro/search/evolution.py",
     "src/repro/search/methods.py",
+    "src/repro/search/hooks.py",
+    "src/repro/search/checkpoint.py",
+    "src/repro/search/exchange.py",
     "src/repro/search/chaos.py",
     "src/repro/evaluator/base.py",
 )
