@@ -2,70 +2,32 @@
 materialize, PPO update, and discrete-event kernel throughput.
 
 These are conventional pytest-benchmark timings (multiple rounds) that
-guard the performance of the pieces every experiment is built on.
+guard the performance of the pieces every experiment is built on.  The
+workloads shared with ``make bench`` are built by
+:data:`repro.perf.BENCHMARKS`, so both harnesses time the same code.
 """
 
 import numpy as np
 
-from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.hpc.sim import Simulator, Timeout
-from repro.nas.builder import build_model, compile_architecture
-from repro.nas.plancache import PlanCache
+from repro.nas.builder import build_model
 from repro.nas.spaces import combo_small
-from repro.nn import Adam, Dense, FlatAdam, GraphModel, Trainer
-from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
-from repro.rewards import SurrogateReward
-from repro.rl import LSTMPolicy, PPOUpdater
-from repro.search import SearchConfig, run_search
-
-
-def _dense_model(dtype):
-    rng = np.random.default_rng(0)
-    m = GraphModel()
-    m.add_input("x", (128,))
-    m.add("h1", Dense(256, "relu"), ["x"])
-    m.add("h2", Dense(256, "relu"), ["h1"])
-    m.add("y", Dense(1), ["h2"])
-    m.set_output("y")
-    return m.build(rng, dtype=dtype)
-
-
-def _dense_step(m, opt):
-    rng = np.random.default_rng(0)
-    x = {"x": rng.standard_normal((256, 128)).astype(m.dtype)}
-    g = (np.ones((256, 1)) / 256).astype(m.dtype)
-
-    def step():
-        m.forward(x, training=True)
-        m.zero_grad()
-        m.backward(g)
-        opt.step()
-
-    return step
+from repro.perf import BENCHMARKS
+from repro.problems.combo import combo_head
 
 
 def bench_dense_training_step(benchmark):
     """The shipped default: float32 compiled plan + fused flat Adam."""
-    m = _dense_model(np.float32)
-    benchmark(_dense_step(m, FlatAdam(m.flatten_parameters())))
+    benchmark(BENCHMARKS["dense_train_step"]())
 
 
 def bench_dense_training_step_float64(benchmark):
     """Seed-equivalent numerics: float64 weights, per-parameter Adam."""
-    m = _dense_model(np.float64)
-    benchmark(_dense_step(m, Adam(m.parameters())))
+    benchmark(BENCHMARKS["dense_train_step_float64_unfused"]())
 
 
 def bench_compile_architecture(benchmark):
-    space = combo_small()
-    rng = np.random.default_rng(0)
-    archs = [space.random_architecture(rng) for _ in range(20)]
-
-    def compile_batch():
-        return [compile_architecture(space, a.choices, COMBO_PAPER_SHAPES,
-                                     combo_head()) for a in archs]
-
-    plans = benchmark(compile_batch)
+    plans = benchmark(BENCHMARKS["compile_architecture_x20"]())
     assert all(p.total_params >= 0 for p in plans)
 
 
@@ -84,62 +46,26 @@ def bench_materialize_model(benchmark):
 
 
 def bench_ppo_update(benchmark):
-    space = combo_small()
-    policy = LSTMPolicy(space.action_dims, seed=0)
-    updater = PPOUpdater(policy)
-    rng = np.random.default_rng(0)
-    rollout = policy.sample(11, rng)
-    rewards = rng.random(11)
-
-    def update():
-        updater.update(rollout, rewards)
-
-    benchmark(update)
+    benchmark(BENCHMARKS["ppo_update"]())
 
 
 def bench_lstm_policy_step(benchmark):
     """One autoregressive rollout: horizon fused LSTM steps + sampling."""
-    space = combo_small()
-    policy = LSTMPolicy(space.action_dims, seed=0)
-    rng = np.random.default_rng(0)
-
-    rollout = benchmark(lambda: policy.sample(11, rng))
+    rollout = benchmark(BENCHMARKS["lstm_policy_step"]())
     assert rollout.actions.shape[0] == 11
 
 
 def bench_plan_cache_hit(benchmark):
     """Warm-cache plan lookups for the 20 archs of bench_compile."""
-    space = combo_small()
-    head = combo_head()
-    cache = PlanCache()
-    rng = np.random.default_rng(0)
-    archs = [space.random_architecture(rng) for _ in range(20)]
-    for a in archs:
-        cache.get_or_compile(space, a.choices, COMBO_PAPER_SHAPES, head)
-
-    def hit_batch():
-        return [cache.get_or_compile(space, a.choices, COMBO_PAPER_SHAPES,
-                                     head) for a in archs]
-
+    hit_batch = BENCHMARKS["plan_cache_hit_x20"]()
     plans = benchmark(hit_batch)
     assert all(p.total_params >= 0 for p in plans)
-    assert cache.stats()["misses"] == 20  # everything after warmup hit
+    assert hit_batch.cache.stats()["misses"] == 20  # every timed lookup hit
 
 
 def bench_search_iteration(benchmark):
     """Short end-to-end a3c surrogate search through the runner stack."""
-    space = combo_small()
-    cfg = SearchConfig(method="a3c", allocation=NodeAllocation(32, 4, 3),
-                       wall_time=20 * 60.0, seed=1)
-
-    def iteration():
-        reward = SurrogateReward(space, COMBO_PAPER_SHAPES, combo_head(),
-                                 TrainingCostModel.combo_paper(),
-                                 epochs=1, train_fraction=0.1,
-                                 timeout=600.0, log_params_opt=6.5, seed=7)
-        return run_search(space, reward, cfg)
-
-    res = benchmark(iteration)
+    res = benchmark(BENCHMARKS["search_iteration"]())
     assert res.num_evaluations > 0
 
 

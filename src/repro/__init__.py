@@ -25,8 +25,6 @@ Subpackages
     trajectories, utilization, top-k, replication quantiles.
 ``repro.posttrain``
     post-training of top architectures and baseline-ratio reports.
-``repro.hps``
-    hyperparameter search for fixed architectures (§7 extension).
 ``repro.experiments``
     the harness regenerating every table/figure (imported lazily; see
     also the ``python -m repro figure`` CLI).
@@ -34,9 +32,8 @@ Subpackages
 
 __version__ = "1.0.0"
 
-from . import (analytics, evaluator, hpc, hps, nas, nn, posttrain,
-               problems, rewards, rl, search)
+from . import (analytics, evaluator, hpc, nas, nn, posttrain, problems,
+               rewards, rl, search)
 
-__all__ = ["analytics", "evaluator", "hpc", "hps", "nas", "nn",
-           "posttrain", "problems", "rewards", "rl", "search",
-           "__version__"]
+__all__ = ["analytics", "evaluator", "hpc", "nas", "nn", "posttrain",
+           "problems", "rewards", "rl", "search", "__version__"]

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..search.base import RewardRecord, SearchResult
+from ..search.base import RewardRecord
 
-__all__ = ["save_records", "load_records", "save_result_summary"]
+__all__ = ["save_records", "load_records"]
 
 _FORMAT_VERSION = 1
 
@@ -48,28 +48,3 @@ def load_records(path: str | Path) -> tuple[list[RewardRecord], dict]:
             f"found {len(records)}")
     return records, header.get("metadata", {})
 
-
-def save_result_summary(result: SearchResult, path: str | Path) -> None:
-    """Write a one-file JSON summary of a finished run (trajectory,
-    top architectures, utilization trace)."""
-    top = result.top_k(50)
-    summary = {
-        "method": result.config.method,
-        "allocation": {
-            "total_nodes": result.config.allocation.total_nodes,
-            "num_agents": result.config.allocation.num_agents,
-            "workers_per_agent": result.config.allocation.workers_per_agent,
-        },
-        "wall_time": result.config.wall_time,
-        "seed": result.config.seed,
-        "end_time": result.end_time,
-        "converged": result.converged,
-        "num_evaluations": result.num_evaluations,
-        "unique_architectures": result.unique_architectures,
-        "best": {"arch": result.best().arch.to_dict(),
-                 "reward": result.best().reward} if result.records else None,
-        "top": [{"arch": t.arch.to_dict(), "reward": t.reward,
-                 "params": t.params} for t in top],
-        "utilization": result.utilization_trace(bin_minutes=15.0),
-    }
-    Path(path).write_text(json.dumps(summary, indent=2))

@@ -8,13 +8,11 @@ by estimated reward go to post-training (§5).
 from __future__ import annotations
 
 import math
-from collections import Counter
 
-from ..nas.arch import Architecture
 from ..search.base import RewardRecord
 
 __all__ = ["top_k_architectures", "unique_architectures",
-           "cache_hit_fraction", "evaluations_per_agent"]
+           "cache_hit_fraction"]
 
 
 def _rank_key(rec: RewardRecord) -> float:
@@ -46,6 +44,3 @@ def cache_hit_fraction(records: list[RewardRecord]) -> float:
         return 0.0
     return sum(rec.cached for rec in records) / len(records)
 
-
-def evaluations_per_agent(records: list[RewardRecord]) -> dict[int, int]:
-    return dict(Counter(rec.agent_id for rec in records))

@@ -24,12 +24,10 @@ import json
 import sys
 
 from ..analytics.regret import compare_report, regret_summary
-from ..hpc import NodeAllocation, TrainingCostModel
+from ..experiments import PAPER_SETUP
+from ..hpc import NodeAllocation
 from ..nas.plancache import SignatureResolver
 from ..nas.spaces import get_space
-from ..problems.combo import COMBO_PAPER_SHAPES, combo_head
-from ..problems.nt3 import NT3_PAPER_SHAPES, nt3_head
-from ..problems.uno import UNO_PAPER_SHAPES, uno_head
 from ..rewards import SurrogateReward, TabularReward
 from ..search import SEARCH_METHODS, SearchConfig, run_search
 from .subspace import capped_space, enumeration_count
@@ -37,12 +35,6 @@ from .sweep import SweepConfig, sweep_space
 from .table import ArchTable
 
 __all__ = ["main", "build_parser", "space_from_metadata"]
-
-_PAPER = {
-    "combo": (COMBO_PAPER_SHAPES, combo_head, TrainingCostModel.combo_paper),
-    "uno": (UNO_PAPER_SHAPES, uno_head, TrainingCostModel.uno_paper),
-    "nt3": (NT3_PAPER_SHAPES, nt3_head, TrainingCostModel.nt3_paper),
-}
 
 _METHODS = tuple(sorted(SEARCH_METHODS))
 
@@ -63,7 +55,7 @@ def space_from_metadata(metadata: dict):
 
 def _surrogate_for(space, problem: str, landscape_seed: int,
                    fraction: float) -> SurrogateReward:
-    shapes, head, cost = _PAPER[problem]
+    shapes, head, cost = PAPER_SETUP[problem]
     return SurrogateReward(space, shapes, head(), cost(), epochs=1,
                            train_fraction=fraction, timeout=600.0,
                            seed=landscape_seed)
@@ -71,7 +63,7 @@ def _surrogate_for(space, problem: str, landscape_seed: int,
 
 def _tabular_for(table: ArchTable, miss: str) -> TabularReward:
     space = space_from_metadata(table.metadata)
-    shapes, head, _ = _PAPER[table.metadata["problem"]]
+    shapes, head, _ = PAPER_SETUP[table.metadata["problem"]]
     resolver = SignatureResolver(space, shapes, head())
     return TabularReward(table, resolver, miss=miss)
 

@@ -31,7 +31,7 @@ Design points:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..evaluator.process import ProcConfig, ProcessEvaluator
 from ..evaluator.serial import SerialEvaluator
@@ -39,11 +39,10 @@ from ..evaluator.thread import ThreadEvaluator
 from ..nas.plancache import PlanCache, SignatureResolver
 from ..nas.space import Structure
 from ..rewards.base import RewardModel
-from .subspace import enumerate_space, enumeration_count
+from .subspace import enumerate_space
 from .table import ArchTable, TableRow, TableWriter
 
-__all__ = ["SweepConfig", "SweepReport", "SpaceSweeper", "sweep_space",
-           "planned_evaluations"]
+__all__ = ["SweepConfig", "SweepReport", "SpaceSweeper", "sweep_space"]
 
 _BACKENDS = ("serial", "thread", "process")
 
@@ -235,10 +234,3 @@ def sweep_space(space: Structure, reward_model: RewardModel, out_dir,
     return SpaceSweeper(space, reward_model, out_dir, config,
                         metadata).run()
 
-
-def planned_evaluations(space: Structure,
-                        config: SweepConfig | None = None) -> int:
-    """Upper bound on evaluations a fresh sweep performs (isomorphism
-    dedup can only shrink it)."""
-    config = config or SweepConfig()
-    return enumeration_count(space, config.cap)

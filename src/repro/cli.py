@@ -28,28 +28,20 @@ import sys
 
 import numpy as np
 
+from . import experiments as ex
 from .analytics import (best_so_far_trajectory, cache_hit_fraction,
                         time_to_reward, top_k_architectures,
                         unique_architectures)
 from .analytics.io import load_records, save_records
 from .health import GuardConfig
-from .hpc import NodeAllocation, TrainingCostModel
+from .hpc import NodeAllocation
 from .nas.spaces import SPACES, get_space
 from .posttrain import post_train
 from .problems import get_problem
-from .problems.combo import COMBO_PAPER_SHAPES, combo_head
-from .problems.nt3 import NT3_PAPER_SHAPES, nt3_head
-from .problems.uno import UNO_PAPER_SHAPES, uno_head
 from .rewards import SurrogateReward
 from .search import NasSearch, SEARCH_METHODS, SearchConfig, resume_durable
 
 __all__ = ["main"]
-
-_PAPER = {
-    "combo": (COMBO_PAPER_SHAPES, combo_head, TrainingCostModel.combo_paper),
-    "uno": (UNO_PAPER_SHAPES, uno_head, TrainingCostModel.uno_paper),
-    "nt3": (NT3_PAPER_SHAPES, nt3_head, TrainingCostModel.nt3_paper),
-}
 
 
 def _cmd_spaces(_args) -> int:
@@ -83,7 +75,7 @@ def _cmd_search(args) -> int:
             print(f"{name:<10} {'yes' if m.learns else 'no':>6}  "
                   f"{m.summary}")
         return 0
-    shapes, head, cost = _PAPER[args.problem]
+    shapes, head, cost = ex.PAPER_SETUP[args.problem]
     space = get_space(_space_name(args.problem, args.size))
     reward = SurrogateReward(
         space, shapes, head(), cost(),
@@ -180,7 +172,7 @@ def _cmd_posttrain(args) -> int:
     if problem_name is None:
         raise SystemExit("log has no problem metadata; pass --problem")
     problem = get_problem(problem_name)
-    _, _, cost = _PAPER[problem_name]
+    _, _, cost = ex.PAPER_SETUP[problem_name]
     top = top_k_architectures(records, args.top)
     report = post_train(problem, [t.arch for t in top], epochs=args.epochs,
                         time_model=cost())
@@ -211,8 +203,6 @@ _FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig11",
 
 def _cmd_figure(args) -> int:
     """Regenerate one of the paper's figures/tables as printed series."""
-    from . import experiments as ex
-
     problem = args.problem or "combo"
     if args.figure == "fig4":
         results = {m: ex.run_cached(problem, m) for m in ("a3c", "a2c",

@@ -115,6 +115,9 @@ class BalsamService:
         return job
 
     def _pilot(self, job: BalsamJob):
+        """A job's life: the submission round trip, then run attempts
+        until one finishes, the batch deadline abandons the job, or its
+        restarts run out."""
         yield Timeout(self.submit_latency)
         while True:
             job.attempts += 1
@@ -124,53 +127,8 @@ class BalsamService:
                 stall = self.faults.outage_delay(self.sim.now)
                 if stall > 0.0:
                     yield Timeout(stall)
-            fault = (self.faults.job_fault(job.job_id, job.attempts)
-                     if self.faults is not None else None)
-            try:
-                yield self.cluster.acquire(holder=job.proc)
-                if job.failed:
-                    # batch deadline expired while queued; give the node back
-                    self.cluster.release(holder=job.proc)
-                    return
-                job.state = "RUNNING"
-                job.start_time = self.sim.now
-                duration = job.result.duration
-                if fault is not None:
-                    duration *= fault.slowdown
-                if fault is not None and fault.crashes:
-                    # the task dies partway through; the node survives
-                    yield Timeout(duration * fault.crash_frac)
-                    self.faults.num_job_crashes += 1
-                    job.run_log.append((job.start_time, self.sim.now))
-                    job.start_time = -1.0
-                    self.cluster.release(holder=job.proc)
-                    if job.failed:
-                        return          # abandoned mid-run by its deadline
-                    job.state = "RUN_ERROR"
-                    job.error = "task crashed"
-                else:
-                    yield Timeout(duration)
-                    job.run_log.append((job.start_time, self.sim.now))
-                    self.cluster.release(holder=job.proc)
-                    if job.failed:
-                        return          # abandoned mid-run by its deadline
-                    job.state = "FINISHED"
-                    job.end_time = self.sim.now
-                    job.done.succeed(job)
-                    return
-            except Interrupt as intr:
-                # the node died under us: the lease is already revoked,
-                # so there is nothing to release.  start_time >= 0 only
-                # while the current attempt is actually running (it is
-                # reset whenever an attempt ends), so a pilot preempted
-                # between lease grant and resume logs no bogus interval
-                if job.start_time >= 0:
-                    job.run_log.append((job.start_time, self.sim.now))
-                    job.start_time = -1.0
-                if job.failed:
-                    return          # deadline had already abandoned it
-                job.state = "RUN_ERROR"
-                job.error = f"node failure ({intr.cause})"
+            if (yield from self._attempt(job)):
+                return
             if job.num_retries >= self.max_retries:
                 job.state = "FAILED"
                 job.end_time = self.sim.now
@@ -181,6 +139,58 @@ class BalsamService:
             backoff = min(self.retry_backoff * 2.0 ** (job.num_retries - 1),
                           self.retry_backoff_cap)
             yield Timeout(backoff)
+
+    def _attempt(self, job: BalsamJob):
+        """One attempt: lease a node, run the (possibly faulted) task,
+        give the node back.  Returns True when the pilot is done
+        (finished, or abandoned by its batch deadline) and False after a
+        ``RUN_ERROR`` the restart policy may retry."""
+        fault = (self.faults.job_fault(job.job_id, job.attempts)
+                 if self.faults is not None else None)
+        try:
+            yield self.cluster.acquire(holder=job.proc)
+            if job.failed:
+                # batch deadline expired while queued; give the node back
+                self.cluster.release(holder=job.proc)
+                return True
+            job.state = "RUNNING"
+            job.start_time = self.sim.now
+            duration = job.result.duration
+            if fault is not None:
+                duration *= fault.slowdown
+            # a crashing task dies partway through; the node survives
+            crashes = fault is not None and fault.crashes
+            yield Timeout(duration * fault.crash_frac if crashes
+                          else duration)
+            job.run_log.append((job.start_time, self.sim.now))
+            if crashes:
+                self.faults.num_job_crashes += 1
+                job.start_time = -1.0
+            self.cluster.release(holder=job.proc)
+            if job.failed:
+                return True          # abandoned mid-run by its deadline
+            if crashes:
+                job.state = "RUN_ERROR"
+                job.error = "task crashed"
+                return False
+            job.state = "FINISHED"
+            job.end_time = self.sim.now
+            job.done.succeed(job)
+            return True
+        except Interrupt as intr:
+            # the node died under us: the lease is already revoked,
+            # so there is nothing to release.  start_time >= 0 only
+            # while the current attempt is actually running (it is
+            # reset whenever an attempt ends), so a pilot preempted
+            # between lease grant and resume logs no bogus interval
+            if job.start_time >= 0:
+                job.run_log.append((job.start_time, self.sim.now))
+                job.start_time = -1.0
+            if job.failed:
+                return True          # deadline had already abandoned it
+            job.state = "RUN_ERROR"
+            job.error = f"node failure ({intr.cause})"
+            return False
 
     # -- monitoring (the paper's Balsam utilization inference) -----------
     def utilization_trace(self, end_time: float, bin_width: float = 60.0):

@@ -57,16 +57,12 @@ def allocation(nodes: int = 256, mode: str = "agents") -> NodeAllocation:
     return NodeAllocation(agents * (workers + 1) + 4, agents, workers)
 
 
-_PAPER_SHAPES = {
-    "combo": COMBO_PAPER_SHAPES,
-    "uno": UNO_PAPER_SHAPES,
-    "nt3": NT3_PAPER_SHAPES,
-}
-_HEADS = {"combo": combo_head, "uno": uno_head, "nt3": nt3_head}
-_COST_MODELS = {
-    "combo": TrainingCostModel.combo_paper,
-    "uno": TrainingCostModel.uno_paper,
-    "nt3": TrainingCostModel.nt3_paper,
+#: the paper-scale setup per benchmark: (input shapes, output-head
+#: factory, training-time cost-model factory); both CLIs build from it
+PAPER_SETUP = {
+    "combo": (COMBO_PAPER_SHAPES, combo_head, TrainingCostModel.combo_paper),
+    "uno": (UNO_PAPER_SHAPES, uno_head, TrainingCostModel.uno_paper),
+    "nt3": (NT3_PAPER_SHAPES, nt3_head, TrainingCostModel.nt3_paper),
 }
 #: surrogate shaping per benchmark: (noise, log10 of the capacity-optimal
 #: parameter count, reward base).  NT3's reward estimates are very noisy
@@ -92,18 +88,19 @@ def space_for(problem: str, size: str = "small"):
 
 
 def surrogate_for(problem: str, size: str = "small",
-                  train_fraction: float = 0.1, seed: int = 7,
+                  train_fraction: float | None = None, seed: int = 7,
                   **overrides) -> SurrogateReward:
     """The paper's reward-estimation setup: 1 epoch, 10-minute timeout,
     benchmark-specific data fraction (10% for Combo; full data for
-    Uno/NT3, whose datasets are small)."""
+    Uno/NT3, whose datasets are small) unless ``train_fraction`` is
+    given."""
+    if train_fraction is None:
+        train_fraction = 0.1 if problem == "combo" else 1.0
     shape = dict(_SURROGATE_SHAPE[problem])
     shape.update(overrides)
-    if problem != "combo" and "train_fraction" not in overrides:
-        train_fraction = 1.0
+    shapes, head, cost = PAPER_SETUP[problem]
     return SurrogateReward(
-        space_for(problem, size), _PAPER_SHAPES[problem],
-        _HEADS[problem](), _COST_MODELS[problem](),
+        space_for(problem, size), shapes, head(), cost(),
         epochs=1, train_fraction=train_fraction, timeout=600.0,
         seed=seed, **shape)
 
@@ -111,7 +108,7 @@ def surrogate_for(problem: str, size: str = "small",
 @lru_cache(maxsize=64)
 def run_cached(problem: str, method: str, size: str = "small",
                nodes: int = 256, mode: str = "agents",
-               train_fraction: float = 0.1, seed: int = 3,
+               train_fraction: float | None = None, seed: int = 3,
                log_params_opt: float | None = None,
                guard_mode: str = "off",
                max_restarts: int = 0) -> SearchResult:
@@ -175,12 +172,13 @@ def post_train_top(problem: str, result: SearchResult,
 
     top = top_k_architectures(result.records, k or TOP_K)
     prob = working_problem(problem, large)
+    _, _, cost = PAPER_SETUP[problem]
     report = post_train(prob, [t.arch for t in top], epochs=POST_EPOCHS,
-                        time_model=_COST_MODELS[problem]())
+                        time_model=cost())
 
     paper_params = {t.arch.key: t.params for t in top}
     baseline_paper = prob.baseline_params(paper_scale=True)
-    cm = _COST_MODELS[problem]()
+    cm = cost()
     baseline_time = cm.duration(baseline_paper, epochs=POST_EPOCHS)
     entries = []
     for e in report.entries:

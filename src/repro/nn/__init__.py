@@ -22,20 +22,19 @@ from .layers import ACTIVATIONS, Activation, Dense, Dropout, Identity, Layer
 from .losses import CategoricalCrossentropy, Loss, MeanSquaredError, get_loss
 from .merge import Add, Concatenate, MergeLayer
 from .metrics import accuracy, get_metric, r2_score
-from .optimizers import (SGD, Adam, FlatAdam, FlatOptimizer, FlatSGD,
-                         Optimizer, clip_global_norm, get_optimizer)
+from .optimizers import (Adam, FlatAdam, FlatOptimizer, Optimizer,
+                         clip_global_norm)
 from .recurrent import LSTMCell
 from .tensor import Parameter
-from .training import History, Trainer, train_model
+from .training import History, Trainer
 
 __all__ = [
     "ACTIVATIONS", "Activation", "Adam", "Add", "BufferPool",
     "CategoricalCrossentropy", "Concatenate", "Conv1D", "Dense", "Dropout",
     "ExecutionPlan", "FlatAdam", "FlatOptimizer", "FlatParameterVector",
-    "FlatSGD", "Flatten", "GraphModel", "History", "Identity", "InputSpec",
+    "Flatten", "GraphModel", "History", "Identity", "InputSpec",
     "LSTMCell", "Layer", "Loss", "MaxPooling1D", "MeanSquaredError",
-    "MergeLayer", "Optimizer", "Parameter", "SGD", "Trainer", "accuracy",
+    "MergeLayer", "Optimizer", "Parameter", "Trainer", "accuracy",
     "clip_global_norm", "dtype_scope", "get_default_dtype", "get_loss",
-    "get_metric", "get_optimizer", "r2_score", "set_default_dtype",
-    "train_model",
+    "get_metric", "r2_score", "set_default_dtype",
 ]

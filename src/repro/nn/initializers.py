@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config
 
-__all__ = ["glorot_uniform", "he_uniform", "orthogonal", "zeros"]
+__all__ = ["glorot_uniform", "orthogonal"]
 
 
 def _cast(arr: np.ndarray, dtype) -> np.ndarray:
@@ -35,14 +35,6 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator,
     return _cast(rng.uniform(-limit, limit, size=shape), dtype)
 
 
-def he_uniform(shape: tuple[int, ...], rng: np.random.Generator,
-               dtype=None) -> np.ndarray:
-    """He uniform initialization, suited to relu activations."""
-    fan_in, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
-    return _cast(rng.uniform(-limit, limit, size=shape), dtype)
-
-
 def orthogonal(shape: tuple[int, int], rng: np.random.Generator,
                dtype=None) -> np.ndarray:
     """Orthogonal initialization (Keras LSTM recurrent-kernel default)."""
@@ -51,12 +43,6 @@ def orthogonal(shape: tuple[int, int], rng: np.random.Generator,
     q, r = np.linalg.qr(a)
     q = q * np.sign(np.diag(r))  # make the decomposition unique
     return _cast(q[:rows, :cols] if rows >= cols else q[:cols, :rows].T, dtype)
-
-
-def zeros(shape: tuple[int, ...], rng: np.random.Generator | None = None,
-          dtype=None) -> np.ndarray:
-    return np.zeros(shape,
-                    dtype=dtype if dtype is not None else config.get_default_dtype())
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:

@@ -1,19 +1,20 @@
 """Gradient-descent optimizers.
 
 Adam uses the same defaults as the paper's experiments (learning rate
-0.001), for both reward estimation and post-training.  Two families are
+0.001), for both reward estimation and post-training.  Two forms are
 provided:
 
-* :class:`SGD`/:class:`Adam` — operate on lists of
+* :class:`FlatAdam` — the production optimizer: fused over a
+  :class:`~repro.nn.engine.FlatParameterVector`, so the whole model
+  updates with a handful of whole-vector vectorized ops instead of a
+  Python loop over parameters.
+* :class:`Adam` — the per-parameter reference over a list of
   :class:`~repro.nn.tensor.Parameter` objects, moment state keyed by
-  parameter identity so shared (mirrored) parameters are updated once per
-  step even though they appear in multiple layers.
-* :class:`FlatSGD`/:class:`FlatAdam` — fused variants over a
-  :class:`~repro.nn.engine.FlatParameterVector`: the whole model updates
-  with a handful of whole-vector vectorized ops instead of a Python loop
-  over parameters.  Elementwise the math is identical to the per-parameter
-  classes (same ops in the same order per element), so results are
-  bit-identical at equal dtype.
+  parameter identity so shared (mirrored) parameters are updated once
+  per step even though they appear in multiple layers.  Elementwise the
+  math is identical to :class:`FlatAdam` (same ops in the same order
+  per element), so results are bit-identical at equal dtype; the
+  float64 unfused benchmark kernel runs it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 from .engine import FlatParameterVector
 from .tensor import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "FlatOptimizer", "FlatSGD",
-           "FlatAdam", "get_optimizer", "clip_global_norm"]
+__all__ = ["Optimizer", "Adam", "FlatOptimizer", "FlatAdam",
+           "clip_global_norm"]
 
 
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
@@ -51,29 +52,6 @@ class Optimizer:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: list[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0) -> None:
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = {id(p): np.zeros_like(p.value) for p in self.params}
-
-    def step(self) -> None:
-        for p in self.params:
-            if self.momentum:
-                v = self._velocity[id(p)]
-                v *= self.momentum
-                v -= self.lr * p.grad
-                p.value += v
-            else:
-                p.value -= self.lr * p.grad
 
 
 class Adam(Optimizer):
@@ -128,28 +106,6 @@ class FlatOptimizer:
         self.flat.zero_grad()
 
 
-class FlatSGD(FlatOptimizer):
-    """Fused SGD: the whole model steps as one vector op."""
-
-    def __init__(self, params, lr: float = 0.01, momentum: float = 0.0) -> None:
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = np.zeros_like(self.flat.values)
-
-    def step(self) -> None:
-        g = self.flat.grads
-        if self.momentum:
-            v = self._velocity
-            v *= self.momentum
-            v -= self.lr * g
-            self.flat.values += v
-        else:
-            self.flat.values -= self.lr * g
-
-
 class FlatAdam(FlatOptimizer):
     """Fused Adam: whole-vector moments, bit-identical to :class:`Adam`."""
 
@@ -189,16 +145,3 @@ class FlatAdam(FlatOptimizer):
         self._m[:] = np.asarray(state["m"], dtype=self._m.dtype)
         self._v[:] = np.asarray(state["v"], dtype=self._v.dtype)
 
-
-_OPTIMIZERS = {"sgd": SGD, "adam": Adam, "flat_sgd": FlatSGD,
-               "flat_adam": FlatAdam}
-
-
-def get_optimizer(name: str, params, **kwargs):
-    """Look up an optimizer by name (``sgd``/``adam``/``flat_sgd``/``flat_adam``)."""
-    try:
-        cls = _OPTIMIZERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown optimizer {name!r}; choose from {sorted(_OPTIMIZERS)}") from None
-    return cls(params, **kwargs)

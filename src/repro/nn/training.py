@@ -29,7 +29,7 @@ from .losses import Loss, get_loss
 from .metrics import get_metric
 from .optimizers import FlatAdam, Optimizer
 
-__all__ = ["History", "Trainer", "train_model"]
+__all__ = ["History", "Trainer"]
 
 
 @dataclass
@@ -206,8 +206,3 @@ class Trainer:
             preds.append(model.forward(xb, training=False))
         return self.metric(np.concatenate(preds, axis=0), y)
 
-
-def train_model(model: GraphModel, x_train, y_train, x_val=None, y_val=None,
-                **trainer_kwargs) -> History:
-    """Convenience wrapper: build a Trainer and fit in one call."""
-    return Trainer(**trainer_kwargs).fit(model, x_train, y_train, x_val, y_val)

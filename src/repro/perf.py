@@ -5,13 +5,16 @@ The NAS loop's throughput is bounded by how fast candidate networks train
 needed), so the substrate's hot paths are guarded by explicit wall-clock
 baselines.  This module provides:
 
-* :func:`run_suite` — timed micro-benchmarks of the dense training step
-  (the reward-estimation inner loop) in both the compiled float32 default
-  configuration and the seed-equivalent float64 per-parameter
+* :data:`BENCHMARKS` — the workload builders: the dense training step
+  (the reward-estimation inner loop) in both the compiled float32
+  default configuration and the seed-equivalent float64 per-parameter
   configuration, plus Conv1D forward+backward, a PPO update, an LSTM
   policy rollout, architecture compilation (cold and through a warm
   :class:`~repro.nas.plancache.PlanCache`), and one short end-to-end
   surrogate search through the full runner stack.
+  ``benchmarks/bench_substrate_perf.py`` times the same builders under
+  pytest-benchmark.
+* :func:`run_suite` — times every builder's workload.
 * :func:`write_results` / :func:`main` — the ``repro-bench`` console
   entry point; appends one timestamped record per run to
   ``BENCH_substrate.json`` so before/after numbers live in the repo.
@@ -36,7 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["time_callable", "run_suite", "write_results", "main", "smoke"]
+__all__ = ["BENCHMARKS", "time_callable", "run_suite", "write_results",
+           "main", "smoke"]
 
 #: test files exercised by the smoke entry point (tier-1 substrate core)
 SMOKE_TESTS = ["tests/test_nn_graph.py", "tests/test_nn_training.py",
@@ -191,9 +195,13 @@ def _plan_cache_hit():
     archs = [space.random_architecture(rng) for _ in range(20)]
     for a in archs:
         cache.get_or_compile(space, a.choices, COMBO_PAPER_SHAPES, head)
-    return lambda: [cache.get_or_compile(space, a.choices,
-                                         COMBO_PAPER_SHAPES, head)
-                    for a in archs]
+
+    def hit_batch():
+        return [cache.get_or_compile(space, a.choices, COMBO_PAPER_SHAPES,
+                                     head) for a in archs]
+
+    hit_batch.cache = cache  # lets a caller check every timed lookup hit
+    return hit_batch
 
 
 def _search_iteration():
@@ -220,26 +228,29 @@ def _search_iteration():
     return iteration
 
 
-def run_suite(repeats: int = 30) -> dict:
-    """Run every benchmark; returns ``{name: timing dict}``.
+#: benchmark name -> builder of the zero-argument callable it times.
+#: ``dense_train_step_float64_unfused`` reproduces the seed
+#: configuration (float64 weights, per-parameter Adam) and
+#: ``dense_train_step`` is the shipped default (float32, compiled plan,
+#: fused flat Adam); their ratio is the substrate speedup
+BENCHMARKS = {
+    "machine_calibration": _machine_calibration,
+    "dense_train_step": lambda: _dense_step(np.float32, fused=True),
+    "dense_train_step_float64_unfused": lambda: _dense_step(np.float64,
+                                                            fused=False),
+    "conv1d_fwd_bwd": lambda: _conv_fwd_bwd(np.float32),
+    "ppo_update": _ppo_update,
+    "lstm_policy_step": _lstm_policy_step,
+    "compile_architecture_x20": _compile_batch,
+    "plan_cache_hit_x20": _plan_cache_hit,
+    "search_iteration": _search_iteration,
+}
 
-    ``dense_train_step_float64_unfused`` reproduces the seed
-    configuration (float64 weights, per-parameter Adam) and
-    ``dense_train_step`` is the shipped default (float32, compiled plan,
-    fused flat Adam); their ratio is the substrate speedup.
-    """
-    suite = {
-        "machine_calibration": _machine_calibration(),
-        "dense_train_step": _dense_step(np.float32, fused=True),
-        "dense_train_step_float64_unfused": _dense_step(np.float64,
-                                                        fused=False),
-        "conv1d_fwd_bwd": _conv_fwd_bwd(np.float32),
-        "ppo_update": _ppo_update(),
-        "lstm_policy_step": _lstm_policy_step(),
-        "compile_architecture_x20": _compile_batch(),
-        "plan_cache_hit_x20": _plan_cache_hit(),
-        "search_iteration": _search_iteration(),
-    }
+
+def run_suite(repeats: int = 30) -> dict:
+    """Run every benchmark; returns ``{name: timing dict}`` plus the
+    ``dense_step_speedup`` ratio."""
+    suite = {name: build() for name, build in BENCHMARKS.items()}
     # the end-to-end search is ~100x a micro-benchmark call; fewer
     # repeats keep 'make bench' under a minute without losing best_ms
     slow_repeats = {"search_iteration": max(3, repeats // 5)}

@@ -24,28 +24,25 @@ class SearchConfig:
 
     Defaults mirror the paper's reference setup: 256 nodes split into 21
     agents × 11 workers, 360 minutes of wall time, M = workers-per-agent
-    architectures per agent iteration, LSTM(32) controller, PPO with
-    epochs=4 / clip=0.2 / lr=0.001.
+    architectures per agent iteration, and the LSTM(32) controller with
+    PPO epochs=4 / clip=0.2 (the :class:`~repro.rl.policy.LSTMPolicy` and
+    :class:`~repro.rl.ppo.PPOConfig` defaults) at lr=6e-3.
     """
 
     method: str = "a3c"       # any name in repro.search.methods.SEARCH_METHODS
     allocation: NodeAllocation = field(
         default_factory=NodeAllocation.paper_256)
     wall_time: float = 360.0 * 60.0       # seconds of (virtual) wall clock
-    hidden: int = 32
-    embed_dim: int = 16
-    ppo_epochs: int = 4
-    ppo_clip: float = 0.2
     #: controller learning rate.  The paper trains the LSTM with
     #: lr=0.001 under TensorFlow's loss scaling; with this numpy PPO the
-    #: equivalent per-round movement calibrates to 4e-3 (see
+    #: equivalent per-round movement calibrates to 6e-3 (see
     #: EXPERIMENTS.md, calibration note).
     lr: float = 6e-3
     entropy_coef: float = 0.002
+    #: run seed.  Every agent initializes its policy from it, so all
+    #: agents start from one network (§3.2: "all N agents start with the
+    #: same policy network")
     seed: int = 0
-    #: identical policy init across agents (§3.2: "all N agents start
-    #: with the same policy network")
-    shared_policy_init: bool = True
     #: consecutive all-cache-hit iterations (per agent) before an agent
     #: declares convergence; the search stops when all agents have
     #: (§5.1: the search "could not proceed in a meaningful way")

@@ -217,14 +217,10 @@ class NasSearch:
                 self.policies.append(None)
                 self.updaters.append(None)
                 continue
-            init_seed = (cfg.seed if cfg.shared_policy_init
-                         else cfg.seed * 10_000 + agent_id)
-            policy = LSTMPolicy(self.space.action_dims, hidden=cfg.hidden,
-                                embed_dim=cfg.embed_dim, seed=init_seed)
+            policy = LSTMPolicy(self.space.action_dims, seed=cfg.seed)
             self.policies.append(policy)
             self.updaters.append(PPOUpdater(policy, PPOConfig(
-                clip=cfg.ppo_clip, epochs=cfg.ppo_epochs, lr=cfg.lr,
-                entropy_coef=cfg.entropy_coef)))
+                lr=cfg.lr, entropy_coef=cfg.entropy_coef)))
 
     # ------------------------------------------------------------------
     def request_preemption(self, cause: str = "request") -> None:

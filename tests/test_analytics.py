@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.analytics import (best_so_far_trajectory, binned_mean_trajectory,
-                             cache_hit_fraction, evaluations_per_agent,
-                             quantile_bands, rolling_mean_trajectory,
-                             time_to_reward, top_k_architectures,
-                             unique_architectures)
+                             cache_hit_fraction, quantile_bands,
+                             rolling_mean_trajectory, time_to_reward,
+                             top_k_architectures, unique_architectures)
 from repro.nas.arch import Architecture
 from repro.search.base import RewardRecord
 
@@ -89,10 +88,6 @@ class TestTopK:
                    R(4, 0.4)]
         assert cache_hit_fraction(records) == 0.5
         assert cache_hit_fraction([]) == 0.0
-
-    def test_per_agent_counts(self):
-        records = [R(1, 0.1, agent=0), R(2, 0.2, agent=1), R(3, 0.3, agent=0)]
-        assert evaluations_per_agent(records) == {0: 2, 1: 1}
 
 
 class TestTopKNaN:

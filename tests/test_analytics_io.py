@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro.analytics.io import (load_records, save_records,
-                                save_result_summary)
+from repro.analytics.io import load_records, save_records
 from repro.nas.arch import Architecture
 from repro.search.base import RewardRecord
 
@@ -55,27 +54,3 @@ class TestRecordsRoundtrip:
         with pytest.raises(ValueError):
             load_records(path)
 
-
-class TestSummary:
-    def test_summary_fields(self, tmp_path):
-        from repro.hpc import NodeAllocation, TrainingCostModel
-        from repro.nas.spaces import combo_small
-        from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
-        from repro.rewards import SurrogateReward
-        from repro.search import SearchConfig, run_search
-
-        space = combo_small()
-        rm = SurrogateReward(space, COMBO_PAPER_SHAPES, combo_head(),
-                             TrainingCostModel.combo_paper(),
-                             train_fraction=0.1, timeout=600.0, seed=1)
-        cfg = SearchConfig(method="rdm", allocation=NodeAllocation(16, 2, 2),
-                           wall_time=30 * 60, seed=1)
-        result = run_search(space, rm, cfg)
-        path = tmp_path / "summary.json"
-        save_result_summary(result, path)
-        summary = json.loads(path.read_text())
-        assert summary["method"] == "rdm"
-        assert summary["num_evaluations"] == result.num_evaluations
-        assert summary["best"]["reward"] == result.best().reward
-        assert len(summary["top"]) <= 50
-        assert all(0.0 <= u <= 1.0 for _, u in summary["utilization"])

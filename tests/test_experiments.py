@@ -47,6 +47,21 @@ class TestSurrogates:
         assert ex.surrogate_for("uno").train_fraction == 1.0
         assert ex.surrogate_for("nt3").train_fraction == 1.0
 
+    @pytest.mark.parametrize("problem,paper_fraction",
+                             [("combo", 0.1), ("uno", 1.0), ("nt3", 1.0)])
+    def test_explicit_fraction_is_used_as_given(self, problem,
+                                                paper_fraction,
+                                                monkeypatch):
+        assert ex.surrogate_for(
+            problem, train_fraction=0.4).train_fraction == 0.4
+        # run_cached applies the same rule: an omitted fraction is the
+        # paper's per-problem value, an explicit one is used as given
+        monkeypatch.setattr(ex, "run_search",
+                            lambda space, reward, cfg: reward)
+        run = ex.run_cached.__wrapped__
+        assert run(problem, "rdm").train_fraction == paper_fraction
+        assert run(problem, "rdm", train_fraction=0.3).train_fraction == 0.3
+
 
 class TestWorkingProblems:
     @pytest.mark.parametrize("problem", ["combo", "uno", "nt3"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.initializers import glorot_uniform, he_uniform, orthogonal, zeros
+from repro.nn.initializers import glorot_uniform, orthogonal
 
 
 class TestGlorot:
@@ -30,19 +30,6 @@ class TestGlorot:
         np.testing.assert_array_equal(a, b)
 
 
-class TestHe:
-    def test_bounds(self, rng):
-        w = he_uniform((64, 10), rng)
-        limit = np.sqrt(6.0 / 64)
-        assert np.abs(w).max() <= limit
-
-    def test_wider_than_glorot_for_wide_outputs(self, rng):
-        # he ignores fan_out, so its limit exceeds glorot's when out >> in
-        g = np.abs(glorot_uniform((10, 1000), rng)).max()
-        h_limit = np.sqrt(6.0 / 10)
-        assert g < h_limit
-
-
 class TestOrthogonal:
     @pytest.mark.parametrize("shape", [(8, 8), (12, 6), (6, 12)])
     def test_orthonormal_columns_or_rows(self, shape, rng):
@@ -59,9 +46,3 @@ class TestOrthogonal:
         x = rng.standard_normal(16)
         assert abs(np.linalg.norm(w @ x) - np.linalg.norm(x)) < 1e-10
 
-
-class TestZeros:
-    def test_zeros(self):
-        w = zeros((3, 4))
-        assert w.shape == (3, 4)
-        assert not w.any()

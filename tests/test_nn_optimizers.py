@@ -1,9 +1,9 @@
-"""Unit tests for SGD/Adam and gradient clipping."""
+"""Unit tests for Adam and gradient clipping."""
 
 import numpy as np
 import pytest
 
-from repro.nn.optimizers import SGD, Adam, clip_global_norm, get_optimizer
+from repro.nn.optimizers import Adam, clip_global_norm
 from repro.nn.tensor import Parameter
 
 
@@ -17,26 +17,6 @@ def _quadratic_descent(opt_factory, steps=200):
         p.grad += 2.0 * (p.value - target)
         opt.step()
     return float(np.abs(p.value - target).max())
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        assert _quadratic_descent(lambda ps: SGD(ps, lr=0.1)) < 1e-6
-
-    def test_momentum_converges(self):
-        assert _quadratic_descent(
-            lambda ps: SGD(ps, lr=0.05, momentum=0.9)) < 1e-4
-
-    def test_single_step_value(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.5)
-        p.grad += np.array([2.0])
-        opt.step()
-        assert p.value[0] == 0.0
-
-    def test_invalid_lr(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.0)
 
 
 class TestAdam:
@@ -94,13 +74,3 @@ class TestClipGlobalNorm:
         g = [np.zeros(3)]
         assert clip_global_norm(g, 1.0) == 0.0
 
-
-class TestGetOptimizer:
-    def test_lookup(self):
-        p = Parameter(np.zeros(1))
-        assert isinstance(get_optimizer("adam", [p]), Adam)
-        assert isinstance(get_optimizer("sgd", [p], lr=0.1), SGD)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            get_optimizer("rmsprop", [])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Dense, GraphModel, Trainer, train_model
+from repro.nn import Dense, GraphModel, Trainer
 
 
 def _linear_problem(rng, n=200, d=6):
@@ -38,8 +38,7 @@ class TestFit:
     def test_loss_decreases(self, rng):
         x, y = _linear_problem(rng)
         m = _model(rng)
-        hist = train_model(m, x, y, epochs=20, lr=0.01, metric="r2",
-                           x_val=x, y_val=y)
+        hist = Trainer(epochs=20, lr=0.01, metric="r2").fit(m, x, y, x, y)
         assert hist.epoch_losses[-1] < hist.epoch_losses[0]
         assert hist.val_metric > 0.8
 

@@ -41,13 +41,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(wall_time=0.0)
 
-    def test_defaults_match_paper(self):
+    def test_defaults_match_paper(self, space):
         cfg = SearchConfig()
         assert cfg.allocation == NodeAllocation.paper_256()
         assert cfg.wall_time == 360 * 60
-        assert cfg.hidden == 32
-        assert cfg.ppo_epochs == 4
-        assert cfg.ppo_clip == 0.2
+        # the built controller is the paper's LSTM(32) with PPO
+        # epochs=4 / clip=0.2, and every agent starts from one network
+        search = NasSearch(space, make_surrogate(space),
+                           small_config("a2c"))
+        for policy, updater in zip(search.policies, search.updaters):
+            assert policy.hidden == 32
+            assert policy.embedding.value.shape[1] == 16
+            assert updater.config.epochs == 4
+            assert updater.config.clip == 0.2
+        first = search.policies[0].get_flat()
+        for policy in search.policies[1:]:
+            np.testing.assert_array_equal(policy.get_flat(), first)
 
 
 class TestRuns:

@@ -13,7 +13,9 @@ served by one runner, check and report, and so is the evaluation
 front-end, which holds the one submit loop every backend inherits.  The
 lifecycle hooks, the checkpoint/boundary module and the exchange
 strategies are held to it too: they carry the one agent snapshot and
-the one parameter server every method shares.
+the one parameter server every method shares.  So is the simulated
+Balsam service, whose job pilot carries every node failure, crash,
+straggler and outage of the fault model.
 Docstrings don't count against the budget.  Run via ``make lint``.
 
 Exit status: 0 when every function fits, 1 with an offender report.
@@ -39,6 +41,7 @@ SEAM_MODULES = (
     "src/repro/search/exchange.py",
     "src/repro/search/chaos.py",
     "src/repro/evaluator/base.py",
+    "src/repro/evaluator/balsam.py",
 )
 
 
