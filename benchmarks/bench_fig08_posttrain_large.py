@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from harness import post_train_top, print_posttrain, run_cached
+from repro.analytics import top_k_architectures
 
 
 @pytest.mark.parametrize("problem", ["combo", "uno"])
@@ -37,7 +38,7 @@ def bench_fig08_small_vs_large_combo(benchmark):
     def medians():
         med = {}
         for name, res in (("small", small), ("large", large)):
-            top = res.top_k(20)
+            top = top_k_architectures(res.records, 20)
             med[name] = float(np.median([t.params for t in top]))
         return med
 

@@ -15,6 +15,7 @@ better accuracy; the reduction factor is largest on NT3.
 import pytest
 
 from harness import post_train_top, run_cached, working_problem
+from repro.analytics import top_k_architectures
 from repro.hpc import TrainingCostModel
 
 PAPER_TABLE1 = {
@@ -43,7 +44,7 @@ def bench_table1(benchmark):
             # paper-dimension parameter count of the best architecture
             # (the search evaluated architectures at paper input dims)
             best_paper_params = next(
-                r.params for r in result.top_k(200)
+                r.params for r in top_k_architectures(result.records, 200)
                 if r.arch.key == best.arch.key)
             rows.append({
                 "problem": problem,

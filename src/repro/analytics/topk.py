@@ -7,20 +7,10 @@ by estimated reward go to post-training (§5).
 
 from __future__ import annotations
 
-import math
-
-from ..search.base import RewardRecord
+from ..search.base import RewardRecord, rank_key
 
 __all__ = ["top_k_architectures", "unique_architectures",
            "cache_hit_fraction"]
-
-
-def _rank_key(rec: RewardRecord) -> float:
-    """Reward with NaN pinned to -inf.  NaN compares False both ways, so
-    a naive ``rec.reward > cur.reward`` can neither displace a NaN
-    record nor rank it last — a NaN that sneaks into the reward stream
-    (guards off) would otherwise squat in the top-k forever."""
-    return -math.inf if math.isnan(rec.reward) else rec.reward
 
 
 def top_k_architectures(records: list[RewardRecord], k: int = 50
@@ -30,9 +20,9 @@ def top_k_architectures(records: list[RewardRecord], k: int = 50
     best: dict[tuple, RewardRecord] = {}
     for rec in records:
         cur = best.get(rec.arch.key)
-        if cur is None or _rank_key(rec) > _rank_key(cur):
+        if cur is None or rank_key(rec) > rank_key(cur):
             best[rec.arch.key] = rec
-    return sorted(best.values(), key=lambda r: -_rank_key(r))[:k]
+    return sorted(best.values(), key=lambda r: -rank_key(r))[:k]
 
 
 def unique_architectures(records: list[RewardRecord]) -> int:

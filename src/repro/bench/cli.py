@@ -82,7 +82,7 @@ def _cmd_sweep(args) -> int:
     cfg = SweepConfig(backend=args.backend, workers=args.workers,
                       batch_size=args.batch_size,
                       shard_size=args.shard_size, cap=args.cap,
-                      seed=args.seed, throttle=args.throttle)
+                      seed=args.seed)
     planned = enumeration_count(space, args.cap)
     print(f"sweeping {space.name} (|S| = {space.size:,}, "
           f"enumerating {planned:,}) over the {args.backend} backend "
@@ -197,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--landscape-seed", type=int, default=7)
     p.add_argument("--fraction", type=float, default=1.0,
                    help="training-data fraction of the reward estimates")
-    p.add_argument("--throttle", type=float, default=0.0,
-                   help=argparse.SUPPRESS)   # test hook
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("info", help="inspect a table directory")

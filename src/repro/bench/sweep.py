@@ -45,6 +45,9 @@ from .table import ArchTable, TableRow, TableWriter
 __all__ = ["SweepConfig", "SweepReport", "SpaceSweeper", "sweep_space"]
 
 _BACKENDS = ("serial", "thread", "process")
+#: agent seed handed to the reward model for every evaluation — one
+#: fixed observer, so the table is a deterministic ground truth
+_AGENT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -64,14 +67,6 @@ class SweepConfig:
     cap: int | None = None
     #: seed of the stratified sample (ignored for exhaustive sweeps)
     seed: int = 0
-    #: agent seed handed to the reward model for every evaluation — one
-    #: fixed observer, so the table is a deterministic ground truth
-    agent_seed: int = 0
-    #: supervision policy of the "process" backend (None = defaults)
-    proc: ProcConfig | None = None
-    #: seconds slept between batches (test hook: lets kill-and-resume
-    #: tests catch a sweep mid-flight deterministically)
-    throttle: float = 0.0
 
     def __post_init__(self) -> None:
         if self.backend not in _BACKENDS:
@@ -80,8 +75,6 @@ class SweepConfig:
             raise ValueError("batch_size must be positive")
         if self.workers <= 0:
             raise ValueError("workers must be positive")
-        if self.throttle < 0:
-            raise ValueError("throttle must be non-negative")
 
 
 @dataclass
@@ -122,14 +115,14 @@ class SpaceSweeper:
         # the sweep evaluates each class exactly once, so the agent-local
         # EvalCache would only burn memory — off
         if cfg.backend == "serial":
-            return SerialEvaluator(self.reward_model, cfg.agent_seed,
+            return SerialEvaluator(self.reward_model, _AGENT_SEED,
                                    use_cache=False)
         if cfg.backend == "thread":
-            return ThreadEvaluator(self.reward_model, cfg.agent_seed,
+            return ThreadEvaluator(self.reward_model, _AGENT_SEED,
                                    max_workers=cfg.workers, use_cache=False)
-        proc = cfg.proc or ProcConfig(workers=cfg.workers)
-        return ProcessEvaluator(self.reward_model, cfg.agent_seed,
-                                config=proc, use_cache=False)
+        return ProcessEvaluator(self.reward_model, _AGENT_SEED,
+                                config=ProcConfig(workers=cfg.workers),
+                                use_cache=False)
 
     def run(self) -> SweepReport:
         cfg = self.config
@@ -167,8 +160,6 @@ class SpaceSweeper:
                     self._flush(batch, evaluator, writer, report)
                     pending.clear()
                     batch = []
-                    if cfg.throttle:
-                        time.sleep(cfg.throttle)
             if batch:
                 self._flush(batch, evaluator, writer, report)
         finally:

@@ -156,7 +156,8 @@ def _cmd_analyze(args) -> int:
     print(f"unique architectures: {unique_architectures(records)}")
     print(f"cache-hit fraction: {cache_hit_fraction(records):.2f}")
     traj = best_so_far_trajectory(records)
-    print(f"final best reward: {traj[-1, 1]:.3f}")
+    best = f"{traj[-1, 1]:.3f}" if len(traj) else "n/a"
+    print(f"final best reward: {best}")
     t50 = time_to_reward(records, 0.5)
     print(f"time to reward 0.5: {'%.0f min' % t50 if t50 else 'not reached'}")
     print(f"\ntop {args.top} architectures:")

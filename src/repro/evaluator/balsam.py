@@ -18,10 +18,10 @@ a search converges.
 Fault tolerance mirrors the real Balsam job lifecycle.  A job whose
 attempt crashes (task death) or whose node fails under it (preemption
 ``Interrupt``) enters ``RUN_ERROR``; with retries remaining it becomes
-``RESTART_ENABLED`` and re-queues after a capped exponential backoff;
-after ``max_retries`` restarts it is ``FAILED`` and its completion
-event still fires — the evaluator surfaces the paper's failure reward
-(−1) instead of hanging the agent's batch barrier.  A job abandoned by
+``RESTART_ENABLED`` and re-queues after an exponential backoff (5, 10
+and 20 virtual seconds); after three restarts it is ``FAILED`` and its
+completion event still fires — the evaluator surfaces the paper's
+failure reward (−1) instead of hanging the agent's batch barrier.  A job abandoned by
 its batch deadline is ``RUN_TIMEOUT``.  With no
 :class:`~repro.hpc.faults.FaultInjector` configured, none of these
 paths execute and behavior is identical to the failure-free service.
@@ -43,6 +43,10 @@ __all__ = ["BalsamJob", "BalsamService", "BalsamEvaluator"]
 
 #: terminal job states whose reward is surfaced as FAILURE_REWARD
 _FAILURE_STATES = ("FAILED", "RUN_TIMEOUT")
+#: restart policy: a job that failed this many restarts is FAILED, and
+#: restart k waits _RETRY_BACKOFF * 2**(k-1) virtual seconds first
+_MAX_RETRIES = 3
+_RETRY_BACKOFF = 5.0
 
 
 @dataclass
@@ -83,25 +87,16 @@ class BalsamService:
 
     ``faults`` plugs in a :class:`~repro.hpc.faults.FaultInjector`
     (node failures are injected into the cluster separately via
-    ``injector.attach``); ``max_retries`` / ``retry_backoff`` /
-    ``retry_backoff_cap`` set the restart policy.  All default to the
-    fault-free behavior.
+    ``injector.attach``); without one the service is fault-free.
     """
 
     def __init__(self, sim: Simulator, cluster: Cluster,
                  submit_latency: float = 0.5,
-                 faults: FaultInjector | None = None,
-                 max_retries: int = 3, retry_backoff: float = 5.0,
-                 retry_backoff_cap: float = 120.0) -> None:
-        if max_retries < 0 or retry_backoff < 0 or retry_backoff_cap < 0:
-            raise ValueError("retry policy values must be non-negative")
+                 faults: FaultInjector | None = None) -> None:
         self.sim = sim
         self.cluster = cluster
         self.submit_latency = submit_latency
         self.faults = faults
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_cap = retry_backoff_cap
         self.jobs: list[BalsamJob] = []
 
     def submit(self, agent_id: int, arch: Architecture,
@@ -129,16 +124,14 @@ class BalsamService:
                     yield Timeout(stall)
             if (yield from self._attempt(job)):
                 return
-            if job.num_retries >= self.max_retries:
+            if job.num_retries >= _MAX_RETRIES:
                 job.state = "FAILED"
                 job.end_time = self.sim.now
                 job.done.succeed(job)
                 return
             job.num_retries += 1
             job.state = "RESTART_ENABLED"
-            backoff = min(self.retry_backoff * 2.0 ** (job.num_retries - 1),
-                          self.retry_backoff_cap)
-            yield Timeout(backoff)
+            yield Timeout(_RETRY_BACKOFF * 2.0 ** (job.num_retries - 1))
 
     def _attempt(self, job: BalsamJob):
         """One attempt: lease a node, run the (possibly faulted) task,

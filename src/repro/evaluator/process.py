@@ -12,15 +12,15 @@ pool is *supervised*:
   and gets killed like a crash;
 * **per-job deadlines** — an evaluation that exceeds
   :attr:`ProcConfig.job_deadline` wall seconds gets its worker
-  SIGKILLed and the job retried on another worker after a
-  capped-exponential backoff;
+  SIGKILLed and the job retried on another worker after an
+  exponential backoff;
 * **crash detection + respawn** — a dead worker (segfault, OOM kill,
   external SIGKILL) is detected by liveness polling, its in-flight job
   is retried elsewhere, and a replacement worker is spawned under a
   pool-wide restart budget (:attr:`ProcConfig.max_respawns`);
 * **poison-job quarantine** — an architecture that kills
-  :attr:`ProcConfig.poison_threshold` *distinct* workers (by crash or
-  deadline) is quarantined: it resolves to ``FAILURE_REWARD``
+  ``_POISON_THRESHOLD`` (2) *distinct* workers (by crash or deadline)
+  is quarantined: it resolves to ``FAILURE_REWARD``
   immediately, a quarantine record is kept, and later submissions of
   the same architecture short-circuit without touching the pool — no
   infinite respawn loop;
@@ -65,6 +65,16 @@ __all__ = ["ProcConfig", "ProcessEvaluator"]
 # worker -> supervisor message tags
 _HB, _START, _DONE, _ERR, _BYE = "hb", "start", "done", "err", "bye"
 
+#: a nominally-alive worker silent this many seconds is wedged -> killed
+_HEARTBEAT_TIMEOUT = 30.0
+#: retries after a job's first attempt before it fails outright
+_MAX_JOB_RETRIES = 2
+#: distinct workers one architecture may kill before it is quarantined
+#: instead of retried
+_POISON_THRESHOLD = 2
+#: seconds workers get to exit cleanly at shutdown before SIGKILL
+_SHUTDOWN_GRACE = 5.0
+
 
 @dataclass(frozen=True)
 class ProcConfig:
@@ -79,38 +89,27 @@ class ProcConfig:
     workers: int = 2
     #: seconds between worker heartbeat posts
     heartbeat_interval: float = 0.25
-    #: a nominally-alive worker silent this long is wedged -> killed
-    heartbeat_timeout: float = 30.0
     #: wall seconds one evaluation may run before its worker is killed
     #: and the job retried elsewhere (None = no deadline)
     job_deadline: float | None = 60.0
-    #: retries after a job's first attempt before it fails outright
-    max_job_retries: int = 2
-    #: base / cap of the capped-exponential retry backoff (wall seconds)
+    #: base of the exponential retry backoff (wall seconds): retry k
+    #: waits retry_backoff * 2**(k-1)
     retry_backoff: float = 0.05
-    retry_backoff_cap: float = 2.0
     #: pool-wide budget of replacement workers; once spent, the pool
     #: shrinks on every further death (graceful degradation)
     max_respawns: int = 8
-    #: distinct workers one architecture may kill before it is
-    #: quarantined instead of retried
-    poison_threshold: int = 2
-    #: seconds workers get to exit cleanly at shutdown before SIGKILL
-    shutdown_grace: float = 5.0
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
             raise ValueError("workers must be positive")
-        if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
-            raise ValueError("heartbeat settings must be positive")
+        if self.heartbeat_interval <= 0:
+            raise ValueError("heartbeat_interval must be positive")
         if self.job_deadline is not None and self.job_deadline <= 0:
             raise ValueError("job_deadline must be positive")
-        if self.max_job_retries < 0 or self.max_respawns < 0:
-            raise ValueError("retry/respawn budgets must be non-negative")
-        if self.retry_backoff < 0 or self.retry_backoff_cap < 0:
-            raise ValueError("backoff values must be non-negative")
-        if self.poison_threshold < 1:
-            raise ValueError("poison_threshold must be at least 1")
+        if self.max_respawns < 0:
+            raise ValueError("max_respawns must be non-negative")
+        if self.retry_backoff < 0:
+            raise ValueError("retry_backoff must be non-negative")
 
 
 def _worker_main(worker_id: int, task_q, result_q, payload: bytes,
@@ -322,7 +321,7 @@ class ProcessEvaluator(Evaluator):
                 worker.task_q.put_nowait(None)
             except Exception:   # noqa: BLE001 — worker already gone
                 pass
-        deadline = time.monotonic() + self.proc_config.shutdown_grace
+        deadline = time.monotonic() + _SHUTDOWN_GRACE
         for worker in self._workers.values():
             worker.proc.join(max(0.0, deadline - time.monotonic()))
         for worker in self._workers.values():
@@ -422,7 +421,7 @@ class ProcessEvaluator(Evaluator):
                 self._on_worker_death(
                     worker, WORKER_TIMEOUT,
                     f"job exceeded {cfg.job_deadline:.1f}s deadline")
-            elif now - worker.last_hb > cfg.heartbeat_timeout:
+            elif now - worker.last_hb > _HEARTBEAT_TIMEOUT:
                 worker.proc.kill()
                 worker.proc.join(1.0)
                 self._on_worker_death(worker, WORKER_CRASH,
@@ -451,7 +450,7 @@ class ProcessEvaluator(Evaluator):
         kills = self._kills_by_arch.setdefault(job.arch.key, set())
         kills.add(killer_wid)
         job.state = "pending"
-        if len(kills) >= cfg.poison_threshold:
+        if len(kills) >= _POISON_THRESHOLD:
             # poison job: this arch has now killed enough distinct
             # workers; stop feeding it workers forever
             self.quarantined[job.arch.key] = {"kills": len(kills),
@@ -462,13 +461,12 @@ class ProcessEvaluator(Evaluator):
             self._resolve(job)
             self._deliver(job.arch, None, job.submit_time)
             return
-        if job.attempts > cfg.max_job_retries:
+        if job.attempts > _MAX_JOB_RETRIES:
             self._resolve(job)
             self._deliver(job.arch, None, job.submit_time)
             return
-        backoff = min(cfg.retry_backoff * 2.0 ** (job.attempts - 1),
-                      cfg.retry_backoff_cap)
-        job.ready_at = time.monotonic() + backoff
+        job.ready_at = (time.monotonic()
+                        + cfg.retry_backoff * 2.0 ** (job.attempts - 1))
         self._pending.append(job)
 
     def _dispatch(self) -> None:

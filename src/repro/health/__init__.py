@@ -9,8 +9,8 @@ not cover.  This package is the numerical counterpart:
 
 * :mod:`repro.health.guards` — opt-in detection: blockwise finite
   checks, EWMA loss-spike z-scores, PPO approx-KL / ratio divergence
-  limits, bundled in :class:`GuardConfig` with a three-position ``mode``
-  (``off`` / ``check`` / ``recover``);
+  limits (module constants), switched by :class:`GuardConfig`'s
+  three-position ``mode`` (``off`` / ``check`` / ``recover``);
 * :mod:`repro.health.recovery` — automatic recovery: rollback to the
   agent's last iteration boundary with learning-rate backoff,
   escalation to agent resurrection, and parameter-server delta

@@ -14,17 +14,25 @@ Three families of guard live here:
   Blockwise so a poisoned entry near the front of a large array is found
   without scanning the rest.
 * :class:`LossSpikeDetector` — an EWMA mean/variance tracker over a
-  scalar loss stream; a z-score above the configured threshold flags a
+  scalar loss stream; a z-score above :data:`LOSS_SPIKE_ZSCORE` flags a
   spike.  Spiking observations are excluded from the running statistics
   so one blow-up cannot drag the baseline after it.
 * :class:`PPODivergenceDetector` — stateless limits on the PPO update's
   approximate KL and probability-ratio extremes (an off-policy update
   whose ratios explode is diverging even while every number is finite).
 
-:class:`GuardConfig` bundles the thresholds plus the guard ``mode``:
-``"off"`` (inert), ``"check"`` (detect and raise
-:class:`NumericalAnomaly` — fail fast, surface the anomaly), or
-``"recover"`` (detect and roll back; see :mod:`repro.health.recovery`).
+:class:`GuardConfig` holds the guard ``mode``: ``"off"`` (inert),
+``"check"`` (detect and raise :class:`NumericalAnomaly` — fail fast,
+surface the anomaly), or ``"recover"`` (detect and roll back; see
+:mod:`repro.health.recovery`).  The thresholds of both modules are the
+constants below.
+
+All detectors are calibrated to be silent on healthy training: the loss
+z-score threshold is far outside ordinary batch-to-batch noise, and the
+KL/ratio limits are an order of magnitude beyond what a clipped PPO
+update produces.  They trade detection latency for a near-zero
+false-positive rate — a guard that fires on healthy runs would *break*
+determinism instead of protecting it.
 """
 
 from __future__ import annotations
@@ -40,6 +48,28 @@ GUARD_MODES = ("off", "check", "recover")
 
 #: block length of the incremental finite scan (64k doubles = 512 KiB)
 _BLOCK = 1 << 16
+
+#: loss-spike detector: z-score threshold, EWMA smoothing, and how many
+#: observations seed the statistics before detection arms
+LOSS_SPIKE_ZSCORE = 8.0
+LOSS_EWMA_ALPHA = 0.2
+LOSS_WARMUP = 5
+#: PPO divergence: approximate-KL limit and probability-ratio bound
+KL_LIMIT = 1.0
+RATIO_LIMIT = 50.0
+#: delta hygiene (:class:`~repro.health.recovery.DeltaSanitizer`):
+#: reject deltas whose L2 norm exceeds DELTA_NORM_FACTOR x the EWMA of
+#: accepted norms, once DELTA_WARMUP pushes have been accepted
+DELTA_NORM_FACTOR = 50.0
+DELTA_WARMUP = 8
+DELTA_EWMA_ALPHA = 0.2
+#: recovery (:class:`~repro.health.recovery.AgentHealth`): learning-rate
+#: multiplier per rollback, its floor as a fraction of the base rate,
+#: and the rollback count at which one agent lifetime escalates to a
+#: restart (2: a lifetime absorbs one rollback)
+LR_BACKOFF = 0.5
+MIN_LR_FRACTION = 1.0 / 64.0
+ESCALATE_AFTER = 2
 
 
 class NumericalAnomaly(Exception):
@@ -63,60 +93,15 @@ class NumericalAnomaly(Exception):
 
 @dataclass(frozen=True)
 class GuardConfig:
-    """Thresholds and mode of the numerical-health layer.
+    """Mode of the numerical-health layer: ``"off"``, ``"check"`` or
+    ``"recover"`` (see the module docstring)."""
 
-    All detectors are calibrated to be silent on healthy training: the
-    loss z-score threshold is far outside ordinary batch-to-batch noise,
-    and the KL/ratio limits are an order of magnitude beyond what a
-    clipped PPO update produces.  The defaults therefore trade detection
-    latency for a near-zero false-positive rate — a guard that fires on
-    healthy runs would *break* determinism instead of protecting it.
-    """
-
-    mode: str = "off"                 # "off" | "check" | "recover"
-    #: loss-spike detector: z-score threshold, EWMA smoothing, and how
-    #: many observations seed the statistics before detection arms
-    loss_spike_zscore: float = 8.0
-    loss_ewma_alpha: float = 0.2
-    loss_warmup: int = 5
-    #: PPO divergence: approximate-KL limit and probability-ratio bound
-    kl_limit: float = 1.0
-    ratio_limit: float = 50.0
-    #: parameter-server delta hygiene: reject deltas whose L2 norm
-    #: exceeds ``delta_norm_factor`` x the EWMA of accepted norms (after
-    #: ``delta_warmup`` accepted pushes), and optionally evict recent
-    #: async updates older than ``max_delta_age`` virtual seconds
-    delta_norm_factor: float = 50.0
-    delta_warmup: int = 8
-    max_delta_age: float | None = None
-    #: recovery: learning-rate multiplier applied on each rollback
-    #: (with a floor), and how many rollbacks one agent lifetime absorbs
-    #: before escalating to a restart
-    lr_backoff: float = 0.5
-    min_lr_fraction: float = 1.0 / 64.0
-    escalate_after: int = 2
+    mode: str = "off"
 
     def __post_init__(self) -> None:
         if self.mode not in GUARD_MODES:
             raise ValueError(
                 f"guard mode must be one of {GUARD_MODES}, got {self.mode!r}")
-        if self.loss_spike_zscore <= 0 or self.loss_warmup < 1:
-            raise ValueError("loss_spike_zscore must be > 0, warmup >= 1")
-        if not 0.0 < self.loss_ewma_alpha <= 1.0:
-            raise ValueError("loss_ewma_alpha must be in (0, 1]")
-        if self.kl_limit <= 0 or self.ratio_limit <= 1.0:
-            raise ValueError("kl_limit must be > 0 and ratio_limit > 1")
-        if self.delta_norm_factor <= 1.0 or self.delta_warmup < 1:
-            raise ValueError(
-                "delta_norm_factor must be > 1 and delta_warmup >= 1")
-        if self.max_delta_age is not None and self.max_delta_age <= 0:
-            raise ValueError("max_delta_age must be positive")
-        if not 0.0 < self.lr_backoff < 1.0:
-            raise ValueError("lr_backoff must be in (0, 1)")
-        if not 0.0 < self.min_lr_fraction <= 1.0:
-            raise ValueError("min_lr_fraction must be in (0, 1]")
-        if self.escalate_after < 1:
-            raise ValueError("escalate_after must be >= 1")
 
     @property
     def enabled(self) -> bool:
@@ -153,17 +138,14 @@ class LossSpikeDetector:
     """EWMA z-score spike detection over a scalar loss stream.
 
     Tracks an exponentially weighted mean and variance of observed
-    losses.  After ``warmup`` observations, a loss more than ``zscore``
-    estimated standard deviations above the mean — or a non-finite loss
-    at any point — is flagged as a spike.  Spikes are *not* folded into
-    the running statistics, so a blow-up cannot normalize itself.
+    losses.  After :data:`LOSS_WARMUP` observations, a loss more than
+    :data:`LOSS_SPIKE_ZSCORE` estimated standard deviations above the
+    mean — or a non-finite loss at any point — is flagged as a spike.
+    Spikes are *not* folded into the running statistics, so a blow-up
+    cannot normalize itself.
     """
 
-    def __init__(self, zscore: float = 8.0, alpha: float = 0.2,
-                 warmup: int = 5) -> None:
-        self.zscore = zscore
-        self.alpha = alpha
-        self.warmup = warmup
+    def __init__(self) -> None:
         self.count = 0
         self.mean = 0.0
         self.var = 0.0
@@ -175,16 +157,16 @@ class LossSpikeDetector:
         if not np.isfinite(loss):
             self.num_spikes += 1
             return True
-        if self.count >= self.warmup:
+        if self.count >= LOSS_WARMUP:
             std = float(np.sqrt(self.var)) + 1e-12
-            if (loss - self.mean) / std > self.zscore:
+            if (loss - self.mean) / std > LOSS_SPIKE_ZSCORE:
                 self.num_spikes += 1
                 return True
         if self.count == 0:
             self.mean = loss
             self.var = 0.0
         else:
-            a = self.alpha
+            a = LOSS_EWMA_ALPHA
             diff = loss - self.mean
             # EW mean/variance (West 1979 incremental form)
             self.mean += a * diff
@@ -209,22 +191,17 @@ class PPODivergenceDetector:
 
     ``check`` receives the updater's :class:`~repro.rl.ppo.PPOStats` and
     returns the anomaly kind (or ``None``): non-finite losses, an
-    approximate KL above ``kl_limit`` (the policy jumped off-policy), or
-    a probability ratio beyond ``ratio_limit`` (the clipped surrogate's
-    trust region collapsed).
+    approximate KL above :data:`KL_LIMIT` (the policy jumped
+    off-policy), or a probability ratio beyond :data:`RATIO_LIMIT` (the
+    clipped surrogate's trust region collapsed).
     """
-
-    def __init__(self, kl_limit: float = 1.0,
-                 ratio_limit: float = 50.0) -> None:
-        self.kl_limit = kl_limit
-        self.ratio_limit = ratio_limit
 
     def check(self, stats) -> str | None:
         for what in ("policy_loss", "value_loss", "approx_kl", "max_ratio"):
             if not np.isfinite(getattr(stats, what)):
                 return "nonfinite"
-        if stats.approx_kl > self.kl_limit:
+        if stats.approx_kl > KL_LIMIT:
             return "kl_divergence"
-        if stats.max_ratio > self.ratio_limit:
+        if stats.max_ratio > RATIO_LIMIT:
             return "ratio_blowup"
         return None

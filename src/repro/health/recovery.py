@@ -9,8 +9,8 @@ actuators implement the self-healing ladder:
   learning rate each time the caller has rolled the policy and Adam
   moments back to the last known good state (the search restores the
   agent's iteration boundary, taken before the update).  An agent whose
-  lifetime accumulates ``escalate_after`` rollbacks is declared beyond
-  local repair and escalates with
+  lifetime accumulates :data:`~repro.health.guards.ESCALATE_AFTER`
+  rollbacks is declared beyond local repair and escalates with
   :class:`~repro.health.guards.NumericalAnomaly` — the search runner
   then resurrects it from that same boundary.
 * :class:`DeltaSanitizer` — parameter-server ingress hygiene: rejects
@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .guards import (GuardConfig, LossSpikeDetector, NumericalAnomaly,
+from .guards import (DELTA_EWMA_ALPHA, DELTA_NORM_FACTOR, DELTA_WARMUP,
+                     ESCALATE_AFTER, LR_BACKOFF, MIN_LR_FRACTION,
+                     LossSpikeDetector, NumericalAnomaly,
                      PPODivergenceDetector, all_finite)
 
 __all__ = ["AgentHealth", "DeltaSanitizer"]
@@ -42,24 +44,21 @@ class AgentHealth:
             health.rollback(updater.optimizer)           # may escalate
 
     ``check_update`` is pure observation.  ``rollback`` multiplies the
-    just-restored optimizer's learning rate by the configured backoff
-    (floored at ``min_lr_fraction`` of the base rate), and raises
-    :class:`NumericalAnomaly` once this lifetime has used up its
+    just-restored optimizer's learning rate by
+    :data:`~repro.health.guards.LR_BACKOFF` (floored at
+    :data:`~repro.health.guards.MIN_LR_FRACTION` of ``base_lr``), and
+    raises :class:`NumericalAnomaly` once this lifetime has used up its
     rollback budget.
     """
 
-    def __init__(self, config: GuardConfig, base_lr: float) -> None:
-        self.config = config
+    def __init__(self, base_lr: float) -> None:
         self.base_lr = float(base_lr)
-        self.loss_detector = LossSpikeDetector(
-            config.loss_spike_zscore, config.loss_ewma_alpha,
-            config.loss_warmup)
-        self.ppo_detector = PPODivergenceDetector(
-            config.kl_limit, config.ratio_limit)
+        self.loss_detector = LossSpikeDetector()
+        self.ppo_detector = PPODivergenceDetector()
         # local update-direction hygiene: same EWMA-norm screen the
         # parameter server applies to incoming deltas, so an exploding
         # (finite but huge) local update is caught before it is pushed
-        self.delta_check = DeltaSanitizer.from_guard(config)
+        self.delta_check = DeltaSanitizer()
         self.num_rollbacks = 0
         self.last_anomaly: str | None = None
 
@@ -96,13 +95,13 @@ class AgentHealth:
         and back off ``optimizer``'s learning rate; returns the new
         rate.  Escalates with :class:`NumericalAnomaly` when the
         lifetime rollback budget is spent."""
-        if self.num_rollbacks + 1 >= self.config.escalate_after:
+        if self.num_rollbacks + 1 >= ESCALATE_AFTER:
             raise NumericalAnomaly(
                 "rollback_exhausted", "agent",
                 f"{self.num_rollbacks + 1} rollbacks this lifetime "
                 f"(last anomaly: {self.last_anomaly})")
-        floor = self.base_lr * self.config.min_lr_fraction
-        optimizer.lr = max(optimizer.lr * self.config.lr_backoff, floor)
+        floor = self.base_lr * MIN_LR_FRACTION
+        optimizer.lr = max(optimizer.lr * LR_BACKOFF, floor)
         self.num_rollbacks += 1
         return optimizer.lr
 
@@ -113,31 +112,17 @@ class DeltaSanitizer:
     ``check`` returns ``None`` to accept a delta (and folds its norm
     into the EWMA baseline) or a rejection reason: ``"nonfinite"`` for
     NaN/Inf entries, ``"outlier"`` for a norm more than
-    ``norm_factor`` x the EWMA of accepted norms once ``warmup``
+    :data:`~repro.health.guards.DELTA_NORM_FACTOR` x the EWMA of
+    accepted norms once :data:`~repro.health.guards.DELTA_WARMUP`
     accepted pushes have seeded the baseline.  Rejection counters are
     public and exported/restored with parameter-server checkpoints.
     """
 
-    def __init__(self, norm_factor: float = 50.0, warmup: int = 8,
-                 ewma_alpha: float = 0.2) -> None:
-        if norm_factor <= 1.0:
-            raise ValueError("norm_factor must be > 1")
-        if warmup < 1:
-            raise ValueError("warmup must be >= 1")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        self.norm_factor = norm_factor
-        self.warmup = warmup
-        self.ewma_alpha = ewma_alpha
+    def __init__(self) -> None:
         self.accepted = 0
         self.ewma_norm = 0.0
         self.num_rejected_nonfinite = 0
         self.num_rejected_outlier = 0
-
-    @classmethod
-    def from_guard(cls, config: GuardConfig) -> "DeltaSanitizer":
-        return cls(norm_factor=config.delta_norm_factor,
-                   warmup=config.delta_warmup)
 
     @property
     def num_rejected(self) -> int:
@@ -149,14 +134,14 @@ class DeltaSanitizer:
             self.num_rejected_nonfinite += 1
             return "nonfinite"
         norm = float(np.linalg.norm(delta))
-        if (self.accepted >= self.warmup
-                and norm > self.norm_factor * max(self.ewma_norm, 1e-12)):
+        if (self.accepted >= DELTA_WARMUP
+                and norm > DELTA_NORM_FACTOR * max(self.ewma_norm, 1e-12)):
             self.num_rejected_outlier += 1
             return "outlier"
         if self.accepted == 0:
             self.ewma_norm = norm
         else:
-            self.ewma_norm += self.ewma_alpha * (norm - self.ewma_norm)
+            self.ewma_norm += DELTA_EWMA_ALPHA * (norm - self.ewma_norm)
         self.accepted += 1
         return None
 

@@ -41,6 +41,11 @@ _NODE_STREAM = 0xFA01
 _JOB_STREAM = 0xFA02
 _NUMERIC_STREAM = 0xFA03
 
+#: slowdown multiplier of a straggler attempt
+_STRAGGLER_FACTOR = 3.0
+#: node failures never take the in-service capacity below this
+_MIN_WORKER_NODES = 1
+
 
 @dataclass(frozen=True)
 class FaultConfig:
@@ -50,7 +55,8 @@ class FaultConfig:
     ----------
     node_mtbf:
         Mean time between failures of a single worker node, in virtual
-        seconds (exponential).  ``0`` disables node failures.
+        seconds (exponential).  ``0`` disables node failures.  Node
+        failures never take the in-service capacity below one node.
     node_repair_time:
         Mean repair time of a failed node, in virtual seconds
         (exponential).
@@ -58,24 +64,18 @@ class FaultConfig:
         Probability that one attempt of a job crashes partway through
         its run (the task dies; the node survives).
     straggler_prob:
-        Probability that one attempt runs ``straggler_factor`` times
-        slower than modelled.
-    straggler_factor:
-        Slowdown multiplier applied to straggler attempts.
+        Probability that one attempt runs three times slower than
+        modelled.
     outages:
         ``(start, end)`` windows of virtual time during which the
         workflow service is unreachable and submissions stall.
-    min_worker_nodes:
-        Node failures never take the in-service capacity below this.
     nan_grad_prob:
         Probability that one (agent, iteration) PPO update is poisoned
         with NaNs — modelling a hardware bit-flip or fused-kernel bug
         corrupting a gradient buffer.
     exploding_loss_prob:
         Probability that one (agent, iteration) update direction is
-        scaled by ``exploding_factor`` — a diverged local policy.
-    exploding_factor:
-        Magnitude multiplier for exploding-loss faults.
+        scaled by 10⁶ — a diverged local policy.
     corrupt_delta_prob:
         Probability that the copy of the delta *sent to the parameter
         server* for one (agent, iteration) is corrupted in flight; the
@@ -88,12 +88,9 @@ class FaultConfig:
     node_repair_time: float = 300.0
     job_crash_prob: float = 0.0
     straggler_prob: float = 0.0
-    straggler_factor: float = 3.0
     outages: tuple[tuple[float, float], ...] = ()
-    min_worker_nodes: int = 1
     nan_grad_prob: float = 0.0
     exploding_loss_prob: float = 0.0
-    exploding_factor: float = 1e6
     corrupt_delta_prob: float = 0.0
     seed: int = 0
 
@@ -105,12 +102,6 @@ class FaultConfig:
                   self.corrupt_delta_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must be in [0, 1]")
-        if self.straggler_factor < 1.0:
-            raise ValueError("straggler_factor must be >= 1")
-        if self.exploding_factor <= 1.0:
-            raise ValueError("exploding_factor must be > 1")
-        if self.min_worker_nodes < 1:
-            raise ValueError("min_worker_nodes must be >= 1")
         for start, end in self.outages:
             if end <= start or start < 0:
                 raise ValueError(f"bad outage window ({start}, {end})")
@@ -189,13 +180,13 @@ class FaultInjector:
         try:
             while True:
                 up = cluster.worker_nodes
-                if up <= cfg.min_worker_nodes:
+                if up <= _MIN_WORKER_NODES:
                     # everything that can fail has; wait out a repair
                     yield Timeout(cfg.node_repair_time)
                     continue
                 # aggregate failure rate of `up` independent nodes
                 yield Timeout(rng.exponential(cfg.node_mtbf / up))
-                if cluster.worker_nodes <= cfg.min_worker_nodes:
+                if cluster.worker_nodes <= _MIN_WORKER_NODES:
                     continue
                 # the failed node is uniform over in-service nodes: it
                 # preempts a pilot with probability busy/capacity.  After
@@ -244,7 +235,7 @@ class FaultInjector:
             (cfg.seed, _JOB_STREAM, job_id, attempt))
         crashes = bool(rng.random() < cfg.job_crash_prob)
         crash_frac = float(rng.uniform(0.05, 0.95))
-        slowdown = (cfg.straggler_factor
+        slowdown = (_STRAGGLER_FACTOR
                     if rng.random() < cfg.straggler_prob else 1.0)
         return JobFault(crashes, crash_frac, slowdown)
 

@@ -124,9 +124,7 @@ class Trainer:
         plan = model._plan
         prev_check = plan.check_finite if plan is not None else False
         if guarded:
-            spike = LossSpikeDetector(self.guard.loss_spike_zscore,
-                                      self.guard.loss_ewma_alpha,
-                                      self.guard.loss_warmup)
+            spike = LossSpikeDetector()
             flat = getattr(opt, "flat", None)
             if plan is not None:
                 plan.check_finite = True

@@ -20,7 +20,8 @@ baselines.  This module provides:
   ``BENCH_substrate.json`` so before/after numbers live in the repo.
 * :func:`smoke` — the ``repro-smoke`` console entry point: the tier-1
   substrate test files plus one quick benchmark iteration; the cheap
-  pre-merge check wired into ``make smoke``.
+  pre-merge check wired into ``make smoke``.  It writes no file:
+  ``make verify`` is the only writer of ``VERIFY_report.json``.
 
 Run via ``make bench`` / ``make smoke`` or::
 
@@ -30,8 +31,6 @@ Run via ``make bench`` / ``make smoke`` or::
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import subprocess
 import sys
 import time
@@ -276,27 +275,9 @@ def write_results(path: str | Path, results: dict,
     in ``BENCH_substrate.json`` reads as a changelog; ``make bench``
     passes one via ``BENCH_LABEL``.
     """
-    path = Path(path)
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "results": results,
-    }
-    if label:
-        record["label"] = label
-    runs = []
-    if path.exists():
-        try:
-            runs = json.loads(path.read_text())
-        except (ValueError, OSError):
-            runs = []
-        if not isinstance(runs, list):
-            runs = [runs]
-    runs.append(record)
-    path.write_text(json.dumps(runs, indent=2) + "\n")
-    print(f"wrote {path} ({len(runs)} run{'s' if len(runs) != 1 else ''})")
+    from repro.util.atomicio import append_trend_record
+    n = append_trend_record(path, "results", results, label=label)
+    print(f"wrote {path} ({n} run{'s' if n != 1 else ''})")
 
 
 # ----------------------------------------------------------------------
@@ -342,12 +323,10 @@ def smoke(argv: list[str] | None = None) -> int:
     run_suite(repeats=3)
     if not args.no_verify:
         # differential-test a handful of sampled architectures per space
-        # (eager walk vs. compiled plan) and append the outcome to
-        # VERIFY_report.json so agreement is tracked across commits
+        # (eager walk vs. compiled plan)
         print("smoke: differential pass (8 archs/space, eager vs. compiled)")
-        from repro.verify.diff import verify_report, write_verify_report
+        from repro.verify.diff import verify_report
         report = verify_report(per_space=8)
-        write_verify_report(root / "VERIFY_report.json", report)
         if not report["ok"]:
             for problem, per_dtype in report["spaces"].items():
                 for dtype, row in per_dtype.items():
@@ -371,16 +350,10 @@ def smoke(argv: list[str] | None = None) -> int:
     print("smoke: fault smoke within tolerance")
     # light NaN-injection pass: inject numeric faults into one a3c
     # search under guard-mode=recover and require the health layer to
-    # heal it (rollback + resurrection, nothing permanently lost); the
-    # outcome rides along in VERIFY_report.json next to the
-    # differential record so recovery is tracked across commits
+    # heal it (rollback + resurrection, nothing permanently lost)
     print("smoke: light NaN-injection pass (health layer, a3c)")
-    from repro.verify.diff import write_verify_report
     health_rows = chaos.run("numeric", ("a3c",), minutes=40.0)
     health_problems = chaos.check("numeric", health_rows)
-    write_verify_report(root / "VERIFY_report.json",
-                        {"kind": "health_smoke",
-                         "ok": not health_problems, "rows": health_rows})
     for problem in health_problems:
         print(f"smoke: health FAIL — {problem}")
     if health_problems:

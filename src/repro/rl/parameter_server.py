@@ -21,9 +21,8 @@ Delta hygiene (``docs/robustness.md``): an optional
 :class:`~repro.health.recovery.DeltaSanitizer` screens every incoming
 update — non-finite or norm-outlier deltas are *rejected* (counted, and
 excluded from the averages other agents receive) instead of poisoning
-the shared exchange, and ``max_delta_age`` additionally evicts stale
-async updates by virtual age.  With no sanitizer configured every push
-path is byte-for-byte the unguarded server.
+the shared exchange.  With no sanitizer configured every push path is
+byte-for-byte the unguarded server.
 """
 
 from __future__ import annotations
@@ -41,15 +40,13 @@ class ParameterServer:
     def __init__(self, sim: Simulator, num_agents: int, mode: str = "async",
                  staleness_window: int | None = None,
                  latency: float = 0.1, service_time: float = 0.0,
-                 sanitizer=None, max_delta_age: float | None = None) -> None:
+                 sanitizer=None) -> None:
         if mode not in ("sync", "async"):
             raise ValueError(f"mode must be 'sync' or 'async', got {mode!r}")
         if num_agents <= 0:
             raise ValueError("num_agents must be positive")
         if service_time < 0:
             raise ValueError("service_time must be non-negative")
-        if max_delta_age is not None and max_delta_age <= 0:
-            raise ValueError("max_delta_age must be positive")
         self.sim = sim
         self.mode = mode
         self.num_agents = num_agents
@@ -57,15 +54,12 @@ class ParameterServer:
         self.latency = latency
         self.service_time = service_time
         self.sanitizer = sanitizer
-        self.max_delta_age = max_delta_age
         self.num_rounds = 0
         self.num_pushes = 0
         # async state: recent updates (default window: half the agents,
-        # "a set of recently received gradients"); push times recorded in
-        # parallel so max_delta_age can evict by virtual age
+        # "a set of recently received gradients")
         window = staleness_window or max(1, num_agents // 2)
         self._recent: deque[np.ndarray] = deque(maxlen=window)
-        self._recent_times: deque[float] = deque(maxlen=window)
         # sync state; pushes are tagged with their agent id (when given)
         # so checkpoints can attribute in-flight barrier pushes and a
         # resurrected agent can withdraw its stale push
@@ -75,7 +69,6 @@ class ParameterServer:
         self._waiters: list[Event] = []
         self.num_failed_agents = 0
         self.num_resurrections = 0
-        self.num_stale_evicted = 0
         # timed-service state: the PS node handles one push at a time
         self._busy_until = 0.0
 
@@ -91,15 +84,6 @@ class ParameterServer:
     def num_rejected_deltas(self) -> int:
         return 0 if self.sanitizer is None else self.sanitizer.num_rejected
 
-    def _evict_stale(self) -> None:
-        if self.max_delta_age is None:
-            return
-        horizon = self.sim.now - self.max_delta_age
-        while self._recent_times and self._recent_times[0] < horizon:
-            self._recent_times.popleft()
-            self._recent.popleft()
-            self.num_stale_evicted += 1
-
     # -- async (A3C) ------------------------------------------------------
     def push_async(self, delta: np.ndarray) -> np.ndarray:
         """Record an update; return the average of recent updates.
@@ -113,13 +97,11 @@ class ParameterServer:
             raise RuntimeError("push_async on a synchronous server")
         self.num_pushes += 1
         delta = np.asarray(delta, dtype=np.float64)
-        self._evict_stale()
         if self._sanitize(delta) is not None:
             if self._recent:
                 return np.mean(self._recent, axis=0)
             return np.zeros_like(delta)
         self._recent.append(delta)
-        self._recent_times.append(self.sim.now)
         return np.mean(self._recent, axis=0)
 
     def push_async_timed(self, delta: np.ndarray) -> Event:
@@ -246,16 +228,10 @@ class ParameterServer:
         # Health-layer counters ride along only when the layer is in
         # play, so a guard-off checkpoint keeps the pinned v1 schema
         # (tests/test_search_checkpoint_golden.py) byte-for-byte.
-        if (self.sanitizer is not None or self.max_delta_age is not None
-                or self.num_resurrections or self.num_stale_evicted):
-            health: dict = {
-                "num_resurrections": self.num_resurrections,
-                "num_stale_evicted": self.num_stale_evicted,
-            }
+        if self.sanitizer is not None or self.num_resurrections:
+            health: dict = {"num_resurrections": self.num_resurrections}
             if self.sanitizer is not None:
                 health["sanitizer"] = self.sanitizer.export_state()
-            if self.max_delta_age is not None:
-                health["recent_times"] = list(self._recent_times)
             state["health"] = health
         return state
 
@@ -269,20 +245,14 @@ class ParameterServer:
         self.num_pushes = int(state["num_pushes"])
         self.num_failed_agents = int(state.get("num_failed_agents", 0))
         self._recent.clear()
-        self._recent_times.clear()
         for vec in state["recent"]:
             self._recent.append(np.asarray(vec, dtype=np.float64))
+        # older generations also carry "num_stale_evicted" and
+        # "recent_times" here; nothing reads them any more
         health = state.get("health", {})
         self.num_resurrections = int(health.get("num_resurrections", 0))
-        self.num_stale_evicted = int(health.get("num_stale_evicted", 0))
         if self.sanitizer is not None and "sanitizer" in health:
             self.sanitizer.restore_state(health["sanitizer"])
-        for t in health.get("recent_times", []):
-            self._recent_times.append(float(t))
-        # age eviction needs a timestamp per recent entry; a checkpoint
-        # written without them treats the survivors as freshly pushed
-        while len(self._recent_times) < len(self._recent):
-            self._recent_times.append(self.sim.now)
         self._pending = []
         self._pending_agents = []
         self._pending_ok = []

@@ -27,31 +27,26 @@ from .policy import LSTMPolicy, Rollout
 
 __all__ = ["PPOConfig", "PPOStats", "PPOUpdater"]
 
+#: surrogate clip range ε (the paper's 0.2)
+_CLIP = 0.2
+#: weight c_v of the value-function loss
+_VALUE_COEF = 0.5
+#: global gradient-norm clip applied before each Adam step
+_MAX_GRAD_NORM = 0.5
+
 
 @dataclass(frozen=True)
 class PPOConfig:
-    clip: float = 0.2
+    """Optimization settings of one :class:`PPOUpdater`: Adam passes
+    per update, Adam learning rate, and the entropy-bonus weight c_e."""
+
     epochs: int = 4
     lr: float = 1e-3
-    value_coef: float = 0.5
     entropy_coef: float = 0.01
-    max_grad_norm: float = 0.5
-    normalize_advantages: bool = True
-    #: discount and GAE(λ) over the token sequence.  An architecture
-    #: episode has a single terminal reward; with the defaults γ=λ=1 the
-    #: advantage reduces exactly to R − V(s_t) (the paper's actor-critic
-    #: baseline).  Lower values trade bias for variance in credit
-    #: assignment across the decision sequence.
-    gamma: float = 1.0
-    gae_lambda: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.clip < 1.0:
-            raise ValueError("clip must be in (0, 1)")
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
-        if not 0.0 < self.gamma <= 1.0 or not 0.0 < self.gae_lambda <= 1.0:
-            raise ValueError("gamma and gae_lambda must be in (0, 1]")
 
 
 @dataclass
@@ -84,10 +79,9 @@ class PPOUpdater:
         """(advantages, returns) for one rollout and its episode rewards.
 
         ``rewards`` has one entry per rollout row (terminal reward of the
-        generated architecture).  Advantages come back normalized when
-        the config asks for it; returns are the raw value targets.
+        generated architecture).  Advantages come back normalized across
+        the batch; returns are the raw value targets.
         """
-        cfg = self.config
         rewards = np.asarray(rewards, dtype=np.float64)
         if rewards.shape != (rollout.actions.shape[0],):
             raise ValueError(
@@ -95,9 +89,8 @@ class PPOUpdater:
                 f"{rewards.shape}")
         advantages = self._gae(rewards, rollout.values)
         returns = advantages + rollout.values  # value-function targets
-        if cfg.normalize_advantages:
-            std = advantages.std()
-            advantages = (advantages - advantages.mean()) / (std + 1e-8)
+        std = advantages.std()
+        advantages = (advantages - advantages.mean()) / (std + 1e-8)
         return advantages, returns
 
     def surrogate_loss(self, rollout: Rollout, advantages: np.ndarray,
@@ -118,7 +111,7 @@ class PPOUpdater:
         logp, values, entropies, caches = self.policy.forward_train(
             rollout.actions)
         ratio = np.exp(logp - old_logp)
-        clipped = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip)
+        clipped = np.clip(ratio, 1.0 - _CLIP, 1.0 + _CLIP)
         surr1 = ratio * advantages
         surr2 = clipped * advantages
         use1 = surr1 <= surr2  # min picks the smaller surrogate
@@ -126,13 +119,13 @@ class PPOUpdater:
         value_err = values - returns
         value_loss = 0.5 * np.mean(value_err ** 2)
         entropy = entropies.mean()
-        loss = float(policy_loss + cfg.value_coef * value_loss
+        loss = float(policy_loss + _VALUE_COEF * value_loss
                      - cfg.entropy_coef * entropy)
 
         if with_grads:
             # gradients of L = policy_loss + c_v*value_loss - c_e*entropy
             d_logp = np.where(use1, -ratio * advantages / n, 0.0)
-            d_value = cfg.value_coef * value_err / n
+            d_value = _VALUE_COEF * value_err / n
             d_entropy = np.full_like(logp, -cfg.entropy_coef / n)
             self.policy.zero_grad()
             self.policy.backward_train(caches, d_logp, d_value, d_entropy)
@@ -154,24 +147,24 @@ class PPOUpdater:
             _, stats = self.surrogate_loss(rollout, advantages, returns)
             grad_norm = clip_global_norm(
                 [p.grad for p in self.policy.parameters()],
-                cfg.max_grad_norm)
+                _MAX_GRAD_NORM)
             self.optimizer.step()
             stats.grad_norm = float(grad_norm)
         return stats
 
     def _gae(self, rewards: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Generalized advantage estimation over token sequences whose
-        only nonzero reward is terminal.  With γ=λ=1 this is exactly
-        ``R − V_t`` for every step."""
-        gamma, lam = self.config.gamma, self.config.gae_lambda
+        """Advantages over token sequences whose only nonzero reward is
+        terminal: GAE with γ=λ=1, which is ``R − V_t`` for every step.
+        The reverse accumulation stays rather than ``R − V``: recorded
+        fingerprints depend on its rounding."""
         batch, horizon = values.shape
         advantages = np.zeros_like(values)
         gae = np.zeros(batch)
         for t in reversed(range(horizon)):
             r_t = rewards if t == horizon - 1 else 0.0
             v_next = values[:, t + 1] if t + 1 < horizon else 0.0
-            delta = r_t + gamma * v_next - values[:, t]
-            gae = delta + gamma * lam * gae
+            delta = r_t + v_next - values[:, t]
+            gae = delta + gae
             advantages[:, t] = gae
         return advantages
 

@@ -17,9 +17,9 @@ pieces:
   DeepHyper convention); maximized over a candidate pool of uniform
   rows mixed with mutations of the best architectures seen.
 * **Constant liar** — a batch is proposed slot by slot: after each
-  pick, a "lie" reward (min/mean/max of the observed rewards, per
-  ``ambs_liar``) is appended to the fit set so the remaining slots
-  spread out instead of proposing the same argmax B times.
+  pick, a "lie" reward (the lowest observed reward) is appended to the
+  fit set so the remaining slots spread out instead of proposing the
+  same argmax B times.
 
 The proposer reads only the shared observation history (through the
 boundary watermark on resume) and ``loop.rng``, so same-seed runs and
@@ -40,6 +40,18 @@ _FIT_WINDOW = 2048
 #: ridge regularizer — small enough not to bias, large enough that the
 #: normal equations stay well-conditioned on tiny warm-up fit sets
 _RIDGE_LAMBDA = 1e-2
+#: observations required before the surrogate takes over from random
+#: proposals
+_WARMUP = 10
+#: acquisition candidate-pool size per batch slot (a quarter of it
+#: mutations of the best architectures seen)
+_CANDIDATES = 128
+#: UCB exploration weight (mean + kappa * std); 1.0 calibrates to the
+#: bootstrap ridge ensemble's spread, which runs wide on small fit sets
+#: (1.96 over-explores)
+_KAPPA = 1.0
+#: bootstrap ridge-ensemble members
+_ENSEMBLE = 8
 
 
 def encode_rows(rows: np.ndarray, dims: np.ndarray) -> np.ndarray:
@@ -90,25 +102,13 @@ class AmbsProposer(HistoryProposer):
 
     name = "ambs"
 
-    def __init__(self, space, *, warmup: int, candidates: int,
-                 kappa: float, liar: str, ensemble: int) -> None:
-        super().__init__(space)
-        self.warmup = warmup
-        self.candidates = candidates
-        self.kappa = kappa
-        self.liar = liar
-        self.ensemble = ensemble
-
     @classmethod
     def build(cls, config, space, exchange):
-        return cls(space, warmup=config.ambs_warmup,
-                   candidates=config.ambs_candidates,
-                   kappa=config.ambs_kappa, liar=config.ambs_liar,
-                   ensemble=config.ambs_ensemble)
+        return cls(space)
 
     def propose(self, loop, seen=None):
         obs = self.history(seen)[-_FIT_WINDOW:]
-        if len(obs) < self.warmup:
+        if len(obs) < _WARMUP:
             return loop.rng.integers(0, self.dims,
                                      size=(loop.batch, len(self.dims)))
         rows = np.array([c for c, _ in obs], dtype=np.int64)
@@ -116,8 +116,7 @@ class AmbsProposer(HistoryProposer):
         # the surrogate steers away instead of poisoning the fit
         rewards = np.nan_to_num(np.array([r for _, r in obs]), nan=-1.0)
         picks = np.empty((loop.batch, len(self.dims)), dtype=np.int64)
-        lie = {"min": np.min, "mean": np.mean,
-               "max": np.max}[self.liar](rewards)
+        lie = np.min(rewards)
         for slot in range(loop.batch):
             picks[slot] = self._propose_one(loop.rng, rows, rewards)
             rows = np.vstack([rows, picks[slot]])
@@ -126,19 +125,19 @@ class AmbsProposer(HistoryProposer):
 
     def _propose_one(self, rng, rows, rewards):
         """Fit on (rows, rewards) and return the acquisition argmax."""
-        model = RidgeEnsemble(self.ensemble)
+        model = RidgeEnsemble(_ENSEMBLE)
         model.fit(encode_rows(rows, self.dims), rewards, rng)
         pool = self._candidate_pool(rng, rows, rewards)
         mean, std = model.predict(encode_rows(pool, self.dims))
-        return pool[int(np.argmax(mean + self.kappa * std))]
+        return pool[int(np.argmax(mean + _KAPPA * std))]
 
     def _candidate_pool(self, rng, rows, rewards):
         """¾ uniform exploration rows, ¼ mutations of the top archs."""
-        n_mut = self.candidates // 4
+        n_mut = _CANDIDATES // 4
         pool = rng.integers(0, self.dims,
-                            size=(self.candidates - n_mut, len(self.dims)))
-        top = np.argsort(rewards)[::-1][:max(1, n_mut)]
+                            size=(_CANDIDATES - n_mut, len(self.dims)))
+        top = np.argsort(rewards)[::-1][:n_mut]
         mutants = np.array([
             mutate_choices(self.space, rows[top[i % len(top)]], rng)
-            for i in range(n_mut)], dtype=np.int64).reshape(n_mut, -1)
-        return np.vstack([pool, mutants]) if n_mut else pool
+            for i in range(n_mut)], dtype=np.int64)
+        return np.vstack([pool, mutants])

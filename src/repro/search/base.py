@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -15,7 +16,7 @@ from ..nas.arch import Architecture
 if TYPE_CHECKING:   # annotation only — no runtime evaluator dependency
     from ..evaluator.process import ProcConfig
 
-__all__ = ["SearchConfig", "RewardRecord", "SearchResult"]
+__all__ = ["SearchConfig", "RewardRecord", "SearchResult", "rank_key"]
 
 
 @dataclass(frozen=True)
@@ -26,18 +27,15 @@ class SearchConfig:
     agents × 11 workers, 360 minutes of wall time, M = workers-per-agent
     architectures per agent iteration, and the LSTM(32) controller with
     PPO epochs=4 / clip=0.2 (the :class:`~repro.rl.policy.LSTMPolicy` and
-    :class:`~repro.rl.ppo.PPOConfig` defaults) at lr=6e-3.
+    :class:`~repro.rl.ppo.PPOConfig` defaults) at the runner's
+    calibrated lr=6e-3.  Settings that no run changes are constants of
+    the module that reads them (DESIGN.md, "Settings").
     """
 
     method: str = "a3c"       # any name in repro.search.methods.SEARCH_METHODS
     allocation: NodeAllocation = field(
         default_factory=NodeAllocation.paper_256)
     wall_time: float = 360.0 * 60.0       # seconds of (virtual) wall clock
-    #: controller learning rate.  The paper trains the LSTM with
-    #: lr=0.001 under TensorFlow's loss scaling; with this numpy PPO the
-    #: equivalent per-round movement calibrates to 6e-3 (see
-    #: EXPERIMENTS.md, calibration note).
-    lr: float = 6e-3
     entropy_coef: float = 0.002
     #: run seed.  Every agent initializes its policy from it, so all
     #: agents start from one network (§3.2: "all N agents start with the
@@ -73,11 +71,6 @@ class SearchConfig:
     #: after batch submission, so the per-agent barrier always releases
     #: (None = wait forever; safe only with a fault-free service)
     batch_deadline: float | None = None
-    #: Balsam restart policy: max restarts per job, then the base and
-    #: cap of the capped-exponential retry backoff (virtual seconds)
-    max_eval_retries: int = 3
-    retry_backoff: float = 5.0
-    retry_backoff_cap: float = 120.0
     #: numerical-health guards (repro.health): None or mode "off" leaves
     #: every guarded code path bit-identical to the unguarded build;
     #: "check" detects and crashes the offending agent; "recover" rolls
@@ -123,20 +116,6 @@ class SearchConfig:
     #: (defaults follow Real et al., 2018)
     population_size: int = 50
     tournament_size: int = 10
-    #: method="ambs": observations required before the surrogate takes
-    #: over from random proposals
-    ambs_warmup: int = 10
-    #: method="ambs": acquisition candidate-pool size per batch slot
-    ambs_candidates: int = 128
-    #: method="ambs": UCB exploration weight (mean + kappa * std); 1.0
-    #: calibrates to the bootstrap ridge ensemble's spread, which runs
-    #: wide on small fit sets (1.96 over-explores)
-    ambs_kappa: float = 1.0
-    #: method="ambs": constant-liar reward for in-flight batch slots —
-    #: "min" | "mean" | "max" of the observed rewards
-    ambs_liar: str = "min"
-    #: method="ambs": bootstrap ridge-ensemble members
-    ambs_ensemble: int = 8
 
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
@@ -165,27 +144,12 @@ class SearchConfig:
         if not 1 <= self.tournament_size <= self.population_size:
             raise ValueError(
                 "tournament_size must be in [1, population_size]")
-        if self.ambs_warmup < 1:
-            raise ValueError("ambs_warmup must be positive")
-        if self.ambs_candidates < 1:
-            raise ValueError("ambs_candidates must be positive")
-        if self.ambs_kappa < 0:
-            raise ValueError("ambs_kappa must be non-negative")
-        if self.ambs_liar not in ("min", "mean", "max"):
-            raise ValueError(
-                f"ambs_liar must be 'min', 'mean' or 'max', "
-                f"got {self.ambs_liar!r}")
-        if self.ambs_ensemble < 2:
-            raise ValueError("ambs_ensemble must be >= 2 (the ensemble "
-                             "spread is the uncertainty estimate)")
         if self.wall_time <= 0:
             raise ValueError("wall_time must be positive")
         if self.batch_deadline is not None and self.batch_deadline <= 0:
             raise ValueError("batch_deadline must be positive")
         if self.ps_shards < 1:
             raise ValueError("ps_shards must be >= 1")
-        if self.max_eval_retries < 0:
-            raise ValueError("max_eval_retries must be non-negative")
         if self.journal_fsync_every is not None \
                 and self.journal_fsync_every <= 0:
             raise ValueError("journal_fsync_every must be positive")
@@ -226,6 +190,13 @@ class RewardRecord:
             reward=float(data["reward"]), params=int(data["params"]),
             duration=float(data["duration"]), cached=bool(data["cached"]),
             timed_out=bool(data["timed_out"]))
+
+
+def rank_key(rec: RewardRecord) -> float:
+    """Reward as a ranking key with NaN pinned to -inf.  NaN compares
+    False both ways, so a NaN reward (guards off, metric diverged) could
+    otherwise neither be displaced by nor rank below a finite one."""
+    return -math.inf if math.isnan(rec.reward) else rec.reward
 
 
 @dataclass
@@ -286,30 +257,10 @@ class SearchResult:
                                       method=self.config.method,
                                       seed=self.config.seed)
 
-    @staticmethod
-    def _rank_key(rec: RewardRecord) -> float:
-        """Reward as a ranking key with NaN pinned to -inf, so a NaN
-        reward (guards off, metric diverged) can never outrank — or,
-        via comparison-is-always-False, squat above — a finite one."""
-        r = rec.reward
-        return float("-inf") if np.isnan(r) else r
-
     def best(self) -> RewardRecord:
         if not self.records:
             raise ValueError("no evaluations recorded")
-        return max(self.records, key=self._rank_key)
-
-    def top_k(self, k: int = 50) -> list[RewardRecord]:
-        """Best-reward record per distinct architecture, best first (the
-        paper selects the top 50 for post-training)."""
-        best_by_arch: dict[tuple, RewardRecord] = {}
-        for rec in self.records:
-            cur = best_by_arch.get(rec.arch.key)
-            if cur is None or self._rank_key(rec) > self._rank_key(cur):
-                best_by_arch[rec.arch.key] = rec
-        ranked = sorted(best_by_arch.values(),
-                        key=lambda r: -self._rank_key(r))
-        return ranked[:k]
+        return max(self.records, key=rank_key)
 
     def reward_trajectory(self) -> np.ndarray:
         """(time_minutes, best_reward_so_far) rows, one per evaluation."""

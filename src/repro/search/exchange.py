@@ -87,12 +87,12 @@ class ExchangeStrategy:
 
     # -- shared construction helpers ----------------------------------
     @staticmethod
-    def _sanitizer(config) -> tuple[DeltaSanitizer | None, float | None]:
+    def _sanitizer(config) -> DeltaSanitizer | None:
         """Ingress hygiene for the server (guard-driven)."""
         guard = config.guard
         if guard is not None and guard.enabled:
-            return DeltaSanitizer.from_guard(guard), guard.max_delta_age
-        return None, None
+            return DeltaSanitizer()
+        return None
 
 
 class A3CExchange(ExchangeStrategy):
@@ -111,12 +111,11 @@ class A3CExchange(ExchangeStrategy):
 
     @classmethod
     def build(cls, sim, config, space, sink=None):
-        sanitizer, max_age = cls._sanitizer(config)
         ps = ParameterServer(
             sim, config.allocation.num_agents, mode="async",
             staleness_window=config.staleness_window,
             service_time=config.ps_service_time / config.ps_shards,
-            sanitizer=sanitizer, max_delta_age=max_age)
+            sanitizer=cls._sanitizer(config))
         return cls(ps, sink=sink)
 
     def on_gradient(self, agent_id, delta, iteration):
@@ -137,10 +136,9 @@ class A2CExchange(ExchangeStrategy):
 
     @classmethod
     def build(cls, sim, config, space, sink=None):
-        sanitizer, _ = cls._sanitizer(config)
         ps = ParameterServer(sim, config.allocation.num_agents, mode="sync",
                              staleness_window=config.staleness_window,
-                             sanitizer=sanitizer)
+                             sanitizer=cls._sanitizer(config))
         return cls(ps, sink=sink)
 
     def on_gradient(self, agent_id, delta, iteration):

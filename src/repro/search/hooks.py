@@ -34,6 +34,9 @@ from .checkpoint import AgentBoundary, restore_boundary
 __all__ = ["LifecycleHooks", "HookStack", "BoundaryHook",
            "NumericFaultHook", "HealthHook"]
 
+#: magnitude multiplier of an exploding-loss fault
+_EXPLODING_FACTOR = 1e6
+
 
 class LifecycleHooks:
     """Observer/transformer protocol around one loop iteration.
@@ -154,9 +157,8 @@ class NumericFaultHook(LifecycleHooks):
         if fault.exploding_loss:
             # a diverged local policy: the update direction is real but
             # enormously overscaled
-            factor = self.injector.config.exploding_factor
-            loop.policy.add_flat(delta * (factor - 1.0))
-            delta = delta * factor
+            loop.policy.add_flat(delta * (_EXPLODING_FACTOR - 1.0))
+            delta = delta * _EXPLODING_FACTOR
             return delta, delta
         # corrupt_delta: corruption in flight — the local policy stays
         # healthy, only the copy pushed to the parameter server is bad
@@ -183,7 +185,7 @@ class HealthHook(LifecycleHooks):
                  rollbacks: dict, boundaries: dict,
                  sink: EventSink | None = None) -> None:
         self.guard = guard
-        self.health = AgentHealth(guard, base_lr=base_lr)
+        self.health = AgentHealth(base_lr)
         self.rollbacks = rollbacks      # shared agent_id -> count store
         self.boundaries = boundaries    # shared agent_id -> AgentBoundary
         self.sink = sink

@@ -1,10 +1,12 @@
 """Crash-consistent file primitives shared across the stack.
 
-Two layers publish files through the same atomic dance — the
+Three layers publish files through the same atomic dance — the
 checkpoint generations under a search journal directory
 (:meth:`repro.search.journal.CheckpointGenerations.save`, the only
-on-disk checkpoint store) and the bench table's manifest
-(:mod:`repro.bench.table`).  The dance matters because write-to-tmp
+on-disk checkpoint store), the bench table's manifest
+(:mod:`repro.bench.table`), and the trend files
+``BENCH_substrate.json`` and ``VERIFY_report.json``, whose one writer
+is :func:`append_trend_record`.  The dance matters because write-to-tmp
 plus atomic ``replace`` alone is *not* crash-safe: a host crash can tear
 the tmp write (the rename then publishes garbage) or lose the rename
 itself (the data never became durable).  So:
@@ -29,10 +31,14 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import time
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["fsync_dir", "atomic_write_text", "atomic_write_json",
-           "FsyncPolicy"]
+           "append_trend_record", "FsyncPolicy"]
 
 
 def fsync_dir(path: str | Path) -> None:
@@ -69,6 +75,40 @@ def atomic_write_json(path: str | Path, data, **dumps_kwargs) -> Path:
     sorted form, the checkpoint's default form).
     """
     return atomic_write_text(path, json.dumps(data, **dumps_kwargs))
+
+
+def append_trend_record(path: str | Path, key: str, payload,
+                        label: str | None = None) -> int:
+    """Append one timestamped ``{key: payload}`` record to the JSON-list
+    trend file at ``path``; returns how many records it now holds.
+
+    The record also names the Python, numpy and machine it was taken on,
+    and ``label`` when given.  An existing file that is not a JSON list
+    raises :class:`ValueError` and keeps its bytes, so a torn or foreign
+    file is never replaced by a one-entry history.
+    """
+    path = Path(path)
+    runs = []
+    if path.exists():
+        try:
+            runs = json.loads(path.read_text())
+        except ValueError as exc:
+            raise ValueError(f"{path} does not parse as a trend history "
+                             f"({exc}); repair or move it") from None
+        if not isinstance(runs, list):
+            raise ValueError(f"{path} holds no JSON list of records")
+    record = {
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        key: payload,
+    }
+    if label:
+        record["label"] = label
+    runs.append(record)
+    atomic_write_text(path, json.dumps(runs, indent=2) + "\n")
+    return len(runs)
 
 
 class FsyncPolicy:

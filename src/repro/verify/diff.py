@@ -22,9 +22,6 @@ record into ``VERIFY_report.json``).
 
 from __future__ import annotations
 
-import json
-import platform
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +29,7 @@ import numpy as np
 
 from ..nas.builder import Plan, compile_architecture
 from ..nas.spaces import get_space
+from ..util.atomicio import append_trend_record
 from . import tolerances as tol
 
 __all__ = ["DiffMismatch", "DiffReport", "ShrunkFailure", "diff_plan",
@@ -269,22 +267,5 @@ def verify_report(per_space: int = 8, *, seed: int = 0,
 def write_verify_report(path: str | Path, report: dict) -> None:
     """Append one timestamped report to a JSON file (list of runs),
     mirroring the ``BENCH_substrate.json`` trend-tracking format."""
-    path = Path(path)
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "report": report,
-    }
-    runs = []
-    if path.exists():
-        try:
-            runs = json.loads(path.read_text())
-        except (ValueError, OSError):
-            runs = []
-        if not isinstance(runs, list):
-            runs = [runs]
-    runs.append(record)
-    path.write_text(json.dumps(runs, indent=2) + "\n")
-    print(f"wrote {path} ({len(runs)} run{'s' if len(runs) != 1 else ''})")
+    n = append_trend_record(path, "report", report)
+    print(f"wrote {path} ({n} run{'s' if n != 1 else ''})")

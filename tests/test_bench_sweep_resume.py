@@ -30,11 +30,20 @@ _SHARD = 16
 
 _CHILD = """
 import sys
+import time
 sys.path.insert(0, {tests_dir!r})
 from _bench_common import sweep_combo_table
-# throttled so the parent can catch the sweep between shard seals
-sweep_combo_table({out!r}, cap={cap}, shard_size={shard},
-                  batch_size=8, throttle=0.05)
+from repro.rewards import SurrogateReward
+
+# slowed so the parent can catch the sweep between shard seals
+_evaluate = SurrogateReward.evaluate
+
+def slow_evaluate(self, *args, **kwargs):
+    time.sleep(0.00625)
+    return _evaluate(self, *args, **kwargs)
+
+SurrogateReward.evaluate = slow_evaluate
+sweep_combo_table({out!r}, cap={cap}, shard_size={shard}, batch_size=8)
 """
 
 
@@ -101,7 +110,7 @@ def test_sigkill_mid_sweep_resumes_bit_identically(tmp_path):
                 break
             if child.poll() is not None:
                 pytest.fail("sweep subprocess finished before the kill "
-                            "point — raise throttle or cap")
+                            "point — slow its reward model or raise cap")
             time.sleep(0.01)
         else:
             pytest.fail("no shard boundary published within 120s")

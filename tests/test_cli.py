@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from repro.analytics import save_records
 from repro.cli import build_parser, main
 
 
@@ -46,6 +47,17 @@ class TestCommands:
                      "--epochs", "2"]) == 0
         out = capsys.readouterr().out
         assert "acc_ratio" in out
+
+    def test_analyze_empty_log(self, tmp_path, capsys):
+        # a search stopped before its first evaluation writes a valid
+        # log with no records; analyze still prints its summary
+        log = tmp_path / "empty.jsonl"
+        save_records([], log, metadata={"problem": "combo"})
+        assert main(["analyze", str(log)]) == 0
+        out = capsys.readouterr().out
+        assert "(0 records" in out
+        assert "final best reward: n/a" in out
+        assert "time to reward 0.5: not reached" in out
 
     def test_nt3_large_rejected(self):
         with pytest.raises(SystemExit):

@@ -1,9 +1,22 @@
-"""DESIGN.md's source layout block lists exactly the modules of src/repro."""
+"""DESIGN.md's source layout block lists exactly the modules of src/repro,
+and its Settings tables list exactly the fields of the config classes."""
 
+import dataclasses
 import re
 from pathlib import Path
 
+from repro.bench.sweep import SweepConfig
+from repro.evaluator.process import ProcConfig
+from repro.health.guards import GuardConfig
+from repro.hpc.faults import FaultConfig
+from repro.rl.ppo import PPOConfig
+from repro.search.base import SearchConfig
+
 ROOT = Path(__file__).resolve().parents[1]
+
+#: every config class DESIGN.md's "Settings" section must table
+CONFIG_CLASSES = (SearchConfig, GuardConfig, ProcConfig, FaultConfig,
+                  PPOConfig, SweepConfig)
 
 
 def _layout_block() -> list[str]:
@@ -55,3 +68,25 @@ def test_layout_matches_src():
     listed = _listed_modules()
     assert sorted(actual - listed) == [], "modules missing from DESIGN.md"
     assert sorted(listed - actual) == [], "DESIGN.md lists missing files"
+
+
+def _settings_tables() -> dict[str, list[str]]:
+    """``### `Class``` heading -> first-column names of its table, from
+    DESIGN.md's "Settings" section."""
+    text = (ROOT / "DESIGN.md").read_text()
+    section = text.split("\n## Settings\n", 1)[1].split("\n## ", 1)[0]
+    tables: dict[str, list[str]] = {}
+    for block in section.split("\n### ")[1:]:
+        heading, _, body = block.partition("\n")
+        rows = [line for line in body.splitlines() if line.startswith("| `")]
+        tables[heading.strip("` ")] = [
+            row.split("|")[1].strip().strip("`") for row in rows]
+    return tables
+
+
+def test_settings_tables_match_config_fields():
+    tables = _settings_tables()
+    assert sorted(tables) == sorted(c.__name__ for c in CONFIG_CLASSES)
+    for cls in CONFIG_CLASSES:
+        fields = [f.name for f in dataclasses.fields(cls)]
+        assert tables[cls.__name__] == fields, cls.__name__

@@ -180,13 +180,13 @@ class TestBalsamEvaluator:
 
 class TestBalsamRetries:
     """Balsam job lifecycle under faults: RUN_ERROR -> RESTART_ENABLED
-    with capped exponential backoff, then FAILED after max_retries."""
+    with exponential backoff, then FAILED after three restarts."""
 
-    def _setup(self, faults, nodes=2, **kwargs):
+    def _setup(self, faults, nodes=2):
         sim = Simulator()
         cluster = Cluster(sim, nodes)
         service = BalsamService(sim, cluster, submit_latency=1.0,
-                                faults=FaultInjector(sim, faults), **kwargs)
+                                faults=FaultInjector(sim, faults))
         return sim, cluster, service
 
     def test_crash_restarts_and_finishes(self):
@@ -194,34 +194,31 @@ class TestBalsamRetries:
         # a seeded rng, so crash every attempt but allow enough retries
         # to observe RESTART_ENABLED bookkeeping deterministically
         sim, cluster, service = self._setup(
-            FaultConfig(job_crash_prob=1.0, seed=0),
-            max_retries=2, retry_backoff=4.0, retry_backoff_cap=100.0)
+            FaultConfig(job_crash_prob=1.0, seed=0))
         job = service.submit(0, A(1), EvalResult(0.5, 10.0, 100))
         sim.run()
         assert job.state == "FAILED"
-        assert job.num_retries == 2
-        assert job.attempts == 3
+        assert job.num_retries == 3
+        assert job.attempts == 4
         assert job.failed
         assert job.done.triggered
-        assert service.num_restarts == 2
+        assert service.num_restarts == 3
         assert cluster.busy == 0            # every crash released its node
 
-    def test_backoff_is_capped_exponential(self):
+    def test_backoff_is_exponential(self):
         sim, cluster, service = self._setup(
-            FaultConfig(job_crash_prob=1.0, seed=0),
-            max_retries=3, retry_backoff=4.0, retry_backoff_cap=6.0)
+            FaultConfig(job_crash_prob=1.0, seed=0))
         job = service.submit(0, A(1), EvalResult(0.5, 10.0, 100))
         sim.run()
-        # attempt starts: latency 1.0, then each retry waits
-        # min(4*2^(k-1), 6) after its partial run
+        # attempt starts: latency 1.0, then retry k waits 5*2^(k-1)
+        # after its partial run
         waits = [s for s, _ in job.run_log]
         gaps = [round(b - a, 6) for a, b in zip(waits, waits[1:])]
-        crash_frac = service.faults.job_fault(job.job_id, 1).crash_frac
-        # gap = partial run + backoff; backoffs are 4, 6, 6 (capped)
+        # gap = partial run + backoff
         backoffs = [round(g - 10.0 * service.faults.job_fault(
             job.job_id, k + 1).crash_frac, 6)
             for k, g in enumerate(gaps)]
-        assert backoffs == [4.0, 6.0, 6.0]
+        assert backoffs == [5.0, 10.0, 20.0]
 
     def test_zero_faults_identical_lifecycle(self):
         sim = Simulator()
@@ -238,8 +235,7 @@ class TestBalsamRetries:
         cluster = Cluster(sim, 2)
         service = BalsamService(
             sim, cluster,
-            faults=FaultInjector(sim, FaultConfig(job_crash_prob=1.0)),
-            max_retries=1, retry_backoff=1.0)
+            faults=FaultInjector(sim, FaultConfig(job_crash_prob=1.0)))
         ev = BalsamEvaluator(service, StubReward(), agent_id=0)
         released = []
 

@@ -187,9 +187,7 @@ def proposer_batches(space):
     *inside* one batch and mutations cluster around incumbents, so the
     cache path is exercised very differently from the random stream."""
     proposers = (
-        AmbsProposer.build(
-            SearchConfig(method="ambs", ambs_warmup=2, ambs_candidates=16,
-                         ambs_ensemble=4), space, None),
+        AmbsProposer.build(SearchConfig(method="ambs"), space, None),
         EvolutionProposer.build(
             SearchConfig(method="evolution", population_size=6,
                          tournament_size=2), space, None),

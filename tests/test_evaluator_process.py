@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.evaluator import ProcConfig, ProcessEvaluator
+from repro.evaluator.process import _POISON_THRESHOLD
 from repro.events import (QUARANTINE, WORKER_CRASH, WORKER_RESPAWN,
                           WORKER_SPAWN, WORKER_TIMEOUT, RecordingSink)
 from repro.hpc import TrainingCostModel
@@ -57,15 +58,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ProcConfig(job_deadline=-1.0)
         with pytest.raises(ValueError):
-            ProcConfig(poison_threshold=0)
-        with pytest.raises(ValueError):
             ProcConfig(max_respawns=-1)
 
 
 class TestCrashSupervision:
     def test_crash_always_arch_is_quarantined(self, space, archs):
         """An arch that kills every worker it touches gets the failure
-        reward after poison_threshold distinct workers die — not an
+        reward after _POISON_THRESHOLD distinct workers die — not an
         infinite respawn loop — and the stream shows the whole story."""
         sink = RecordingSink()
         ev = ProcessEvaluator(
@@ -78,7 +77,7 @@ class TestCrashSupervision:
         assert len(recs) == 1
         assert recs[0].reward == RewardModel.FAILURE_REWARD
         assert ev.num_quarantined == 1
-        assert ev.num_worker_crashes >= ev.proc_config.poison_threshold
+        assert ev.num_worker_crashes >= _POISON_THRESHOLD
         assert ev.num_failed == 1
         kinds = set(sink.kinds())
         assert {WORKER_SPAWN, WORKER_CRASH, WORKER_RESPAWN,
@@ -145,7 +144,7 @@ class TestDeadlines:
             recs = ev.get_finished_evals()
         elapsed = time.monotonic() - start
         assert recs[0].reward == RewardModel.FAILURE_REWARD
-        assert ev.num_worker_timeouts >= ev.proc_config.poison_threshold
+        assert ev.num_worker_timeouts >= _POISON_THRESHOLD
         assert ev.num_quarantined == 1
         assert WORKER_TIMEOUT in sink.kinds()
         assert elapsed < 60.0, "deadline did not preempt the hang"

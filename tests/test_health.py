@@ -6,6 +6,8 @@ import pytest
 from repro.health import (AgentHealth, DeltaSanitizer, GuardConfig,
                           LossSpikeDetector, NumericalAnomaly,
                           PPODivergenceDetector, all_finite, require_finite)
+from repro.health.guards import (DELTA_NORM_FACTOR, DELTA_WARMUP, KL_LIMIT,
+                                 LOSS_WARMUP, MIN_LR_FRACTION, RATIO_LIMIT)
 from repro.nn import Dense, GraphModel
 from repro.nn.training import Trainer
 from repro.rl.ppo import PPOStats
@@ -30,15 +32,6 @@ class TestGuardConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(mode="maybe"),
-        dict(loss_spike_zscore=0.0),
-        dict(loss_ewma_alpha=0.0),
-        dict(kl_limit=-1.0),
-        dict(ratio_limit=1.0),
-        dict(delta_norm_factor=1.0),
-        dict(max_delta_age=0.0),
-        dict(lr_backoff=1.0),
-        dict(min_lr_fraction=0.0),
-        dict(escalate_after=0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -65,8 +58,8 @@ class TestFiniteChecks:
 
 class TestLossSpikeDetector:
     def test_warmup_then_spike(self):
-        det = LossSpikeDetector(zscore=8.0, alpha=0.2, warmup=5)
-        for _ in range(6):
+        det = LossSpikeDetector()
+        for _ in range(LOSS_WARMUP + 1):
             assert not det.observe(1.0)
         assert det.observe(100.0)
         assert det.num_spikes == 1
@@ -74,15 +67,15 @@ class TestLossSpikeDetector:
         assert not det.observe(1.0)
 
     def test_nonfinite_loss_always_flagged(self):
-        det = LossSpikeDetector(warmup=5)
+        det = LossSpikeDetector()
         assert det.observe(float("nan"))
         assert det.observe(float("inf"))
 
     def test_export_restore_round_trip(self):
-        det = LossSpikeDetector(warmup=2)
+        det = LossSpikeDetector()
         for v in (1.0, 1.1, 0.9, 1.05):
             det.observe(v)
-        fresh = LossSpikeDetector(warmup=2)
+        fresh = LossSpikeDetector()
         fresh.restore_state(det.export_state())
         assert fresh.count == det.count
         assert fresh.mean == det.mean and fresh.var == det.var
@@ -93,12 +86,16 @@ class TestPPODivergenceDetector:
         assert PPODivergenceDetector().check(stats()) is None
 
     def test_kl_limit(self):
-        assert PPODivergenceDetector(kl_limit=0.5).check(
-            stats(approx_kl=0.9)) == "kl_divergence"
+        assert PPODivergenceDetector().check(
+            stats(approx_kl=KL_LIMIT * 0.9)) is None
+        assert PPODivergenceDetector().check(
+            stats(approx_kl=KL_LIMIT * 1.5)) == "kl_divergence"
 
     def test_ratio_limit(self):
-        assert PPODivergenceDetector(ratio_limit=10.0).check(
-            stats(max_ratio=11.0)) == "ratio_blowup"
+        assert PPODivergenceDetector().check(
+            stats(max_ratio=RATIO_LIMIT * 0.9)) is None
+        assert PPODivergenceDetector().check(
+            stats(max_ratio=RATIO_LIMIT * 1.1)) == "ratio_blowup"
 
     def test_nonfinite_stat(self):
         assert PPODivergenceDetector().check(
@@ -107,10 +104,10 @@ class TestPPODivergenceDetector:
 
 class TestDeltaSanitizer:
     def test_accepts_and_warms_up(self):
-        san = DeltaSanitizer(warmup=3)
-        for _ in range(3):
+        san = DeltaSanitizer()
+        for _ in range(DELTA_WARMUP):
             assert san.check(np.ones(4)) is None
-        assert san.accepted == 3 and san.num_rejected == 0
+        assert san.accepted == DELTA_WARMUP and san.num_rejected == 0
 
     def test_rejects_nonfinite(self):
         san = DeltaSanitizer()
@@ -118,10 +115,10 @@ class TestDeltaSanitizer:
         assert san.num_rejected_nonfinite == 1
 
     def test_rejects_norm_outlier_after_warmup(self):
-        san = DeltaSanitizer(norm_factor=10.0, warmup=3)
+        san = DeltaSanitizer()
         big = np.full(4, 1e6)
         assert san.check(big) is None        # pre-warmup: accepted
-        for _ in range(3):
+        for _ in range(DELTA_WARMUP):
             assert san.check(np.ones(4)) is None
         # wait for the EWMA to settle near 1 before the outlier probe
         for _ in range(20):
@@ -130,23 +127,19 @@ class TestDeltaSanitizer:
         assert san.num_rejected_outlier == 1
         # rejection did not pollute the baseline
         assert san.check(np.ones(4)) is None
+        # the screen is relative: just under the factor still passes
+        assert san.check(np.full(4, 0.9 * DELTA_NORM_FACTOR
+                                 * san.ewma_norm / 2.0)) is None
 
     def test_export_restore_round_trip(self):
-        san = DeltaSanitizer(warmup=2)
+        san = DeltaSanitizer()
         san.check(np.ones(4))
         san.check(np.array([np.nan] * 4))
-        fresh = DeltaSanitizer(warmup=2)
+        fresh = DeltaSanitizer()
         fresh.restore_state(san.export_state())
         assert fresh.accepted == 1
         assert fresh.ewma_norm == san.ewma_norm
         assert fresh.num_rejected_nonfinite == 1
-
-    @pytest.mark.parametrize("kwargs", [dict(norm_factor=1.0),
-                                        dict(warmup=0),
-                                        dict(ewma_alpha=1.5)])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            DeltaSanitizer(**kwargs)
 
 
 class _Policy:
@@ -187,10 +180,8 @@ def _boundary(policy, opt, iteration=0):
 
 
 class TestAgentHealth:
-    def make(self, **overrides):
-        defaults = dict(mode="recover", escalate_after=3)
-        defaults.update(overrides)
-        return AgentHealth(GuardConfig(**defaults), base_lr=0.1)
+    def make(self):
+        return AgentHealth(base_lr=0.1)
 
     def roll_back(self, health, boundary, policy, opt):
         """The search's recover path: restore the boundary, then let
@@ -216,9 +207,10 @@ class TestAgentHealth:
                                    stats()) == "nonfinite:policy"
 
     def test_divergence_detected(self):
-        health = self.make(kl_limit=0.5)
-        assert health.check_update(np.ones(3), np.full(3, 0.01),
-                                   stats(approx_kl=0.9)) == "kl_divergence:ppo"
+        health = self.make()
+        assert health.check_update(
+            np.ones(3), np.full(3, 0.01),
+            stats(approx_kl=KL_LIMIT * 1.5)) == "kl_divergence:ppo"
 
     def test_rollback_restores_and_backs_off(self):
         health = self.make()
@@ -237,17 +229,21 @@ class TestAgentHealth:
         assert boundary.lr == 0.1
 
     def test_lr_floor(self):
-        health = self.make(escalate_after=20, lr_backoff=0.5,
-                           min_lr_fraction=0.25)
+        # one lifetime absorbs one rollback, and a resurrected lifetime
+        # resumes from a boundary that carries the backed-off rate; so
+        # chain lifetimes, one fresh AgentHealth each (as HealthHook is)
         policy, opt = _Policy([0.0]), _Opt(lr=0.1)
-        for iteration in range(5):
-            # each iteration's boundary carries the backed-off rate
-            self.roll_back(health, _boundary(policy, opt, iteration),
-                           policy, opt)
-        assert opt.lr == pytest.approx(0.1 * 0.25)
+        rates = []
+        for iteration in range(8):
+            rates.append(self.roll_back(
+                self.make(), _boundary(policy, opt, iteration), policy,
+                opt))
+        assert rates[:2] == [pytest.approx(0.05), pytest.approx(0.025)]
+        assert opt.lr == pytest.approx(0.1 * MIN_LR_FRACTION)
+        assert rates[-1] == rates[-2]
 
     def test_escalates_after_budget(self):
-        health = self.make(escalate_after=2)
+        health = self.make()
         policy, opt = _Policy([0.0]), _Opt()
         self.roll_back(health, _boundary(policy, opt, 0), policy, opt)
         with pytest.raises(NumericalAnomaly) as exc:

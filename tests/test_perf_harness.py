@@ -1,11 +1,12 @@
-"""Tests for the bench regression gate (tools/check_bench.py) and the
-perf-marked wall-clock assertions.
+"""Tests for the bench regression gate (tools/check_bench.py), the
+trend-file writer, and the perf-marked wall-clock assertions.
 
 The gate tests exercise the pure ``check`` function on synthetic
 histories; the perf-marked tests make real timing claims and are
 excluded from ``make test-fast`` via the ``perf`` tier marker.
 """
 
+import json
 import sys
 import time
 from pathlib import Path
@@ -101,8 +102,6 @@ class TestCheckBench:
             assert kernel in TRACKED
 
     def test_cli_exit_codes(self, tmp_path):
-        import json
-
         path = tmp_path / "bench.json"
         path.write_text(json.dumps([entry("a", conv1d_fwd_bwd=10.0),
                                     entry("b", conv1d_fwd_bwd=50.0)]))
@@ -111,6 +110,34 @@ class TestCheckBench:
                                     entry("b", conv1d_fwd_bwd=10.5)]))
         assert check_main(["--file", str(path)]) == 0
         assert check_main(["--file", str(tmp_path / "missing.json")]) == 0
+
+
+def test_trend_files_gain_one_record_and_refuse_a_corrupt_history(tmp_path):
+    """``BENCH_substrate.json`` and ``VERIFY_report.json`` writers: a
+    valid history gains exactly one record in the same format, and a
+    torn one raises and keeps its bytes instead of being replaced."""
+    from repro.perf import write_results
+    from repro.verify.diff import write_verify_report
+
+    writers = {
+        "results": lambda path: write_results(
+            path, {"conv1d_fwd_bwd": {"best_ms": 1.0}}, label="x"),
+        "report": lambda path: write_verify_report(path, {"ok": True}),
+    }
+    for key, write in writers.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps([{"label": "old"}], indent=2) + "\n")
+        write(path)
+        runs = json.loads(path.read_text())
+        assert len(runs) == 2 and runs[0] == {"label": "old"}
+        assert key in runs[1] and "timestamp" in runs[1]
+        assert path.read_text() == json.dumps(runs, indent=2) + "\n"
+
+        torn = path.read_bytes()[:-40]
+        path.write_bytes(torn)
+        with pytest.raises(ValueError):
+            write(path)
+        assert path.read_bytes() == torn
 
 
 @pytest.mark.perf

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.health import DeltaSanitizer
 from repro.hpc.sim import Simulator, Timeout
 from repro.rl.parameter_server import ParameterServer
 
@@ -267,6 +268,24 @@ class TestExportRestore:
         # evicts [1, 2] and averages with [3, 4]
         np.testing.assert_allclose(fresh.push_async(np.array([5.0, 6.0])),
                                    [4.0, 5.0])
+
+    def test_older_generation_with_age_eviction_keys_loads(self):
+        # generations written while the server could evict by age also
+        # carry "num_stale_evicted" and "recent_times"; they still load
+        ps = ParameterServer(Simulator(), num_agents=4, mode="async",
+                             staleness_window=2, sanitizer=DeltaSanitizer())
+        ps.push_async(np.array([1.0, 2.0]))
+        state = ps.export_state()
+        assert set(state["health"]) == {"num_resurrections", "sanitizer"}
+        state["health"].update(num_stale_evicted=3, recent_times=[0.0])
+
+        fresh = ParameterServer(Simulator(), num_agents=4, mode="async",
+                                staleness_window=2,
+                                sanitizer=DeltaSanitizer())
+        fresh.restore_state(state)
+        assert fresh.export_state() == ps.export_state()
+        np.testing.assert_allclose(fresh.push_async(np.array([3.0, 4.0])),
+                                   [2.0, 3.0])
 
     def test_sync_export_excludes_pending_round(self):
         sim = Simulator()

@@ -69,9 +69,7 @@ class TestFaultedSearch:
         # each job surfaces the paper's failure reward instead of hanging
         faults = FaultConfig(job_crash_prob=1.0, seed=0)
         res = run_search(space, make_surrogate(space),
-                         small_config(minutes=20, faults=faults,
-                                      max_eval_retries=1,
-                                      retry_backoff=1.0))
+                         small_config(minutes=20, faults=faults))
         assert res.num_evaluations > 0
         assert res.num_failed_evals == res.num_evaluations
         assert all(r.reward == RewardModel.FAILURE_REWARD

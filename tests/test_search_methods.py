@@ -45,8 +45,7 @@ def make_surrogate(space, seed=7):
 def small_config(method, minutes=30, **kwargs):
     defaults = dict(method=method, allocation=NodeAllocation(32, 4, 3),
                     wall_time=minutes * 60.0, seed=1,
-                    population_size=12, tournament_size=4,
-                    ambs_warmup=8, ambs_candidates=32, ambs_ensemble=4)
+                    population_size=12, tournament_size=4)
     defaults.update(kwargs)
     return SearchConfig(**defaults)
 
@@ -95,16 +94,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SearchConfig(method="evolution", population_size=5,
                          tournament_size=6)
-
-    def test_ambs_bounds(self):
-        with pytest.raises(ValueError):
-            SearchConfig(method="ambs", ambs_warmup=0)
-        with pytest.raises(ValueError):
-            SearchConfig(method="ambs", ambs_liar="median")
-        with pytest.raises(ValueError):
-            SearchConfig(method="ambs", ambs_ensemble=1)
-        with pytest.raises(ValueError):
-            SearchConfig(method="ambs", ambs_kappa=-0.1)
 
 
 class TestSurrogate:
@@ -212,9 +201,7 @@ class TestTabularRegret:
         reward = tabular_reward(table, space)
         cfg = SearchConfig(method=method,
                            allocation=NodeAllocation(32, 4, 3),
-                           wall_time=240 * 60.0, seed=seed,
-                           ambs_warmup=8, ambs_candidates=64,
-                           ambs_ensemble=4)
+                           wall_time=240 * 60.0, seed=seed)
         return run_search(reward.resolver.structure, reward, cfg)
 
     def test_ambs_beats_rdm_to_low_regret(self, nt3_table):
