@@ -106,18 +106,19 @@ def bench_ablation_multi_parameter_server(benchmark):
     scalability".  With a contended single PS (nonzero service time per
     update vector), agent iterations queue behind parameter exchange;
     sharding the vector across independent servers restores throughput.
+    k shards receive the same push stream in lockstep, so they run as
+    one server with service time s/k.
     """
     space = space_for("combo")
     alloc = allocation(1024, "agents")  # the high-agent-count regime
 
     def run_all():
         out = {}
-        for label, service, shards in (("free", 0.0, 1),
-                                       ("single-ps", 30.0, 1),
-                                       ("4-shards", 30.0, 4)):
+        for label, service in (("free", 0.0), ("single-ps", 30.0),
+                               ("4-shards", 30.0 / 4)):
             cfg = SearchConfig(method="a3c", allocation=alloc,
                                wall_time=WALL_MINUTES * 60.0, seed=4,
-                               ps_service_time=service, ps_shards=shards)
+                               ps_service_time=service)
             out[label] = run_search(space, surrogate_for("combo"), cfg)
         return out
 

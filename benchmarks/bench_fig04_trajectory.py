@@ -9,10 +9,7 @@ learning trend.
 import numpy as np
 import pytest
 
-from harness import print_trajectories, run_cached
-from repro.analytics import binned_mean_trajectory
-
-METHODS = ("a3c", "a2c", "rdm")
+from harness import METHODS, fig4_runs, print_trajectories
 
 
 def _late_mean(result):
@@ -23,10 +20,8 @@ def _late_mean(result):
 
 @pytest.mark.parametrize("problem", ["combo", "uno", "nt3"])
 def bench_fig04(benchmark, problem):
-    def run_all():
-        return {m: run_cached(problem, m) for m in METHODS}
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = benchmark.pedantic(fig4_runs, args=(problem,), rounds=1,
+                                 iterations=1)
     print_trajectories(f"Fig 4 ({problem}, small space)", results)
 
     # shape assertions: the RL methods end above random search

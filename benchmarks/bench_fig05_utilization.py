@@ -9,17 +9,13 @@ architectures.
 
 import pytest
 
-from harness import print_utilizations, run_cached
-
-METHODS = ("a3c", "a2c", "rdm")
+from harness import METHODS, fig5_runs, print_utilizations
 
 
 @pytest.mark.parametrize("problem", ["combo", "uno", "nt3"])
 def bench_fig05(benchmark, problem):
-    def run_all():
-        return {m: run_cached(problem, m) for m in METHODS}
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = benchmark.pedantic(fig5_runs, args=(problem,), rounds=1,
+                                 iterations=1)
     print_utilizations(f"Fig 5 ({problem}, small space)", results)
 
     means = {m: results[m].cluster.mean_utilization(

@@ -8,16 +8,11 @@ the full convergence-stop seen on the small space.
 
 import numpy as np
 
-from harness import print_trajectories, print_utilizations, run_cached
-
-METHODS = ("a3c", "a2c", "rdm")
+from harness import fig6_runs, print_trajectories, print_utilizations
 
 
 def bench_fig06(benchmark):
-    def run_all():
-        return {m: run_cached("combo", m, size="large") for m in METHODS}
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = benchmark.pedantic(fig6_runs, rounds=1, iterations=1)
     print_trajectories("Fig 6a (combo, large space)", results)
     print_utilizations("Fig 6b (combo, large space)", results)
 

@@ -7,26 +7,11 @@ utilization close to the 256-node reference, while worker scaling
 evaluation idles more workers per round.
 """
 
-import numpy as np
-
-from harness import print_utilizations, run_cached
-
-CONFIGS = {
-    "256": (256, "agents"),
-    "512-w": (512, "workers"),
-    "1024-w": (1024, "workers"),
-    "512-a": (512, "agents"),
-    "1024-a": (1024, "agents"),
-}
+from harness import fig9_runs, print_utilizations
 
 
 def bench_fig09(benchmark):
-    def run_all():
-        return {name: run_cached("combo", "a3c", size="large",
-                                 nodes=nodes, mode=mode)
-                for name, (nodes, mode) in CONFIGS.items()}
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = benchmark.pedantic(fig9_runs, rounds=1, iterations=1)
     print_utilizations("Fig 9 (combo large, scaling)", results)
 
     means = {name: res.cluster.mean_utilization(max(res.end_time, 1e-9))

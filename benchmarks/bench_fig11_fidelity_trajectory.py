@@ -10,18 +10,13 @@ timeout.
 
 import numpy as np
 
-from harness import print_trajectories, run_cached
-from repro.analytics import binned_mean_trajectory
-
-FRACTIONS = (0.1, 0.2, 0.3, 0.4)
+from harness import fig11_runs, print_trajectories
 
 
 def bench_fig11(benchmark):
     def run_all():
-        return {f"{int(f * 100)}%": run_cached(
-            "combo", "a3c", size="large", train_fraction=f,
-            log_params_opt=7.2)
-            for f in FRACTIONS}
+        return {f"{int(f * 100)}%": res
+                for f, res in fig11_runs().items()}
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     print_trajectories("Fig 11 (combo large, fidelity)", results)

@@ -8,17 +8,12 @@ trainable parameters (larger P_b/P) and shorter training times.
 
 import numpy as np
 
-from harness import TOP_K, run_cached
+from harness import TOP_K, fig11_runs
 from repro.analytics import top_k_architectures
-from repro.rewards import SurrogateReward
-
-FRACTIONS = (0.1, 0.2, 0.3, 0.4)
 
 
 def bench_fig12(benchmark):
-    runs = {f: run_cached("combo", "a3c", size="large", train_fraction=f,
-                       log_params_opt=7.2)
-            for f in FRACTIONS}
+    runs = fig11_runs()
 
     def analyze():
         rows = {}

@@ -8,25 +8,12 @@ replications converge to similar reward levels.
 
 import numpy as np
 
-from harness import WALL_MINUTES, allocation, space_for, surrogate_for
+from harness import N_REPLICATIONS, WALL_MINUTES, fig13_runs
 from repro.analytics import band_spread, quantile_bands
-from repro.search import SearchConfig, run_search
-
-N_REPLICATIONS = 10
 
 
 def bench_fig13(benchmark):
-    space = space_for("combo", "small")
-
-    def run_replications():
-        reps = []
-        for seed in range(N_REPLICATIONS):
-            cfg = SearchConfig(method="a3c", allocation=allocation(256),
-                               wall_time=WALL_MINUTES * 60.0, seed=100 + seed)
-            reps.append(run_search(space, surrogate_for("combo"), cfg))
-        return reps
-
-    reps = benchmark.pedantic(run_replications, rounds=1, iterations=1)
+    reps = benchmark.pedantic(fig13_runs, rounds=1, iterations=1)
     grid = np.linspace(WALL_MINUTES * 0.15, WALL_MINUTES * 0.95, 9)
     bands = quantile_bands([r.records for r in reps], grid,
                            quantiles=(0.1, 0.5, 0.9))

@@ -72,7 +72,7 @@ def _cmd_search(args) -> int:
         print(f"{'method':<10} {'learns':>6}  summary")
         for name in sorted(SEARCH_METHODS):
             m = SEARCH_METHODS[name]
-            print(f"{name:<10} {'yes' if m.learns else 'no':>6}  "
+            print(f"{name:<10} {'yes' if m.proposer.learns else 'no':>6}  "
                   f"{m.summary}")
         return 0
     shapes, head, cost = ex.PAPER_SETUP[args.problem]
@@ -206,16 +206,13 @@ def _cmd_figure(args) -> int:
     """Regenerate one of the paper's figures/tables as printed series."""
     problem = args.problem or "combo"
     if args.figure == "fig4":
-        results = {m: ex.run_cached(problem, m) for m in ("a3c", "a2c",
-                                                          "rdm")}
-        ex.print_trajectories(f"Fig 4 ({problem}, small space)", results)
+        ex.print_trajectories(f"Fig 4 ({problem}, small space)",
+                              ex.fig4_runs(problem))
     elif args.figure == "fig5":
-        results = {m: ex.run_cached(problem, m) for m in ("a3c", "a2c",
-                                                          "rdm")}
-        ex.print_utilizations(f"Fig 5 ({problem}, small space)", results)
+        ex.print_utilizations(f"Fig 5 ({problem}, small space)",
+                              ex.fig5_runs(problem))
     elif args.figure == "fig6":
-        results = {m: ex.run_cached("combo", m, size="large")
-                   for m in ("a3c", "a2c", "rdm")}
+        results = ex.fig6_runs()
         ex.print_trajectories("Fig 6a (combo, large space)", results)
         ex.print_utilizations("Fig 6b (combo, large space)", results)
     elif args.figure == "fig7":
@@ -227,28 +224,14 @@ def _cmd_figure(args) -> int:
         ex.print_posttrain(f"Fig 8 ({problem}, large space)",
                            ex.post_train_top(problem, result, large=True))
     elif args.figure == "fig9":
-        configs = {"256": (256, "agents"), "512-w": (512, "workers"),
-                   "1024-w": (1024, "workers"), "512-a": (512, "agents"),
-                   "1024-a": (1024, "agents")}
-        results = {name: ex.run_cached("combo", "a3c", size="large",
-                                       nodes=n, mode=m)
-                   for name, (n, m) in configs.items()}
-        ex.print_utilizations("Fig 9 (combo large, scaling)", results)
+        ex.print_utilizations("Fig 9 (combo large, scaling)", ex.fig9_runs())
     elif args.figure == "fig11":
-        results = {f"{int(f * 100)}%": ex.run_cached(
-            "combo", "a3c", size="large", train_fraction=f)
-            for f in (0.1, 0.2, 0.3, 0.4)}
+        results = {f"{int(f * 100)}%": res
+                   for f, res in ex.fig11_runs().items()}
         ex.print_trajectories("Fig 11 (combo large, fidelity)", results)
     elif args.figure == "fig13":
         from .analytics import quantile_bands
-        from .search import SearchConfig, run_search
-        reps = []
-        for seed in range(5):
-            cfg = SearchConfig(method="a3c", allocation=ex.allocation(256),
-                               wall_time=ex.WALL_MINUTES * 60.0,
-                               seed=100 + seed)
-            reps.append(run_search(ex.space_for("combo"),
-                                   ex.surrogate_for("combo"), cfg))
+        reps = ex.fig13_runs()
         grid = np.linspace(ex.WALL_MINUTES * 0.15,
                            ex.WALL_MINUTES * 0.95, 9)
         bands = quantile_bands([r.records for r in reps], grid)

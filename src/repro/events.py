@@ -36,7 +36,7 @@ BATCH_STATS = "batch-stats"
 EVAL_DONE = "eval-done"
 #: an architecture was answered from the agent-local cache
 CACHE_HIT = "cache-hit"
-#: an agent handed its delta to the exchange strategy
+#: an agent handed its delta to the parameter server
 PUSH = "push"
 #: a synchronous exchange round released its barrier
 BARRIER = "barrier"

@@ -136,6 +136,61 @@ def run_cached(problem: str, method: str, size: str = "small",
     return run_search(space_for(problem, size), reward, cfg)
 
 
+# ----------------------------------------------------------------------
+# run recipes: the one definition of each search-run figure's runs,
+# shared by ``repro figure`` and the benchmark suite
+# ----------------------------------------------------------------------
+#: the three search modes Figs. 4-6 compare
+METHODS = ("a3c", "a2c", "rdm")
+#: Fig. 13 replications (the paper runs 10)
+N_REPLICATIONS = 10
+
+
+def fig4_runs(problem: str = "combo") -> dict[str, SearchResult]:
+    """Fig. 4: A3C, A2C and RDM on ``problem``'s small space."""
+    return {m: run_cached(problem, m) for m in METHODS}
+
+
+def fig5_runs(problem: str = "combo") -> dict[str, SearchResult]:
+    """Fig. 5 plots the utilization of the Fig. 4 runs."""
+    return fig4_runs(problem)
+
+
+def fig6_runs() -> dict[str, SearchResult]:
+    """Fig. 6: A3C, A2C and RDM on the large Combo space."""
+    return {m: run_cached("combo", m, size="large") for m in METHODS}
+
+
+def fig9_runs() -> dict[str, SearchResult]:
+    """Fig. 9: A3C on large Combo at 256-1,024 nodes, worker scaling
+    against agent scaling."""
+    configs = {"256": (256, "agents"), "512-w": (512, "workers"),
+               "1024-w": (1024, "workers"), "512-a": (512, "agents"),
+               "1024-a": (1024, "agents")}
+    return {name: run_cached("combo", "a3c", size="large", nodes=nodes,
+                             mode=mode)
+            for name, (nodes, mode) in configs.items()}
+
+
+def fig11_runs() -> dict[float, SearchResult]:
+    """Figs. 11/12: A3C on large Combo per training-data fraction, in
+    the §5.4 timeout regime (``log_params_opt=7.2``, see
+    :func:`run_cached`)."""
+    return {f: run_cached("combo", "a3c", size="large", train_fraction=f,
+                          log_params_opt=7.2)
+            for f in (0.1, 0.2, 0.3, 0.4)}
+
+
+def fig13_runs() -> list[SearchResult]:
+    """Fig. 13: ``N_REPLICATIONS`` A3C runs on small Combo, seeds
+    100, 101, ..."""
+    return [run_search(space_for("combo"), surrogate_for("combo"),
+                       SearchConfig(method="a3c", allocation=allocation(256),
+                                    wall_time=WALL_MINUTES * 60.0,
+                                    seed=100 + i))
+            for i in range(N_REPLICATIONS)]
+
+
 @lru_cache(maxsize=8)
 def working_problem(problem: str, large: bool = False):
     """Working-scale problem instance (real numpy training)."""

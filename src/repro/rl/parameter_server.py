@@ -112,8 +112,8 @@ class ParameterServer:
         vector it must average); the returned event fires with the
         average once this push's service completes.  With many agents, a
         single server queues — the §7 scalability bottleneck that
-        sharding (``SearchConfig.ps_shards = k``) divides by serving
-        each push in ``service_time / k``.
+        sharding the vector k ways divides by serving each push in
+        ``service_time / k``.
         """
         if self.mode != "async":
             raise RuntimeError("push_async_timed on a synchronous server")

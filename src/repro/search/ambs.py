@@ -103,7 +103,7 @@ class AmbsProposer(HistoryProposer):
     name = "ambs"
 
     @classmethod
-    def build(cls, config, space, exchange):
+    def build(cls, config, space, sim, sink=None):
         return cls(space)
 
     def propose(self, loop, seen=None):

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ..health.guards import GuardConfig
 from ..hpc.cluster import Cluster, NodeAllocation
 from ..hpc.faults import FaultConfig
@@ -56,14 +54,12 @@ class SearchConfig:
     #: A3C parameter-server staleness window (None = num_agents // 2,
     #: "a set of recently received gradients")
     staleness_window: int | None = None
-    #: simulated seconds the parameter server needs to process one full
-    #: update vector (0 = free exchange); makes PS contention visible
+    #: simulated seconds the A3C parameter server needs to process one
+    #: full update vector (0 = free exchange); makes PS contention
+    #: visible.  k shards (§7's "multiparameter servers") would receive
+    #: the same push stream and move in lockstep, so they are this
+    #: setting divided by k
     ps_service_time: float = 0.0
-    #: shard the A3C parameter server across this many servers (§7's
-    #: "multiparameter servers").  Every shard would receive the same
-    #: push stream, so k shards move in lockstep and are modelled
-    #: exactly as one server with service time ps_service_time / k
-    ps_shards: int = 1
     #: fault model driving node failures, job crashes, stragglers and
     #: service outages (None = fault layer fully inert)
     faults: FaultConfig | None = None
@@ -132,7 +128,7 @@ class SearchConfig:
         if self.proc is not None and self.backend != "process":
             raise ValueError("proc config requires backend='process'")
         # validated against the method registry, so a registered
-        # proposer/exchange pairing is all a new method name needs
+        # proposer is all a new method name needs
         # (imported lazily: methods pulls in the rl/health stacks)
         from .methods import SEARCH_METHODS
         if self.method not in SEARCH_METHODS:
@@ -148,8 +144,6 @@ class SearchConfig:
             raise ValueError("wall_time must be positive")
         if self.batch_deadline is not None and self.batch_deadline <= 0:
             raise ValueError("batch_deadline must be positive")
-        if self.ps_shards < 1:
-            raise ValueError("ps_shards must be >= 1")
         if self.journal_fsync_every is not None \
                 and self.journal_fsync_every <= 0:
             raise ValueError("journal_fsync_every must be positive")
@@ -261,27 +255,6 @@ class SearchResult:
         if not self.records:
             raise ValueError("no evaluations recorded")
         return max(self.records, key=rank_key)
-
-    def reward_trajectory(self) -> np.ndarray:
-        """(time_minutes, best_reward_so_far) rows, one per evaluation."""
-        from ..analytics.trajectory import best_so_far_trajectory
-        return best_so_far_trajectory(self.records)
-
-    def regret_trajectory(self, optimum: float) -> np.ndarray:
-        """(minutes, exact regret of best-so-far) rows against a known
-        global optimum — e.g. ``table.optimum().reward`` of the bench
-        table the run replayed (:mod:`repro.bench`)."""
-        from ..analytics.regret import regret_trajectory
-        return regret_trajectory(self.records, optimum)
-
-    def fraction_of_optimum(self, optimum: float,
-                            floor: float = -1.0) -> np.ndarray:
-        """(minutes, best-so-far normalized over [floor, optimum]) rows;
-        1.0 means the exact optimum was found (floor defaults to the
-        failure reward)."""
-        from ..analytics.regret import fraction_of_optimum_trajectory
-        return fraction_of_optimum_trajectory(self.records, optimum,
-                                              floor=floor)
 
     def utilization_trace(self, bin_minutes: float = 5.0
                           ) -> list[tuple[float, float]]:

@@ -38,7 +38,7 @@ class EvolutionProposer(HistoryProposer):
         self.tournament_size = tournament_size
 
     @classmethod
-    def build(cls, config, space, exchange):
+    def build(cls, config, space, sim, sink=None):
         return cls(space, population_size=config.population_size,
                    tournament_size=config.tournament_size)
 

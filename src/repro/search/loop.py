@@ -2,12 +2,12 @@
 cycle, composed from the runtime seams.
 
 :class:`AgentLoop` is a coroutine over the discrete-event kernel.  It
-knows *nothing* about how architectures are chosen or learned from (the
-:class:`~repro.search.proposer.Proposer` does — RL methods pair a
-policy proposer with an :class:`~repro.search.exchange.ExchangeStrategy`
-behind that seam), nothing about cache or failure bookkeeping (the
-:class:`~repro.evaluator.base.Evaluator` does), and nothing about
-checkpoints, chaos, or health guards (the
+knows *nothing* about how architectures are chosen, learned from or
+shared between agents (the :class:`~repro.search.proposer.Proposer`
+does — the RL methods' policy proposer runs the parameter-server
+exchange behind that seam), nothing about cache or failure
+bookkeeping (the :class:`~repro.evaluator.base.Evaluator` does), and
+nothing about checkpoints, chaos, or health guards (the
 :class:`~repro.search.hooks.LifecycleHooks` stack does).  One instance
 drives one agent *lifetime*; the runner builds a fresh loop when it
 resurrects a crashed agent or resumes from a checkpoint, handing it the

@@ -1,12 +1,11 @@
-"""The search-method registry: proposer × exchange pairings.
+"""The search-method registry: one proposer per method.
 
-A *method* is what ``SearchConfig.method`` names: a
-:class:`~repro.search.proposer.Proposer` (how the next batch is chosen)
-paired with an :class:`~repro.search.exchange.ExchangeStrategy` (how RL
-agents share policy updates).  The paper's three modes pair the policy
-proposer with their exchange; the non-RL methods keep all their logic
-on the proposer seam and ride the no-op
-:class:`~repro.search.exchange.RandomExchange`.
+A *method* is what ``SearchConfig.method`` names, and it is one
+:class:`~repro.search.proposer.Proposer` class: how the next batch is
+chosen and, for the paper's RL modes, how agents share policy updates.
+A3C and A2C are the policy proposer with its asynchronous or
+barrier-synchronized parameter server; the non-RL methods own no
+server and keep all their logic in ``propose``.
 
 Everything method-specific in the runtime consults this table — config
 validation, the runner's composition root, CLI ``--method`` choices,
@@ -23,53 +22,42 @@ from ..events import EventSink
 from ..hpc.sim import Simulator
 from .ambs import AmbsProposer
 from .evolution import EvolutionProposer
-from .exchange import (A2CExchange, A3CExchange, ExchangeStrategy,
-                       RandomExchange)
-from .proposer import PolicyProposer, Proposer, RandomProposer
+from .proposer import A2CProposer, A3CProposer, Proposer, RandomProposer
 
-__all__ = ["SearchMethod", "SEARCH_METHODS", "build_exchange",
-           "build_proposer"]
+__all__ = ["SearchMethod", "SEARCH_METHODS", "build_proposer"]
 
 
 @dataclass(frozen=True)
 class SearchMethod:
-    """One registered pairing of proposer and exchange."""
+    """One registered method: its name, proposer and summary."""
 
     name: str
     proposer: type[Proposer]
-    exchange: type[ExchangeStrategy]
-    #: whether the runner builds per-agent LSTM policies + PPO updaters
-    learns: bool
     #: one-line description for ``repro search --list-methods``
     summary: str
 
 
 SEARCH_METHODS: dict[str, SearchMethod] = {m.name: m for m in (
-    SearchMethod("a3c", PolicyProposer, A3CExchange, True,
+    SearchMethod("a3c", A3CProposer,
                  "asynchronous RL: LSTM policy + PPO, rolling-average "
                  "parameter server (the paper's main mode)"),
-    SearchMethod("a2c", PolicyProposer, A2CExchange, True,
+    SearchMethod("a2c", A2CProposer,
                  "synchronous RL: LSTM policy + PPO, barrier-averaged "
                  "updates each round"),
-    SearchMethod("rdm", RandomProposer, RandomExchange, False,
+    SearchMethod("rdm", RandomProposer,
                  "uniform random search baseline (no learning)"),
-    SearchMethod("ambs", AmbsProposer, RandomExchange, False,
+    SearchMethod("ambs", AmbsProposer,
                  "asynchronous model-based search: ridge-ensemble "
                  "surrogate, UCB acquisition, constant-liar batching"),
-    SearchMethod("evolution", EvolutionProposer, RandomExchange, False,
+    SearchMethod("evolution", EvolutionProposer,
                  "aging (regularized) evolution with tournament "
                  "selection over a sliding population"),
 )}
 
 
-def build_exchange(sim: Simulator, config, space,
-                   sink: EventSink | None = None) -> ExchangeStrategy:
-    """Instantiate the configured method's exchange (and its server)."""
-    return SEARCH_METHODS[config.method].exchange.build(sim, config, space,
+def build_proposer(sim: Simulator, config, space,
+                   sink: EventSink | None = None) -> Proposer:
+    """Instantiate the configured method's shared proposer (and, for
+    the RL methods, its parameter server)."""
+    return SEARCH_METHODS[config.method].proposer.build(config, space, sim,
                                                         sink=sink)
-
-
-def build_proposer(config, space, exchange) -> Proposer:
-    """Instantiate the configured method's shared proposer."""
-    return SEARCH_METHODS[config.method].proposer.build(config, space,
-                                                        exchange)

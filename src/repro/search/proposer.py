@@ -1,16 +1,19 @@
-"""The proposer seam: how the next batch of architectures is chosen.
+"""The proposer seam: how the next batch of architectures is chosen,
+and how the RL agents share what they learned from it.
 
 The agent loop (:mod:`repro.search.loop`) runs one cycle — propose,
 evaluate, observe — and delegates the first and last step to a
-:class:`Proposer`.  Proposal (which architectures to try next) is a
-different concern from parameter *exchange* (how RL agents share policy
-updates, :mod:`repro.search.exchange`): the RL methods pair a
-:class:`PolicyProposer` with their a3c/a2c exchange, while non-RL
-methods (random, AMBS, evolution) ride a no-op exchange and keep all
-their intelligence on this seam.
+:class:`Proposer`.  A search method *is* its proposer.  The paper's RL
+modes are :class:`PolicyProposer` subclasses: they sample the agent's
+LSTM policy, learn by PPO, and end each ``observe`` with the
+parameter-server exchange of §3.2 — :class:`A3CProposer` pushes
+asynchronously, :class:`A2CProposer` meets the other agents at a
+barrier.  The non-RL methods (random, AMBS, evolution) own no server
+and keep all their intelligence in ``propose``.
 
 One proposer instance is shared by every agent of a search (built by
-the runner next to the exchange).  The contract:
+the runner through :func:`~repro.search.methods.build_proposer`).  The
+contract:
 
 * ``propose(loop, seen=None)`` — return the next ``(batch, T)`` action
   matrix for ``loop``'s agent, drawing randomness only from
@@ -27,7 +30,10 @@ the runner next to the exchange).  The contract:
 * ``rebuild(records)`` — checkpoint plumbing.  History proposers
   derive their entire state from the reward-record stream, so resume
   rebuilds it from the checkpoint's (boundary-trimmed) records instead
-  of serializing a second copy.
+  of serializing a second copy;
+* ``leave`` / ``rejoin`` / ``export_state`` / ``restore_state`` — the
+  agent lifecycle and checkpoint plumbing of the parameter server
+  ``ps``; no-ops for proposers that own none.
 
 Registering a new method is one :class:`Proposer` subclass plus one
 :class:`~repro.search.methods.SearchMethod` row in
@@ -38,8 +44,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Proposer", "RandomProposer", "PolicyProposer",
-           "HistoryProposer", "mutate_choices"]
+from ..events import BARRIER, PUSH, EventSink, emit
+from ..health.recovery import DeltaSanitizer
+from ..rl.parameter_server import ParameterServer
+
+__all__ = ["Proposer", "RandomProposer", "PolicyProposer", "A3CProposer",
+           "A2CProposer", "HistoryProposer", "mutate_choices"]
 
 
 def mutate_choices(space, choices, rng: np.random.Generator) -> tuple:
@@ -64,9 +74,15 @@ class Proposer:
     """Base contract between the agent loop and architecture proposal."""
 
     name = "?"
+    #: whether the runner builds per-agent LSTM policies + PPO updaters
+    learns = False
+    #: the parameter server agents exchange policy updates through
+    #: (None: the method exchanges nothing)
+    ps: ParameterServer | None = None
 
     @classmethod
-    def build(cls, config, space, exchange) -> "Proposer":
+    def build(cls, config, space, sim, sink: EventSink | None = None
+              ) -> "Proposer":
         """Construct the search's shared proposer instance."""
         raise NotImplementedError
 
@@ -90,6 +106,27 @@ class Proposer:
         """Re-fold shared state from the (trimmed) reward records a
         checkpoint restore or resurrection kept."""
 
+    # -- agent lifecycle around the exchange --------------------------
+    def leave(self, failed: bool = False) -> None:
+        """An agent left the exchange (converged, crashed, or dying for
+        resurrection); a sync barrier shrinks instead of deadlocking."""
+        if self.ps is not None:
+            self.ps.deregister(failed=failed)
+
+    def rejoin(self, agent_id: int) -> None:
+        """A resurrected agent re-enters the exchange; any stale push
+        its dead lifetime left in the current round is withdrawn."""
+        if self.ps is not None:
+            self.ps.register(agent_id)
+
+    def export_state(self) -> dict | None:
+        """The server's checkpoint state (None without a server)."""
+        return None if self.ps is None else self.ps.export_state()
+
+    def restore_state(self, state: dict | None) -> None:
+        if state is not None and self.ps is not None:
+            self.ps.restore_state(state)
+
 
 class RandomProposer(Proposer):
     """RDM baseline: uniform random action rows, no observation state.
@@ -104,7 +141,7 @@ class RandomProposer(Proposer):
         self.dims = np.array(space.action_dims)
 
     @classmethod
-    def build(cls, config, space, exchange):
+    def build(cls, config, space, sim, sink=None):
         return cls(space)
 
     def propose(self, loop, seen=None):
@@ -118,24 +155,37 @@ class RandomProposer(Proposer):
 
 class PolicyProposer(Proposer):
     """RL proposal: sample the agent's LSTM policy, learn via PPO, and
-    run the configured exchange round.
+    exchange the update through the parameter server the proposer owns.
 
-    ``observe`` is the pre-seam ``_learn`` body: the hook transform
-    after ``update_delta``, the exchange round (a3c push / a2c barrier —
-    the only part that may wait on simulator events), and the average
-    applied in place of the local delta.
+    ``observe`` runs the hook transform after ``update_delta``, the
+    exchange round — the only part that may wait on simulator events —
+    and applies the round's average in place of the local delta.  A
+    subclass names the server mode and supplies ``push`` (and, if the
+    round needs closing, ``round_end``).
     """
 
-    name = "policy"
+    learns = True
+    #: :class:`~repro.rl.parameter_server.ParameterServer` mode
+    ps_mode = "?"
 
-    def __init__(self, exchange) -> None:
-        self.exchange = exchange
+    def __init__(self, ps: ParameterServer,
+                 sink: EventSink | None = None) -> None:
+        self.ps = ps
+        self.sink = sink
         #: in-flight rollout per agent between propose and observe
         self._rollouts: dict[int, object] = {}
 
     @classmethod
-    def build(cls, config, space, exchange):
-        return cls(exchange)
+    def build(cls, config, space, sim, sink=None):
+        guard = config.guard
+        # ingress hygiene for the server (guard-driven)
+        sanitizer = (DeltaSanitizer()
+                     if guard is not None and guard.enabled else None)
+        return cls(ParameterServer(
+            sim, config.allocation.num_agents, mode=cls.ps_mode,
+            staleness_window=config.staleness_window,
+            service_time=config.ps_service_time, sanitizer=sanitizer),
+            sink=sink)
 
     def propose(self, loop, seen=None):
         rollout = loop.policy.sample(loop.batch, loop.rng)
@@ -147,13 +197,61 @@ class PolicyProposer(Proposer):
         delta, stats = loop.updater.update_delta(rollout, rewards)
         delta, push_delta = loop.hooks.after_update(loop, delta, delta,
                                                     stats)
-        avg = yield from self.exchange.on_gradient(loop.agent_id,
-                                                   push_delta,
-                                                   loop.iteration)
+        emit(self.sink, PUSH, self.ps.sim.now, loop.agent_id,
+             loop.iteration, mode=self.name)
+        avg = yield from self.push(loop, push_delta)
         # update_delta already applied the local delta; replace it with
         # the exchange's average
         loop.policy.add_flat(avg - delta)
-        self.exchange.on_round_end(loop.agent_id, loop.iteration)
+        self.round_end(loop)
+
+    def push(self, loop, delta):
+        """Hand ``delta`` to the server; a generator returning the
+        average to apply."""
+        raise NotImplementedError
+        yield   # pragma: no cover — marks this as a generator function
+
+    def round_end(self, loop) -> None:
+        """Called after the agent applied the exchanged average."""
+
+
+class A3CProposer(PolicyProposer):
+    """Asynchronous exchange: push, receive the rolling average of
+    recent updates, never wait for other agents.  With a modelled
+    service time (``ps_service_time > 0``) the push itself takes
+    simulated time; otherwise it is instantaneous.
+
+    The §7 "multiparameter servers" need no setting of their own: k
+    shards of the vector would receive the same push stream, so their
+    queues and staleness windows would move in lockstep with one server
+    k times as fast — k shards of a server with service time s are
+    ``ps_service_time = s / k``.
+    """
+
+    name = "a3c"
+    ps_mode = "async"
+
+    def push(self, loop, delta):
+        if self.ps.service_time > 0.0:
+            return (yield self.ps.push_async_timed(delta))
+        return self.ps.push_async(delta)
+
+
+class A2CProposer(PolicyProposer):
+    """Synchronous exchange: all live agents meet at a barrier; the
+    round's deltas are averaged and returned to everyone at once.  The
+    round takes no service time (``ps_service_time`` times A3C pushes
+    only)."""
+
+    name = "a2c"
+    ps_mode = "sync"
+
+    def push(self, loop, delta):
+        return (yield self.ps.push_sync(delta, loop.agent_id))
+
+    def round_end(self, loop):
+        emit(self.sink, BARRIER, self.ps.sim.now, loop.agent_id,
+             loop.iteration, round=self.ps.num_rounds)
 
 
 class HistoryProposer(Proposer):

@@ -4,9 +4,10 @@ The runner is a thin composition root.  Each agent is an
 :class:`~repro.search.loop.AgentLoop` coroutine wired from the runtime
 seams (see ``docs/architecture.md``):
 
-* a shared :class:`~repro.search.proposer.Proposer` paired with an
-  :class:`~repro.search.exchange.ExchangeStrategy` by the method
-  registry (:data:`~repro.search.methods.SEARCH_METHODS`);
+* a shared :class:`~repro.search.proposer.Proposer`, the configured
+  method's row of the registry
+  (:data:`~repro.search.methods.SEARCH_METHODS`); the RL methods'
+  proposer owns the parameter server their agents exchange through;
 * a per-agent :class:`~repro.evaluator.base.Evaluator` — by default a
   :class:`~repro.evaluator.balsam.BalsamEvaluator` over the shared
   Balsam service;
@@ -16,7 +17,7 @@ seams (see ``docs/architecture.md``):
 What is left here is orchestration: spawning agents, the crash-safe
 wrapper with resurrection, checkpoint capture/restore, and final
 accounting.  Capture and apply stay here because they read and write
-the runner's own state (records, evaluators, exchange, per-agent
+the runner's own state (records, evaluators, proposer, per-agent
 bookkeeping); the boundary they share with resurrection and health
 rollback, and the one function that restores it, live in
 :mod:`repro.search.checkpoint`.  All layers emit
@@ -64,7 +65,7 @@ from ..rl.ppo import PPOConfig, PPOUpdater
 from .base import RewardRecord, SearchConfig, SearchResult
 from .checkpoint import (AgentBoundary, AgentCheckpoint, SearchCheckpoint,
                          restore_boundary)
-from .methods import SEARCH_METHODS, build_exchange, build_proposer
+from .methods import build_proposer
 from .hooks import BoundaryHook, HealthHook, HookStack, NumericFaultHook
 from .journal import SearchJournal
 from .loop import AgentLoop
@@ -108,8 +109,7 @@ class NasSearch:
                          else None)
         self.service = BalsamService(self.sim, self.cluster,
                                      faults=self.injector)
-        self.exchange = build_exchange(self.sim, cfg, space, sink=self.sink)
-        self.proposer = build_proposer(cfg, space, self.exchange)
+        self.proposer = build_proposer(self.sim, cfg, space, self.sink)
         if cfg.plan_cache and reward_model.plan_cache is None:
             # one shared compile cache for every agent; a reward model
             # that already carries one (checkpoint resume, explicit
@@ -151,8 +151,9 @@ class NasSearch:
 
     @property
     def ps(self):
-        """The exchange's parameter server (None for RDM)."""
-        return self.exchange.ps
+        """The proposer's parameter server (None for the non-RL
+        methods)."""
+        return self.proposer.ps
 
     def _attach_journal(self, journal: SearchJournal | None,
                         event_sink: EventSink | None) -> None:
@@ -210,7 +211,7 @@ class NasSearch:
     def _build_agents(self) -> None:
         """Per-agent evaluator / policy / PPO updater triples."""
         cfg = self.config
-        learns = SEARCH_METHODS[cfg.method].learns
+        learns = self.proposer.learns
         self.policies: list[LSTMPolicy | None] = []
         self.updaters: list[PPOUpdater | None] = []
         self.evaluators: list[Evaluator] = []
@@ -343,8 +344,9 @@ class NasSearch:
 
     def _agent(self, agent_id: int):
         """Crash-safe wrapper: whatever happens inside the agent loop,
-        the agent leaves the exchange cleanly (the sync barrier shrinks
-        instead of deadlocking) and the search accounts for it.
+        the agent leaves the proposer's exchange cleanly (the sync
+        barrier shrinks instead of deadlocking) and the search accounts
+        for it.
 
         With ``max_restarts > 0`` a crashed agent (including one whose
         numerical guard escalated) is *resurrected*: restored to its
@@ -384,7 +386,7 @@ class NasSearch:
         self._done_agents[agent_id] = bool(converged)
         if converged:
             self._converged_agents += 1
-        self.exchange.leave(failed=crashed is not None)
+        self.proposer.leave(failed=crashed is not None)
         self._boundaries.pop(agent_id, None)
         emit(self.sink, AGENT_DONE, self.sim.now, agent_id,
              converged=bool(converged))
@@ -406,14 +408,15 @@ class NasSearch:
         releases a round itself, so the crash/resurrect pair cannot
         double-release a barrier.
         """
-        self.exchange.leave(failed=True)
-        self.records = _trim_to_boundaries(
+        self.proposer.leave(failed=True)
+        # trimmed in place: every live agent loop appends to this list
+        self.records[:] = _trim_to_boundaries(
             self.records, {agent_id: boundary.num_records})
         # shared-history proposers re-fold their state from the kept
         # records (the records ARE the history; see proposer.rebuild)
         self.proposer.rebuild(self.records)
         self._restore_agent_state(agent_id, boundary)
-        self.exchange.rejoin(agent_id)
+        self.proposer.rejoin(agent_id)
         # real_evals tells a journal replay (repro.search.journal) how
         # far to truncate this agent's accumulated eval-done stream —
         # the journal-side mirror of the record trimming above
@@ -520,7 +523,7 @@ class NasSearch:
             num_agents=cfg.allocation.num_agents,
             wall_time=cfg.wall_time,
             records=list(self.records), agents=agents,
-            ps_state=self.exchange.export_state(),
+            ps_state=self.proposer.export_state(),
             converged_agents=self._converged_agents,
             failed_agents=list(self._failed_agents),
             agent_restarts=dict(self._restarts),
@@ -585,7 +588,7 @@ class NasSearch:
             if agent.boundary is None:
                 continue            # starts fresh, deterministically
             self._restore_agent_state(agent.agent_id, agent.boundary)
-        self.exchange.restore_state(ckpt.ps_state)
+        self.proposer.restore_state(ckpt.ps_state)
         self._records_at_ckpt = len(self.records)
 
 

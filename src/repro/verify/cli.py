@@ -15,7 +15,9 @@ Subcommands
     The ``diff`` matrix summarized as JSON, appended to
     ``VERIFY_report.json`` (BENCH-style trend tracking).
 ``all``
-    Everything above, in order; nonzero exit on any failure.
+    The ``report`` matrix (which is the ``diff`` matrix in both dtypes,
+    run once), then ``grad`` and ``determinism``; nonzero exit on any
+    failure.
 """
 
 from __future__ import annotations
@@ -102,16 +104,17 @@ def _cmd_report(args) -> int:
             print(f"report {problem:6s} {dtype:8s} "
                   f"{row['sampled'] - row['disagreements']}/"
                   f"{row['sampled']} agreed")
+            for failure in row["failures"]:
+                print(f"  FAIL {failure}")
     if args.output:
         write_verify_report(args.output, report)
     return 0 if report["ok"] else 1
 
 
 def _cmd_all(args) -> int:
-    code = _cmd_diff(args)
+    code = _cmd_report(args)
     code = _cmd_grad(args) or code
     code = _cmd_determinism(args) or code
-    code = _cmd_report(args) or code
     print("verify: " + ("ALL OK" if code == 0 else "FAILURES"))
     return code
 
@@ -157,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("all", help="run the whole battery")
     common(p, per_space_default=4)
-    p.add_argument("--dtype", choices=("float32", "float64", "both"),
-                   default="both")
-    p.add_argument("--training", action="store_true")
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--minutes", type=float, default=20.0)
     p.add_argument("--output", default=None, metavar="PATH")

@@ -235,10 +235,10 @@ def test_search_result_regret_methods(combo_table):
     result = _replay(table, space, "rdm")
     assert result.records
     optimum = table.optimum().reward
-    traj = result.regret_trajectory(optimum)
+    traj = regret_trajectory(result.records, optimum)
     assert traj.shape == (len(result.records), 2)
     assert (traj[:, 1] >= 0.0).all()
-    frac = result.fraction_of_optimum(optimum)
+    frac = fraction_of_optimum_trajectory(result.records, optimum)
     assert ((0.0 <= frac[:, 1]) & (frac[:, 1] <= 1.0)).all()
     # best-so-far regret at the end matches the table's own regret()
     assert traj[-1, 1] == pytest.approx(

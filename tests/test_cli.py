@@ -4,8 +4,12 @@ import re
 
 import pytest
 
+import repro.search
+from repro import experiments as ex
 from repro.analytics import save_records
 from repro.cli import build_parser, main
+from repro.hpc import NodeAllocation
+from repro.search import SearchConfig, run_search
 
 
 class TestParser:
@@ -72,6 +76,51 @@ class TestCommands:
         args = build_parser().parse_args(["figure", "fig4", "--problem",
                                           "nt3"])
         assert args.figure == "fig4" and args.problem == "nt3"
+
+
+class TestFigureRecipes:
+    """``repro figure`` runs each figure's searches from the recipe in
+    :mod:`repro.experiments` that the benchmark suite asserts on."""
+
+    @pytest.fixture(scope="class")
+    def tiny_result(self):
+        # a real, very short search, so every printing path has records
+        cfg = SearchConfig(method="rdm", allocation=NodeAllocation(8, 2, 2),
+                           wall_time=10 * 60.0, seed=0)
+        return run_search(ex.space_for("combo"), ex.surrogate_for("combo"),
+                          cfg)
+
+    @staticmethod
+    def record(monkeypatch, result):
+        cached, searched = [], []
+
+        def fake_cached(*args, **kwargs):
+            cached.append(kwargs)
+            return result
+
+        def fake_search(space, reward, cfg):
+            searched.append(cfg)
+            return result
+
+        monkeypatch.setattr(ex, "run_cached", fake_cached)
+        monkeypatch.setattr(ex, "run_search", fake_search)
+        monkeypatch.setattr(repro.search, "run_search", fake_search)
+        return cached, searched
+
+    def test_fig11_runs_in_the_timeout_regime(self, monkeypatch,
+                                              tiny_result, capsys):
+        cached, _ = self.record(monkeypatch, tiny_result)
+        assert main(["figure", "fig11"]) == 0
+        assert [kw.get("train_fraction") for kw in cached] == \
+            [0.1, 0.2, 0.3, 0.4]
+        assert [kw.get("log_params_opt") for kw in cached] == [7.2] * 4
+
+    def test_fig13_runs_ten_replications(self, monkeypatch, tiny_result,
+                                         capsys):
+        _, searched = self.record(monkeypatch, tiny_result)
+        assert main(["figure", "fig13"]) == 0
+        assert [cfg.seed for cfg in searched] == list(range(100, 110))
+        assert {cfg.method for cfg in searched} == {"a3c"}
 
 
 class TestDurability:

@@ -9,12 +9,14 @@ without disturbing the pinned guard-off schema.
 import numpy as np
 import pytest
 
+from repro.events import RecordingSink
 from repro.health import GuardConfig
 from repro.hpc import FaultConfig, NodeAllocation, TrainingCostModel
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.search import NasSearch, SearchConfig, chaos, run_search
+from repro.search.journal import build_replay
 
 pytestmark = pytest.mark.health
 
@@ -91,6 +93,26 @@ class TestNumericChaos:
         assert res.num_restarts == sum(res.agent_restarts.values())
         assert not res.failed_agents
         assert np.isfinite(res.best().reward)
+
+    @pytest.mark.parametrize("method", ["a3c", "a2c"])
+    def test_restart_keeps_every_agents_records(self, space, method):
+        """A resurrection trims the shared record list in place, so the
+        records other live agents append afterwards still reach the
+        result.  Each agent's real (non-cached) records equal its
+        journaled evaluations, net of replays and of what each restart
+        trimmed (the numeric chaos row's configuration)."""
+        cfg = small_config(method, minutes=40, faults=numeric_faults(),
+                           guard=GuardConfig(mode="recover"),
+                           max_restarts=3)
+        sink = RecordingSink()
+        res = NasSearch(space, make_surrogate(space), cfg,
+                        event_sink=sink).run()
+        assert res.num_restarts >= 1
+        journaled = build_replay(sink.events, None)
+        for agent_id in range(cfg.allocation.num_agents):
+            real = sum(1 for rec in res.records
+                       if rec.agent_id == agent_id and not rec.cached)
+            assert real == len(journaled.get(agent_id, ())), agent_id
 
     def test_check_mode_resurrects_without_rollbacks(self, space):
         cfg = small_config(minutes=40, faults=numeric_faults(),

@@ -1,9 +1,11 @@
 """Tests for the timed parameter server and A3C sharding (§7 extension).
 
 k shards of the A3C server receive the same push stream and move in
-lockstep, so ``ps_shards = k`` builds one server whose service time is
-``ps_service_time / k`` (:class:`~repro.search.exchange.A3CExchange`).
+lockstep, so k shards of a server with service time s run as one server
+with ``ps_service_time = s / k`` (:class:`~repro.search.proposer.A3CProposer`).
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.rl import ParameterServer
-from repro.search import NasSearch, SearchConfig, build_exchange, run_search
+from repro.search import (A3CProposer, NasSearch, SearchConfig,
+                          build_proposer, run_search)
 
 
 def a3c_config(**kwargs):
@@ -86,51 +89,38 @@ class TestTimedPush:
 
 
 class TestShardedServer:
-    """Exchange-level sharding: the A3C exchange a sharded config
+    """Proposer-level sharding: the A3C server a k-shard service time
     builds."""
-
-    def test_zero_cost_push_matches_single_server(self):
-        space = combo_small()
-        single = build_exchange(Simulator(), a3c_config(), space).ps
-        sharded = build_exchange(Simulator(), a3c_config(ps_shards=3),
-                                 space).ps
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            delta = rng.standard_normal(6)
-            np.testing.assert_array_equal(single.push_async(delta),
-                                          sharded.push_async(delta))
 
     def test_sharding_parallelizes_service(self):
         """One full-vector push: k shards finish in service_time/k."""
         sim = Simulator()
-        exchange = build_exchange(
-            sim, a3c_config(ps_service_time=20.0, ps_shards=4),
-            combo_small())
-        assert exchange.ps.service_time == 5.0
+        proposer = build_proposer(sim, a3c_config(ps_service_time=20.0 / 4),
+                                  combo_small())
+        assert isinstance(proposer, A3CProposer)
+        assert proposer.ps.service_time == 5.0
         done = []
 
         def agent():
-            avg = yield from exchange.on_gradient(0, np.ones(8), 0)
+            loop = SimpleNamespace(agent_id=0, iteration=0)
+            avg = yield from proposer.push(loop, np.ones(8))
             done.append((sim.now, avg.shape))
 
         sim.process(agent())
         sim.run()
         assert done == [(5.0, (8,))]
 
-    def test_invalid_ctor(self):
-        """Shard counts below one are rejected."""
-        for shards in (0, -1):
-            with pytest.raises(ValueError, match="ps_shards"):
-                a3c_config(ps_shards=shards)
-
 
 class TestSearchIntegration:
     def test_sharded_a3c_resumes_bit_identically(self):
-        """A sharded server checkpoints its exchange history like any
-        other, so a mid-run checkpoint resumes onto the uninterrupted
-        run's fingerprint."""
+        """A timed server (two shards of a 20 s server) checkpoints its
+        exchange history like any other, so the mid-run checkpoint
+        resumes onto the uninterrupted run's fingerprint.  Only the
+        middle generation is checked: a generation taken while a timed
+        push is queued does not carry the server's queue clock, so not
+        every one resumes bit-identically yet (ROADMAP)."""
         space = combo_small()
-        cfg = a3c_config(wall_time=30 * 60.0, ps_shards=2,
+        cfg = a3c_config(wall_time=30 * 60.0, ps_service_time=20.0 / 2,
                          checkpoint_every_records=15)
         search = NasSearch(space, make_surrogate(space), cfg)
         full = search.run()
@@ -146,11 +136,11 @@ class TestSearchIntegration:
         space = combo_small()
         alloc = NodeAllocation(64, 8, 4)
         results = {}
-        for label, st, shards in (("free", 0.0, 1), ("busy", 60.0, 1),
-                                  ("sharded", 60.0, 4)):
+        for label, st in (("free", 0.0), ("busy", 60.0),
+                          ("sharded", 60.0 / 4)):
             cfg = SearchConfig(method="a3c", allocation=alloc,
                                wall_time=60 * 60, seed=1,
-                               ps_service_time=st, ps_shards=shards)
+                               ps_service_time=st)
             results[label] = run_search(space, make_surrogate(space), cfg)
         assert results["busy"].num_evaluations < \
             results["free"].num_evaluations

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analytics import top_k_architectures
+from repro.analytics import best_so_far_trajectory, top_k_architectures
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
@@ -180,7 +180,7 @@ class TestResultUtilities:
         assert rewards == sorted(rewards, reverse=True)
 
     def test_reward_trajectory_monotone(self, result):
-        traj = result.reward_trajectory()
+        traj = best_so_far_trajectory(result.records)
         assert (np.diff(traj[:, 1]) >= 0).all()
         assert (np.diff(traj[:, 0]) >= 0).all()
 

@@ -19,13 +19,12 @@ from repro.nas.spaces import combo_small, get_space
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.problems.nt3 import NT3_PAPER_SHAPES, nt3_head
 from repro.rewards import SurrogateReward, TabularReward
-from repro.search import (SEARCH_METHODS, A2CExchange, A3CExchange,
-                          NasSearch, RandomExchange, SearchConfig,
+from repro.search import (SEARCH_METHODS, NasSearch, SearchConfig,
                           run_search)
 from repro.search.ambs import AmbsProposer, RidgeEnsemble, encode_rows
 from repro.search.evolution import EvolutionProposer
-from repro.search.proposer import (HistoryProposer, PolicyProposer,
-                                   RandomProposer)
+from repro.search.proposer import (A2CProposer, A3CProposer,
+                                   PolicyProposer, RandomProposer)
 from repro.analytics import evaluations_to_regret
 
 NEW_METHODS = ("ambs", "evolution")
@@ -56,21 +55,25 @@ class TestRegistry:
                                        "ambs", "evolution"}
 
     def test_exchange_registry_is_still_rl_only(self):
-        # the proposer seam added no exchange: the new methods ride the
-        # no-op RDM exchange, so the rows still pair the paper's three
-        assert {m.exchange for m in SEARCH_METHODS.values()} == {
-            A3CExchange, A2CExchange, RandomExchange}
-        for name in ("ambs", "evolution"):
-            assert SEARCH_METHODS[name].exchange is RandomExchange
+        # only the paper's two RL modes exchange: they are the policy
+        # proposers, and every other method owns no parameter server
+        rl = {name for name, m in SEARCH_METHODS.items()
+              if issubclass(m.proposer, PolicyProposer)}
+        assert rl == {"a3c", "a2c"}
+        for name in ("rdm", "ambs", "evolution"):
+            assert SEARCH_METHODS[name].proposer.ps is None
 
     def test_method_rows_are_consistent(self):
         for name, m in SEARCH_METHODS.items():
             assert m.name == name
+            assert m.proposer.name == name
             assert m.summary
-            # the runner builds policies exactly for the proposer that
-            # samples them
-            assert m.learns == (m.proposer is PolicyProposer)
-        assert SEARCH_METHODS["a3c"].proposer is PolicyProposer
+            # the runner builds policies exactly for the proposers that
+            # sample them
+            assert m.proposer.learns == issubclass(m.proposer,
+                                                   PolicyProposer)
+        assert SEARCH_METHODS["a3c"].proposer is A3CProposer
+        assert SEARCH_METHODS["a2c"].proposer is A2CProposer
         assert SEARCH_METHODS["rdm"].proposer is RandomProposer
         assert SEARCH_METHODS["ambs"].proposer is AmbsProposer
         assert SEARCH_METHODS["evolution"].proposer is EvolutionProposer

@@ -2,9 +2,9 @@
 
 The refactor's shape is part of its contract: the runner is a thin
 composition root (no method over ~60 lines, no `_agent_body` monolith),
-and exchange modes / health / chaos / checkpointing each live behind
-their own seam.  These tests pin that shape so it cannot silently
-regress back into a monolith.
+and proposers (the RL ones with their exchange) / health / chaos /
+checkpointing each live behind their own seam.  These tests pin that
+shape so it cannot silently regress back into a monolith.
 """
 
 import ast
@@ -24,9 +24,9 @@ from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.rewards.base import EvalResult
-from repro.search import (SEARCH_METHODS, A2CExchange, A3CExchange,
-                          NasSearch, RandomExchange, SearchConfig,
-                          build_exchange)
+from repro.search import (SEARCH_METHODS, A2CProposer, A3CProposer,
+                          NasSearch, RandomProposer, SearchConfig,
+                          build_proposer)
 
 MAX_METHOD_LINES = 60
 
@@ -76,10 +76,14 @@ class TestRunnerShape:
 
 
 class TestExchangeSeam:
+    """The parameter-server exchange is the last step of the policy
+    proposer's ``observe``; proposers without a server make the
+    runner's lifecycle and checkpoint calls no-ops."""
+
     def test_registry_covers_methods(self):
-        assert SEARCH_METHODS["a2c"].exchange is A2CExchange
-        assert SEARCH_METHODS["a3c"].exchange is A3CExchange
-        assert SEARCH_METHODS["rdm"].exchange is RandomExchange
+        assert SEARCH_METHODS["a2c"].proposer is A2CProposer
+        assert SEARCH_METHODS["a3c"].proposer is A3CProposer
+        assert SEARCH_METHODS["rdm"].proposer is RandomProposer
 
     def test_config_validates_against_registry(self):
         with pytest.raises(ValueError, match="unknown method"):
@@ -87,26 +91,27 @@ class TestExchangeSeam:
 
     @pytest.mark.parametrize("method,ps_mode", [("a2c", "sync"),
                                                 ("a3c", "async")])
-    def test_build_exchange_server_modes(self, space, method, ps_mode):
-        from repro.hpc.sim import Simulator
-        exchange = build_exchange(Simulator(), small_config(method), space)
-        assert exchange.ps is not None
-        assert exchange.ps.mode == ps_mode
+    def test_build_proposer_server_modes(self, space, method, ps_mode):
+        proposer = build_proposer(Simulator(), small_config(method), space)
+        assert proposer.ps is not None
+        assert proposer.ps.mode == ps_mode
+        assert proposer.learns
 
     def test_rdm_has_no_server(self, space):
-        from repro.hpc.sim import Simulator
-        exchange = build_exchange(Simulator(), small_config("rdm"), space)
-        assert exchange.ps is None
-        assert isinstance(exchange, RandomExchange)
-        assert not SEARCH_METHODS["rdm"].learns
-        exchange.leave()                # lifecycle calls are no-ops
-        exchange.rejoin(0)
-        assert exchange.export_state() is None
+        proposer = build_proposer(Simulator(), small_config("rdm"), space)
+        assert proposer.ps is None
+        assert isinstance(proposer, RandomProposer)
+        assert not proposer.learns
+        proposer.leave()                # lifecycle calls are no-ops
+        proposer.rejoin(0)
+        assert proposer.export_state() is None
+        proposer.restore_state({"mode": "async"})
 
     def test_runner_exposes_ps_through_exchange(self, space):
         search = NasSearch(space, make_surrogate(space),
                            small_config("a2c"))
-        assert search.ps is search.exchange.ps
+        assert search.ps is search.proposer.ps
+        assert not hasattr(search, "exchange")
 
 
 class OddFirstChoiceRaises(SurrogateReward):

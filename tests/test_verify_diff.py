@@ -146,3 +146,35 @@ class TestAcceptance:
                 row = report["spaces"][problem][dtype]
                 assert row["sampled"] == 8
                 assert row["disagreements"] == 0
+
+
+class TestVerifyAll:
+    """``repro verify all`` checks every sampled architecture once."""
+
+    def test_all_runs_the_diff_matrix_once(self, monkeypatch, tmp_path,
+                                           capsys):
+        from repro.verify import cli, diff
+
+        calls = []
+
+        def recording_diffs(problem, n, **kwargs):
+            calls.append((problem, str(kwargs["dtype"])))
+            return []
+
+        monkeypatch.setattr(diff, "run_space_diffs", recording_diffs)
+        monkeypatch.setattr(cli, "_cmd_grad", lambda args: 0)
+        monkeypatch.setattr(cli, "_cmd_determinism", lambda args: 0)
+        out = tmp_path / "report.json"
+        assert cli.main(["all", "--output", str(out)]) == 0
+        # the report pass is the diff matrix: 3 problems x 2 dtypes
+        assert sorted(calls) == sorted(
+            (p, d) for p in PROBLEMS for d in ("float32", "float64"))
+        assert out.exists()
+        assert "verify: ALL OK" in capsys.readouterr().out
+
+    def test_all_has_no_first_pass_flags(self):
+        from repro.verify import cli
+
+        for flags in (["--dtype", "float32"], ["--training"]):
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(["all", *flags])

@@ -7,7 +7,7 @@ deliberately excluded — and fails with the offending strongly connected
 components if any cycle exists.  Run via ``make lint`` (and from
 ``make smoke``) to keep the runtime seams acyclic:
 
-    events ← evaluator ← search.exchange/hooks/loop ← search.runner
+    events ← evaluator ← search.proposer/hooks/loop ← search.runner
 
 Exit status: 0 when acyclic, 1 with a cycle report otherwise.
 """

@@ -11,11 +11,11 @@ seam modules, so a future method can't quietly grow a new monolith in
 the same budget, which keeps each of its scenarios a row of one table
 served by one runner, check and report, and so is the evaluation
 front-end, which holds the one submit loop every backend inherits.  The
-lifecycle hooks, the checkpoint/boundary module and the exchange
-strategies are held to it too: they carry the one agent snapshot and
-the one parameter server every method shares.  So is the simulated
-Balsam service, whose job pilot carries every node failure, crash,
-straggler and outage of the fault model.
+lifecycle hooks and the checkpoint/boundary module are held to it too:
+they carry the one agent snapshot every method shares.  The RL
+methods' parameter-server exchange is covered as part of the proposer
+module.  So is the simulated Balsam service, whose job pilot carries
+every node failure, crash, straggler and outage of the fault model.
 Docstrings don't count against the budget.  Run via ``make lint``.
 
 Exit status: 0 when every function fits, 1 with an offender report.
@@ -38,7 +38,6 @@ SEAM_MODULES = (
     "src/repro/search/methods.py",
     "src/repro/search/hooks.py",
     "src/repro/search/checkpoint.py",
-    "src/repro/search/exchange.py",
     "src/repro/search/chaos.py",
     "src/repro/evaluator/base.py",
     "src/repro/evaluator/balsam.py",
