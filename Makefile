@@ -4,10 +4,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast lint smoke chaos crashfuzz verify bench bench-quick bench-check bench-table
+.PHONY: test test-fast lint smoke chaos crashfuzz verify bench bench-quick bench-check bench-table perfbench-check
 
 ## label recorded with each 'make bench' entry in BENCH_substrate.json
 BENCH_LABEL ?= dev
+
+## the end-to-end benchmark's workloads (BENCHMARK.json)
+PERFBENCH_WORKLOADS = sim_a3c_1024 tabular_rdm_durable tabular_ambs train_combo_a3c
 
 ## full tier-1 test suite
 test:
@@ -43,8 +46,9 @@ lint:
 ## + a bounded crash-point fuzzing pass (a3c/ambs/evolution on serial)
 ## + the end-to-end benchmark's own tests, whose install test resolves
 ## every repro entry point perfbench patches (a rename fails here, not
-## in the benchmark run)
-smoke: lint bench-table
+## in the benchmark run), and one run of each of its workloads, which
+## must match the pinned fingerprints (perfbench-check)
+smoke: lint bench-table perfbench-check
 	$(PYTHON) -m pytest -q perfbench/tests
 	$(PYTHON) -m repro.perf --help >/dev/null  # import sanity
 	$(PYTHON) -c "import sys; from repro.perf import smoke; sys.exit(smoke([]))"
@@ -95,6 +99,22 @@ bench:
 ## print timings without writing the JSON file
 bench-quick:
 	$(PYTHON) benchmarks/bench_baseline.py --quick --no-write
+
+## one minimal run (--seconds 0: three repetitions) of every end-to-end
+## workload; fails unless the last line reports "correct": true, i.e.
+## every repetition's fingerprint, best reward and evaluation count
+## matched perfbench/reference.json
+perfbench-check:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		last=$$($(PYTHON) perfbench/run.py --workload $$w --seed 0 \
+			--seconds 0 --trace 0 | tail -n 1); \
+		echo "perfbench-check $$w: $$last"; \
+		case "$$last" in \
+			'{"correct": true,'*) ;; \
+			*) echo "perfbench-check: $$w does not match" \
+				"perfbench/reference.json"; exit 1 ;; \
+		esac; \
+	done
 
 ## fail when the latest BENCH_substrate.json entry regresses any tracked
 ## kernel by >15% vs. the best prior entry

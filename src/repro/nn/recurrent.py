@@ -10,9 +10,11 @@ stores one cache per step.
 :class:`FusedLSTM` is the hot-path driver over the same cell: one stacked
 gate GEMM per timestep over the concatenated ``[x, h]`` block, per-step
 intermediates in preallocated ``(T, B, ·)`` buffers reused across
-same-shape passes, and the whole-sequence weight gradient folded into a
-single GEMM.  The reference ``step``/``backward_step`` pair stays as the
-unfused ground truth the fused path is tested against.
+same-shape passes, whole-sequence gate-derivative multipliers so a
+backward step is a handful of numpy calls, and the whole-sequence
+weight gradient folded into a single GEMM.  The reference
+``step``/``backward_step`` pair stays as the unfused ground truth the
+fused path is tested against.
 """
 
 from __future__ import annotations
@@ -34,16 +36,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def _sigmoid_(x: np.ndarray) -> np.ndarray:
-    """In-place sigmoid via the identity σ(x) = (tanh(x/2) + 1)/2 —
-    numerically stable for any magnitude and allocation-free."""
-    x *= 0.5
-    np.tanh(x, out=x)
-    x += 1.0
-    x *= 0.5
-    return x
 
 
 @dataclass
@@ -139,18 +131,26 @@ class FusedLSTM:
     ``[x, h_prev]`` row block (instead of separate input and recurrent
     GEMMs), with gates activated in place inside preallocated
     ``(T, B, ·)`` state buffers that are reused across passes of the
-    same shape.  Backward: one GEMM per step for the carried gradient,
-    then a single whole-sequence GEMM for the weight gradients in
-    :meth:`backward_finish`.
+    same shape.  Backward: the pass's first step builds whole-sequence
+    gate-derivative multipliers from the forward buffers, so each step
+    is the cell-gradient carry, four multiplies and one GEMM for the
+    carried gradient; a single whole-sequence GEMM then folds the
+    weight gradients in :meth:`backward_finish`.
 
-    The stacked weight copy is refreshed on every :meth:`begin` because
-    the cell's parameter arrays are views into a flat parameter pack
-    that is mutated externally (fused Adam, parameter-server exchange,
-    checkpoint restore).
+    Batching the elementwise work changes which numpy call computes a
+    product, never its operands or their order: the pass is bit for bit
+    the per-step formulation (``tests/test_rl_ppo.py`` pins the
+    policy's numbers).  It matches the reference cell to rounding only —
+    the stacked gate GEMM contracts differently from the cell's two
+    GEMMs.  The stacked weight copy is refreshed on every :meth:`begin`
+    because the cell's parameter arrays are views into a flat parameter
+    pack that is mutated externally (fused Adam, parameter-server
+    exchange, checkpoint restore).
 
     The driver assumes the standard pass discipline (forward over all T
-    steps, then at most one backward over the same pass); ``h_0`` and
-    ``c_0`` are the zero initial state, as in the controller.
+    steps, then at most one backward over the same pass, from ``t = T−1``
+    down); ``h_0`` and ``c_0`` are the zero initial state, as in the
+    controller.
     """
 
     def __init__(self, cell: LSTMCell) -> None:
@@ -173,18 +173,32 @@ class FusedLSTM:
         key = (horizon, batch, dt)
         bufs = self._bufs.get(key)
         if bufs is None:
+            # gates holds [i | f | · | o] after the forward and becomes
+            # the multiplier W = [i, f, 1 − g², o] in the backward; v is
+            # V = [g, c_{t−1}, i, tanh_c] (row t+1 receives c_t, so row
+            # 0's c slot stays the zero c_0, as xh[0]'s h part stays h_0)
             shapes = {"xh": (horizon, batch, e + hsz),
                       "gates": (horizon, batch, 4 * hsz),
+                      "v": (horizon + 1, batch, 4 * hsz),
                       "dz": (horizon, batch, 4 * hsz),
                       "h": (horizon, batch, hsz),
-                      "c": (horizon, batch, hsz),
-                      "tanh_c": (horizon, batch, hsz),
+                      "a": (horizon, batch, hsz),
+                      "p": (batch, 4 * hsz),
+                      "tmp": (batch, 2 * hsz),
+                      "dc_total": (batch, hsz),
                       "dh_prev": (batch, hsz),
-                      "dc_prev": (batch, hsz),
-                      "tmp": (batch, hsz),
-                      "tmp2": (batch, hsz)}
-            bufs = {name: np.empty(shape, dtype=dt)
+                      "dc_prev": (batch, hsz)}
+            bufs = {name: np.zeros(shape, dtype=dt)
                     for name, shape in shapes.items()}
+            # gate-slot views, made once per shape: V and P as
+            # (·, B, 4, H), the two halves of tmp, dc_total broadcast
+            # over three slots
+            bufs["v4"] = bufs["v"].reshape(horizon + 1, batch, 4, hsz)
+            p4 = bufs["p"].reshape(batch, 4, hsz)
+            bufs["p_ifg"], bufs["p_o"] = p4[:, :3], p4[:, 3]
+            bufs["tmp_ig"] = bufs["tmp"][:, :hsz]
+            bufs["tmp_fc"] = bufs["tmp"][:, hsz:]
+            bufs["dc_total3"] = bufs["dc_total"][:, None, :]
             self._bufs[key] = bufs
         if self._w is None or self._w.shape != (e + hsz, 4 * hsz) \
                 or self._w.dtype != dt:
@@ -193,36 +207,75 @@ class FusedLSTM:
         np.copyto(self._w[e:], cell.wh.value)
         self._cur = bufs
 
-    def step(self, t: int, x: np.ndarray) -> np.ndarray:
-        """Advance one step on input ``x`` (B, E); returns ``h_t`` as a
-        view into the pass buffer."""
+    def forward(self, xs: np.ndarray) -> np.ndarray:
+        """Teacher-forced pass over the whole ``(T, B, E)`` input block;
+        returns the ``(T, B, H)`` hidden states (the pass buffer)."""
+        self._cur["xh"][:, :, :self.cell.input_size] = xs
+        for t in range(len(xs)):
+            self.step(t)
+        return self._cur["h"]
+
+    def step(self, t: int, x: np.ndarray | None = None) -> np.ndarray:
+        """Advance one step on input ``x`` (B, E), or on the input
+        :meth:`forward` already loaded; returns ``h_t`` as a view into
+        the pass buffer."""
         cell, bufs = self.cell, self._cur
         e, hsz = cell.input_size, cell.hidden_size
         xh = bufs["xh"][t]
-        xh[:, :e] = x
-        if t == 0:
-            xh[:, e:] = 0.0
-        else:
+        if x is not None:
+            xh[:, :e] = x
+        if t > 0:
             xh[:, e:] = bufs["h"][t - 1]
         z = bufs["gates"][t]
         np.matmul(xh, self._w, out=z)
         z += cell.b.value
-        i, f = z[:, :hsz], z[:, hsz:2 * hsz]
-        g, o = z[:, 2 * hsz:3 * hsz], z[:, 3 * hsz:]
-        _sigmoid_(z[:, :2 * hsz])  # i and f are adjacent: one fused pass
-        np.tanh(g, out=g)
-        _sigmoid_(o)
-        c = bufs["c"][t]
-        np.multiply(i, g, out=c)
+        v = bufs["v"][t]
+        g = v[:, :hsz]
+        np.tanh(z[:, 2 * hsz:3 * hsz], out=g)
+        # σ(z) = (tanh(z/2) + 1)/2 in place over the whole gate row;
+        # the g slot's output is never read
+        z *= 0.5
+        np.tanh(z, out=z)
+        z += 1.0
+        z *= 0.5
+        # c_t = i·g + f·c_{t−1}; [i | f] times V's adjacent [g | c_{t−1}]
+        # forms both products in one call
+        c = bufs["v4"][t + 1, :, 1]
         if t > 0:
-            tmp = bufs["tmp"]
-            np.multiply(f, bufs["c"][t - 1], out=tmp)
-            c += tmp
-        tanh_c = bufs["tanh_c"][t]
+            np.multiply(z[:, :2 * hsz], v[:, :2 * hsz], out=bufs["tmp"])
+            np.add(bufs["tmp_ig"], bufs["tmp_fc"], out=c)
+        else:
+            np.multiply(z[:, :hsz], g, out=c)
+        tanh_c = v[:, 3 * hsz:]
         np.tanh(c, out=tanh_c)
         h = bufs["h"][t]
-        np.multiply(o, tanh_c, out=h)
+        np.multiply(z[:, 3 * hsz:], tanh_c, out=h)
         return h
+
+    def _multipliers(self) -> None:
+        """Whole-sequence gate-derivative multipliers, once per backward.
+
+        Step ``t``'s gate gradient is ``((U·V[t])·W[t])·X[t]`` with
+        ``U = [dc_total, dc_total, dc_total, dh]``, ``V = [g, c_{t−1}, i,
+        tanh_c]``, ``W = [i, f, 1 − g², o]`` and ``X = [1 − i, 1 − f, 1,
+        1 − o]``: the per-step products, each with its operands in their
+        order (the g slot's third factor is exactly 1).  ``X`` is
+        pre-filled into ``dz``, whose last multiply overwrites it, and
+        ``A = (1 − tanh_c²)·o`` is the ``dh`` factor of ``dc_total``.
+        """
+        bufs, hsz = self._cur, self.cell.hidden_size
+        gates, dz, a = bufs["gates"], bufs["dz"], bufs["a"]
+        v = bufs["v"][:len(gates)]
+        np.subtract(1.0, gates, out=dz)
+        dz[:, :, 2 * hsz:3 * hsz] = 1.0
+        v[:, :, 2 * hsz:3 * hsz] = gates[:, :, :hsz]
+        g, wg = v[:, :, :hsz], gates[:, :, 2 * hsz:3 * hsz]
+        np.multiply(g, g, out=wg)
+        np.subtract(1.0, wg, out=wg)
+        tanh_c = v[:, :, 3 * hsz:]
+        np.multiply(tanh_c, tanh_c, out=a)
+        np.subtract(1.0, a, out=a)
+        a *= gates[:, :, 3 * hsz:]
 
     def backward_step(self, t: int, dh: np.ndarray, dc: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -232,56 +285,31 @@ class FusedLSTM:
         gate gradient is stored so :meth:`backward_finish` can fold the
         weight gradients into one whole-sequence GEMM and
         :meth:`input_grads` can recover every step's ``dx`` the same
-        way.  ``dh_prev`` is a view into a scratch buffer overwritten by
-        the next call — consume it before stepping again.
+        way.  ``dh_prev`` and ``dc_prev`` are views into scratch buffers
+        overwritten by the next call — consume them before stepping
+        again (passing ``dc_prev`` back in as ``dc`` is fine).
         """
-        cell, bufs = self.cell, self._cur
-        hsz = cell.hidden_size
-        z = bufs["gates"][t]
-        i, f = z[:, :hsz], z[:, hsz:2 * hsz]
-        g, o = z[:, 2 * hsz:3 * hsz], z[:, 3 * hsz:]
-        tanh_c = bufs["tanh_c"][t]
-        dz = bufs["dz"][t]
-        dzi, dzf = dz[:, :hsz], dz[:, hsz:2 * hsz]
-        dzg, dzo = dz[:, 2 * hsz:3 * hsz], dz[:, 3 * hsz:]
-        tmp, tmp2 = bufs["tmp"], bufs["tmp2"]
-        # dc_total = dc + dh * o * (1 - tanh_c²), built in tmp — the
-        # caller's dc is bufs["dc_prev"] (or the initial zeros), never
-        # tmp itself
-        np.multiply(tanh_c, tanh_c, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        tmp *= o
-        tmp *= dh
-        tmp += dc
-        dc_total = tmp
-        # dzo = dh tanh_c · o(1-o)
-        np.multiply(dh, tanh_c, out=dzo)
-        dzo *= o
-        np.subtract(1.0, o, out=tmp2)
-        dzo *= tmp2
-        # dzi = dc_total g · i(1-i)
-        np.multiply(dc_total, g, out=dzi)
-        dzi *= i
-        np.subtract(1.0, i, out=tmp2)
-        dzi *= tmp2
-        # dzg = dc_total i · (1-g²)
-        np.multiply(dc_total, i, out=dzg)
-        np.multiply(g, g, out=tmp2)
-        np.subtract(1.0, tmp2, out=tmp2)
-        dzg *= tmp2
-        # dzf = dc_total c_prev · f(1-f); c_0 == 0 kills it at t == 0
-        if t > 0:
-            np.multiply(dc_total, bufs["c"][t - 1], out=dzf)
-            dzf *= f
-            np.subtract(1.0, f, out=tmp2)
-            dzf *= tmp2
-        else:
-            dzf[...] = 0.0
-        e = cell.input_size
+        bufs, hsz = self._cur, self.cell.hidden_size
+        if t == len(bufs["dz"]) - 1:
+            self._multipliers()
+        # dc_total = ((1 − tanh_c²)·o)·dh + dc
+        dc_total = bufs["dc_total"]
+        np.multiply(bufs["a"][t], dh, out=dc_total)
+        dc_total += dc
+        # P = U·V[t], U = [dc_total, dc_total, dc_total, dh]: one
+        # broadcast multiply over the i/f/g slots, one for the o slot
+        v4 = bufs["v4"]
+        np.multiply(bufs["dc_total3"], v4[t, :, :3], out=bufs["p_ifg"])
+        np.multiply(dh, v4[t, :, 3], out=bufs["p_o"])
+        p, w, dz = bufs["p"], bufs["gates"][t], bufs["dz"][t]
+        p *= w
+        np.multiply(p, dz, out=dz)
+        if t == 0:
+            dz[:, hsz:2 * hsz] = 0.0  # c_0 == 0; +0.0, never −0.0
         dh_prev = bufs["dh_prev"]
-        np.matmul(dz, self._w[e:].T, out=dh_prev)
+        np.matmul(dz, self._w[self.cell.input_size:].T, out=dh_prev)
         dc_prev = bufs["dc_prev"]
-        np.multiply(dc_total, f, out=dc_prev)
+        np.multiply(dc_total, w[:, hsz:2 * hsz], out=dc_prev)
         return dh_prev, dc_prev
 
     def backward_finish(self) -> None:

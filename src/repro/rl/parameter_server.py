@@ -69,8 +69,12 @@ class ParameterServer:
         self._waiters: list[Event] = []
         self.num_failed_agents = 0
         self.num_resurrections = 0
-        # timed-service state: the PS node handles one push at a time
+        # timed-service state: the PS node handles one push at a time;
+        # _served_until is the finish time of the last push applied
+        # (the queue clock a checkpoint carries), _busy_until also
+        # counts the pushes still queued
         self._busy_until = 0.0
+        self._served_until = 0.0
 
     # -- delta hygiene ----------------------------------------------------
     def _sanitize(self, delta: np.ndarray) -> str | None:
@@ -104,29 +108,32 @@ class ParameterServer:
         self._recent.append(delta)
         return np.mean(self._recent, axis=0)
 
-    def push_async_timed(self, delta: np.ndarray) -> Event:
-        """Asynchronous push through a single-server queue.
+    def push_async_timed(self, delta: np.ndarray):
+        """Asynchronous push through a single-server queue; returns a
+        generator for the pushing process (``avg = yield from
+        ps.push_async_timed(delta)``).
 
         The PS node handles one push at a time for ``service_time``
         simulated seconds (proportional, in reality, to the parameter
-        vector it must average); the returned event fires with the
-        average once this push's service completes.  With many agents, a
-        single server queues — the §7 scalability bottleneck that
-        sharding the vector k ways divides by serving each push in
-        ``service_time / k``.
+        vector it must average).  The push is queued at once; when its
+        service completes, the pushing process wakes, and the push is
+        averaged in — inside that same wakeup, so a checkpoint or a
+        preemption never sees a served push whose agent has not moved
+        past it.  With many agents, a single server queues — the §7
+        scalability bottleneck that sharding the vector k ways divides
+        by serving each push in ``service_time / k``.
         """
         if self.mode != "async":
             raise RuntimeError("push_async_timed on a synchronous server")
-        ev = self.sim.event()
         start = max(self.sim.now, self._busy_until)
-        finish = start + self.service_time
-        self._busy_until = finish
+        self._busy_until = start + self.service_time
+        return self._serve(
+            self.sim.timeout_event(self._busy_until - self.sim.now), delta)
 
-        def complete(_value) -> None:
-            ev.succeed(self.push_async(delta))
-
-        self.sim._schedule(finish - self.sim.now, complete, None)
-        return ev
+    def _serve(self, served: Event, delta: np.ndarray):
+        yield served
+        self._served_until = self.sim.now
+        return self.push_async(delta)
 
     @property
     def queue_delay(self) -> float:
@@ -225,6 +232,12 @@ class ParameterServer:
             "num_failed_agents": self.num_failed_agents,
             "recent": [v.tolist() for v in self._recent],
         }
+        # the queue clock of a timed server: a replayed push that first
+        # queued behind an already-applied push must queue behind it
+        # again (absent at service time 0, so those checkpoints keep
+        # their bytes)
+        if self.service_time > 0:
+            state["served_until"] = self._served_until
         # Health-layer counters ride along only when the layer is in
         # play, so a guard-off checkpoint keeps the pinned v1 schema
         # (tests/test_search_checkpoint_golden.py) byte-for-byte.
@@ -247,6 +260,8 @@ class ParameterServer:
         self._recent.clear()
         for vec in state["recent"]:
             self._recent.append(np.asarray(vec, dtype=np.float64))
+        self._served_until = float(state.get("served_until", 0.0))
+        self._busy_until = self._served_until
         # older generations also carry "num_stale_evicted" and
         # "recent_times" here; nothing reads them any more
         health = state.get("health", {})

@@ -49,16 +49,6 @@ class Rollout:
     values: np.ndarray      # (B, T)
 
 
-@dataclass
-class _StepCache:
-    tokens: np.ndarray      # (B,) input token ids
-    h: np.ndarray           # (B, H) — view into the fused pass buffer
-    logp_full: np.ndarray   # (B, A) log-probabilities (masked ~ -inf)
-    probs: np.ndarray       # (B, A)
-    actions: np.ndarray     # (B,)
-    entropy: np.ndarray     # (B,)
-
-
 class LSTMPolicy:
     """Actor-critic controller over a fixed action-dimension sequence."""
 
@@ -189,15 +179,14 @@ class LSTMPolicy:
         return actions
 
     def forward_train(self, actions: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 list[_StepCache]]:
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Recompute (logprobs, values, entropies) for given actions,
-        caching everything ``backward_train`` needs.
+        keeping everything ``backward_train`` needs.
 
         Unlike ``sample``, the whole input sequence is known upfront, so
-        only the recurrent carry runs step by step — the head GEMM,
-        log-softmax, and entropy are computed for all ``T`` steps at
-        once."""
+        only the recurrent carry runs step by step — the embedding
+        gather, head GEMM, log-softmax, and entropy are computed for all
+        ``T`` steps at once."""
         actions = np.asarray(actions, dtype=np.intp)
         batch, horizon = actions.shape
         if horizon != self.horizon:
@@ -207,10 +196,7 @@ class LSTMPolicy:
         # token t is action t-1 shifted by one; token 0 is <start>
         tokens = np.zeros((horizon, batch), dtype=np.intp)
         tokens[1:] = actions[:, :-1].T + 1
-        xs = self.embedding.value[tokens]                   # (T, B, E)
-        for t in range(horizon):
-            self._fused.step(t, xs[t])
-        h_all = self._fused.hidden_states                   # (T, B, H)
+        h_all = self._fused.forward(self.embedding.value[tokens])
         hv = (h_all.reshape(horizon * batch, self.hidden) @ self._head_w
               + self._head_b).reshape(horizon, batch, a + 1)
         logits = hv[:, :, :a] + self._mask[:, None, :]
@@ -229,24 +215,22 @@ class LSTMPolicy:
         entropies = ent.T.astype(np.float64)
         self._seq = {"tokens": tokens, "logp_full": logp_full,
                      "probs": probs, "entropy": ent, "actions": acts}
-        caches = [_StepCache(tokens[t], h_all[t], logp_full[t], probs[t],
-                             actions[:, t], ent[t]) for t in range(horizon)]
-        return logprobs, values, entropies, caches
+        return logprobs, values, entropies
 
-    def backward_train(self, caches: list[_StepCache], d_logp: np.ndarray,
-                       d_value: np.ndarray, d_entropy: np.ndarray) -> None:
+    def backward_train(self, d_logp: np.ndarray, d_value: np.ndarray,
+                       d_entropy: np.ndarray) -> None:
         """Accumulate parameter gradients for a scalar objective with the
-        given partials w.r.t. per-step logprob/value/entropy.
+        given ``(B, T)`` partials w.r.t. per-step logprob/value/entropy.
 
-        Must follow the ``forward_train`` pass whose caches it consumes
-        (the recurrent state lives in the fused driver's pass buffers).
+        Must follow the ``forward_train`` pass it differentiates (the
+        recurrent state lives in the fused driver's pass buffers, the
+        head statistics in ``self._seq``).
         """
         dt = self._dtype
         d_logp = np.asarray(d_logp, dtype=dt)
         d_value = np.asarray(d_value, dtype=dt)
         d_entropy = np.asarray(d_entropy, dtype=dt)
-        batch = caches[0].tokens.shape[0]
-        horizon = len(caches)
+        batch, horizon = d_logp.shape
         a = self.max_dim
         seq = self._seq
         probs, logp_full = seq["probs"], seq["logp_full"]

@@ -108,8 +108,7 @@ class PPOUpdater:
         cfg = self.config
         old_logp = rollout.logprobs
         n = old_logp.size
-        logp, values, entropies, caches = self.policy.forward_train(
-            rollout.actions)
+        logp, values, entropies = self.policy.forward_train(rollout.actions)
         ratio = np.exp(logp - old_logp)
         clipped = np.clip(ratio, 1.0 - _CLIP, 1.0 + _CLIP)
         surr1 = ratio * advantages
@@ -128,7 +127,7 @@ class PPOUpdater:
             d_value = _VALUE_COEF * value_err / n
             d_entropy = np.full_like(logp, -cfg.entropy_coef / n)
             self.policy.zero_grad()
-            self.policy.backward_train(caches, d_logp, d_value, d_entropy)
+            self.policy.backward_train(d_logp, d_value, d_entropy)
 
         log_ratio = logp - old_logp
         stats = PPOStats(float(policy_loss), float(value_loss),

@@ -24,6 +24,11 @@ and at most one check across rows.  :func:`run`, :func:`check` and
 * ``crashpoint`` — SIGKILL the whole search at stratified journal
   records; resume must be bit-identical with zero re-evaluation.
 
+The faults, numeric and proc rows also account for every record: per
+agent, the result's non-cached records must equal the journaled
+evaluations of the event stream (``unaccounted_agents`` stays zero), an
+invariant that needs no reference run.
+
 Run via ``make chaos`` or::
 
     PYTHONPATH=src python -m repro.search.chaos --minutes 45
@@ -58,7 +63,8 @@ from ..problems.combo import COMBO_PAPER_SHAPES, combo_head
 from ..rewards import SurrogateReward
 from ..rewards.base import EvalResult, RewardModel
 from .base import SearchConfig
-from .journal import JOURNAL_NAME, read_journal, resume_durable
+from .journal import (JOURNAL_NAME, build_replay, read_journal,
+                      resume_durable)
 from .runner import NasSearch
 
 __all__ = ["ChaosEvalModel", "Scenario", "SCENARIOS", "fault_levels",
@@ -150,9 +156,11 @@ def _surrogate(space) -> SurrogateReward:
         log_params_opt=6.5, seed=7)
 
 
-def _run_row(level: str, search: NasSearch, columns) -> dict:
-    """Run ``search`` into one result row: the columns every search
-    scenario shares, then ``columns(search, result)``'s own."""
+def _run_row(level: str, search: NasSearch, sink: RecordingSink,
+             columns) -> dict:
+    """Run ``search`` (built with ``event_sink=sink``) into one result
+    row: the columns every search scenario shares, then
+    ``columns(search, result)``'s own."""
     result = search.run()
     best = result.best().reward if result.records else float("-inf")
     return {"level": level, "method": search.config.method,
@@ -160,7 +168,22 @@ def _run_row(level: str, search: NasSearch, columns) -> dict:
             "finite_best": math.isfinite(best),
             "failed_evals": result.num_failed_evals,
             "failed_agents": len(result.failed_agents),
+            "unaccounted_agents": _unaccounted_agents(sink, result),
             **columns(search, result)}
+
+
+def _unaccounted_agents(sink: RecordingSink, result) -> int:
+    """Agents whose non-cached records differ in number from their
+    journaled evaluations (``eval-done``, net of replays and of what
+    each RESTART trimmed) — the record accounting that needs no
+    reference run."""
+    journaled = build_replay(sink.events, None)
+    real: dict[int, int] = {}
+    for rec in result.records:
+        if not rec.cached:
+            real[rec.agent_id] = real.get(rec.agent_id, 0) + 1
+    return sum(1 for agent_id in set(real) | set(journaled)
+               if real.get(agent_id, 0) != len(journaled.get(agent_id, ())))
 
 
 def fault_levels(minutes: float, seed: int) -> list[tuple[str,
@@ -207,11 +230,13 @@ def _fault_cell(method: str, minutes: float = 45.0, seed: int = 1,
             method=method, allocation=_ALLOCATION,
             wall_time=minutes * 60.0, seed=seed, faults=faults,
             batch_deadline=(None if faults is None else minutes * 60.0 / 4))
-        search = NasSearch(space, _surrogate(space), cfg)
-        rows.append(_run_row(f"faults/{method}/{name}", search, lambda s, r: {
-            "node_failures": s.cluster.num_failures,
-            "job_restarts": s.service.num_restarts,
-            "mean_utilization": s.cluster.mean_utilization(r.end_time)}))
+        sink = RecordingSink()
+        search = NasSearch(space, _surrogate(space), cfg, event_sink=sink)
+        rows.append(_run_row(
+            f"faults/{method}/{name}", search, sink, lambda s, r: {
+                "node_failures": s.cluster.num_failures,
+                "job_restarts": s.service.num_restarts,
+                "mean_utilization": s.cluster.mean_utilization(r.end_time)}))
     return rows
 
 
@@ -245,8 +270,9 @@ def _numeric_cell(method: str, minutes: float = 40.0, seed: int = 1,
         faults=FaultConfig(nan_grad_prob=0.05, exploding_loss_prob=0.02,
                            corrupt_delta_prob=0.05, seed=seed + 2),
         guard=GuardConfig(mode="recover"), max_restarts=max_restarts)
-    search = NasSearch(space, _surrogate(space), cfg)
-    return [_run_row(f"numeric/{method}", search, lambda s, r: {
+    sink = RecordingSink()
+    search = NasSearch(space, _surrogate(space), cfg, event_sink=sink)
+    return [_run_row(f"numeric/{method}", search, sink, lambda s, r: {
         "rollbacks": r.num_rollbacks, "restarts": r.num_restarts,
         "numeric_faults": (s.injector.num_numeric_faults
                            if s.injector else 0),
@@ -305,7 +331,7 @@ def _proc_cell(method: str, seed: int = 1, iterations: int = 3,
     thread = threading.Thread(target=killer, daemon=True)
     thread.start()
     try:
-        row = _run_row(f"proc/{method}", search, lambda s, r: {
+        row = _run_row(f"proc/{method}", search, sink, lambda s, r: {
             **r.worker_stats, "worker_faults": (
                 r.worker_stats["worker_crashes"]
                 + r.worker_stats["worker_timeouts"]),
@@ -503,20 +529,23 @@ class Scenario:
 
 
 _NO_EVALS = {"evaluations": "produced no evaluations"}
+_UNACCOUNTED = {"unaccounted_agents": "{} agent(s) whose non-cached "
+                                      "records differ from the journal's "
+                                      "evaluations"}
 
 SCENARIOS: dict[str, Scenario] = {
     "faults": Scenario(
         _fault_cell, ("a3c",),
-        zero={"failed_agents": "{} agent(s) lost"}, fire=_NO_EVALS,
-        across=_reward_drop,
+        zero={"failed_agents": "{} agent(s) lost", **_UNACCOUNTED},
+        fire=_NO_EVALS, across=_reward_drop,
         columns=("evaluations", "best_reward", "failed_evals",
                  "failed_agents", "node_failures", "job_restarts",
-                 "mean_utilization"),
+                 "mean_utilization", "unaccounted_agents"),
         options=lambda a: {"minutes": a.minutes, "seed": a.seed}),
     "numeric": Scenario(
         _numeric_cell, ("a3c", "a2c"),
         zero={"failed_agents": "{} agent(s) permanently lost below the "
-                               "restart cap"},
+                               "restart cap", **_UNACCOUNTED},
         fire={**_NO_EVALS,
               "finite_best": "best reward not finite",
               "numeric_faults": "no numeric faults fired — the profile "
@@ -525,11 +554,11 @@ SCENARIOS: dict[str, Scenario] = {
               "restarts": "no agent was resurrected"},
         columns=("evaluations", "best_reward", "numeric_faults",
                  "rollbacks", "restarts", "rejected_deltas",
-                 "failed_agents"),
+                 "failed_agents", "unaccounted_agents"),
         options=lambda a: {"minutes": a.minutes, "seed": a.seed}),
     "proc": Scenario(
         _proc_cell, ("a3c",),
-        zero={"failed_agents": "{} agent(s) lost"},
+        zero={"failed_agents": "{} agent(s) lost", **_UNACCOUNTED},
         fire={**_NO_EVALS,
               "worker_faults": "no worker was ever killed — the profile "
                                "tested nothing",
@@ -539,7 +568,7 @@ SCENARIOS: dict[str, Scenario] = {
                            "stream"},
         columns=("evaluations", "best_reward", "external_kills",
                  "worker_crashes", "worker_timeouts", "respawns",
-                 "quarantined", "inline_evals"),
+                 "quarantined", "inline_evals", "unaccounted_agents"),
         options=lambda a: {"seed": a.seed}),
     "crashpoint": Scenario(
         _crashpoint_cell, ("a3c", "a2c", "rdm"),

@@ -233,7 +233,7 @@ class A3CProposer(PolicyProposer):
 
     def push(self, loop, delta):
         if self.ps.service_time > 0.0:
-            return (yield self.ps.push_async_timed(delta))
+            return (yield from self.ps.push_async_timed(delta))
         return self.ps.push_async(delta)
 
 

@@ -202,13 +202,13 @@ def check_policy(action_dims, *, batch: int = 2, hidden: int = 8,
     w_e = rng.standard_normal((batch, horizon))
 
     def objective() -> float:
-        logp, values, entropies, _ = policy.forward_train(actions)
+        logp, values, entropies = policy.forward_train(actions)
         return float((w_l * logp).sum() + (w_v * values).sum()
                      + (w_e * entropies).sum())
 
     policy.zero_grad()
-    _, _, _, caches = policy.forward_train(actions)
-    policy.backward_train(caches, w_l, w_v, w_e)
+    policy.forward_train(actions)
+    policy.backward_train(w_l, w_v, w_e)
 
     flat = policy.flat
     tracker = _ErrorTracker(

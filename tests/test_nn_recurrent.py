@@ -184,6 +184,30 @@ class TestFusedLSTM:
         for horizon, batch in [(5, 8), (5, 3), (2, 8), (5, 8)]:
             self._assert_pass_matches(cell, fused, rng, horizon, batch)
 
+    def test_forward_block_matches_stepwise_bit_for_bit(self, rng):
+        """``forward`` (the whole input block loaded up front, as
+        ``forward_train`` does) and per-step ``step(t, x)`` (as sampling
+        does) are one computation: equal hidden states and gradients,
+        bit for bit."""
+        cell = LSTMCell(5, 8, rng)
+        xs = rng.standard_normal((6, 3, 5))
+        dhs = [rng.standard_normal((3, 8)) for _ in range(6)]
+        stepwise = self._fused_pass(FusedLSTM(cell), list(xs), dhs)
+        fused = FusedLSTM(cell)
+        fused.begin(6, 3)
+        hs = fused.forward(xs).copy()
+        for p in cell.parameters():
+            p.zero_grad()
+        dh_next, dc = None, np.zeros((3, 8))
+        for t in reversed(range(6)):
+            dh = dhs[t] + dh_next if dh_next is not None else dhs[t]
+            dh_next, dc = fused.backward_step(t, dh, dc)
+        fused.backward_finish()
+        np.testing.assert_array_equal(hs, np.stack(stepwise[0]))
+        for p in cell.parameters():
+            np.testing.assert_array_equal(p.grad, stepwise[1][p.name])
+        np.testing.assert_array_equal(fused.input_grads(), stepwise[2])
+
     def test_weight_refresh_on_begin(self, rng):
         """Parameters are flat-pack views mutated externally; begin()
         must pick up the new values."""

@@ -23,18 +23,18 @@ class TestSampling:
         pol = LSTMPolicy(DIMS, seed=0)
         ro = pol.sample(16, rng)
         assert (ro.logprobs <= 0).all()
-        lp, v, ent, _ = pol.forward_train(ro.actions)
+        lp, v, ent = pol.forward_train(ro.actions)
         np.testing.assert_allclose(lp, ro.logprobs, atol=1e-12)
         np.testing.assert_allclose(v, ro.values, atol=1e-12)
 
     def test_masked_actions_have_zero_probability(self, rng):
         pol = LSTMPolicy([2, 2], seed=1)
         ro = pol.sample(1, rng)
-        lp, _, _, caches = pol.forward_train(ro.actions)
-        # probabilities beyond dim 2 are exactly zero
-        for cache in caches:
-            np.testing.assert_array_equal(cache.probs[:, 2:], 0.0)
-            np.testing.assert_allclose(cache.probs.sum(axis=-1), 1.0)
+        pol.forward_train(ro.actions)
+        # probabilities beyond dim 2 are exactly zero at every step
+        probs = pol._seq["probs"]                           # (T, B, A)
+        np.testing.assert_array_equal(probs[:, :, 2:], 0.0)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0)
 
     def test_greedy_deterministic(self):
         pol = LSTMPolicy(DIMS, seed=3)
@@ -51,7 +51,7 @@ class TestSampling:
     def test_entropy_positive(self, rng):
         pol = LSTMPolicy(DIMS, seed=0)
         ro = pol.sample(4, rng)
-        _, _, ent, _ = pol.forward_train(ro.actions)
+        _, _, ent = pol.forward_train(ro.actions)
         assert (ent > 0).all()
         assert (ent <= np.log(max(DIMS)) + 1e-9).all()
 
@@ -96,13 +96,13 @@ class TestGradients:
         w_e = rng.standard_normal(ro.values.shape)
 
         def obj():
-            lp, v, ent, _ = pol.forward_train(ro.actions)
+            lp, v, ent = pol.forward_train(ro.actions)
             return float((w_lp * lp).sum() + (w_v * v).sum()
                          + (w_e * ent).sum())
 
-        _, _, _, caches = pol.forward_train(ro.actions)
+        pol.forward_train(ro.actions)
         pol.zero_grad()
-        pol.backward_train(caches, w_lp, w_v, w_e)
+        pol.backward_train(w_lp, w_v, w_e)
         assert_grad_matches(obj, pol.parameters(), rng, n_checks=2)
 
     def test_zero_grad(self):

@@ -41,7 +41,7 @@ class TestTimedPush:
         got = []
 
         def agent():
-            avg = yield ps.push_async_timed(np.array([2.0]))
+            avg = yield from ps.push_async_timed(np.array([2.0]))
             got.append((sim.now, float(avg[0])))
 
         sim.process(agent())
@@ -55,7 +55,7 @@ class TestTimedPush:
         done = []
 
         def agent(value):
-            avg = yield ps.push_async_timed(np.array([value]))
+            avg = yield from ps.push_async_timed(np.array([value]))
             done.append((sim.now, float(avg[0])))
 
         for v in (1.0, 2.0, 3.0):
@@ -77,6 +77,33 @@ class TestTimedPush:
 
         sim.process(agent())
         sim.run()
+
+    def test_push_lands_in_the_pushers_own_wakeup(self):
+        """A process running at the push's finish time, between its
+        service completion and the pusher's wakeup, sees the server
+        without that push: the exported state agrees with a pusher
+        that has not yet moved past it (a checkpoint taken there
+        replays the push instead of double-counting it)."""
+        sim = Simulator()
+        ps = ParameterServer(sim, num_agents=2, mode="async",
+                             service_time=5.0)
+        seen = []
+
+        def pusher():
+            yield from ps.push_async_timed(np.array([1.0]))
+            seen.append(("woke", sim.now))
+
+        def observer():
+            yield Timeout(5.0)
+            state = ps.export_state()
+            seen.append(("observed", sim.now, state["num_pushes"],
+                         len(state["recent"]), state["served_until"]))
+
+        sim.process(pusher())
+        sim.process(observer())
+        sim.run()
+        assert seen == [("observed", 5.0, 0, 0, 0.0), ("woke", 5.0)]
+        assert ps.export_state()["served_until"] == 5.0
 
     def test_sync_mode_rejects_timed_push(self):
         ps = ParameterServer(Simulator(), 2, mode="sync")
@@ -113,24 +140,27 @@ class TestShardedServer:
 
 class TestSearchIntegration:
     def test_sharded_a3c_resumes_bit_identically(self):
-        """A timed server (two shards of a 20 s server) checkpoints its
-        exchange history like any other, so the mid-run checkpoint
-        resumes onto the uninterrupted run's fingerprint.  Only the
-        middle generation is checked: a generation taken while a timed
-        push is queued does not carry the server's queue clock, so not
-        every one resumes bit-identically yet (ROADMAP)."""
+        """A timed server (two shards of a 20 s server, and one 20 s
+        server) checkpoints its exchange history and its queue clock, so
+        every generation resumes onto the uninterrupted run's
+        fingerprint — including those taken while a push is queued
+        behind an already-applied one."""
         space = combo_small()
-        cfg = a3c_config(wall_time=30 * 60.0, ps_service_time=20.0 / 2,
-                         checkpoint_every_records=15)
-        search = NasSearch(space, make_surrogate(space), cfg)
-        full = search.run()
-        assert len(search.checkpoints) >= 3
-        mid = search.checkpoints[len(search.checkpoints) // 2]
-        assert mid.ps_state is not None
-        resumed = NasSearch(space, make_surrogate(space), cfg,
-                            resume_from=mid.round_trip()).run()
-        assert resumed.fingerprint() == full.fingerprint()
-        assert resumed.num_evaluations == full.num_evaluations
+        for service_time in (20.0 / 2, 20.0):
+            cfg = a3c_config(wall_time=30 * 60.0,
+                             ps_service_time=service_time,
+                             checkpoint_every_records=15)
+            search = NasSearch(space, make_surrogate(space), cfg)
+            full = search.run()
+            assert len(search.checkpoints) >= 3
+            for gen, ckpt in enumerate(search.checkpoints):
+                assert ckpt.ps_state is not None
+                resumed = NasSearch(space, make_surrogate(space), cfg,
+                                    resume_from=ckpt.round_trip()).run()
+                where = f"service time {service_time}, generation {gen}"
+                assert resumed.fingerprint() == full.fingerprint(), where
+                assert resumed.num_evaluations == full.num_evaluations, \
+                    where
 
     def test_ps_contention_reduces_throughput(self):
         space = combo_small()

@@ -19,7 +19,7 @@ def search_row(level, method, **columns):
     """A healthy row of a search scenario (faults, numeric, proc)."""
     row = {"level": level, "method": method, "evaluations": 18,
            "best_reward": 0.40, "finite_best": True, "failed_evals": 0,
-           "failed_agents": 0}
+           "failed_agents": 0, "unaccounted_agents": 0}
     row.update(columns)
     return row
 
@@ -65,6 +65,7 @@ VIOLATIONS = [
     ("faults", "agent lost", 3, {"failed_agents": 1}),
     ("faults", "no evaluations", 3, {"evaluations": 0}),
     ("faults", "best-reward drop over tolerance", 3, {"best_reward": 0.25}),
+    ("faults", "unaccounted agent", 2, {"unaccounted_agents": 1}),
     ("numeric", "no evaluations", 0, {"evaluations": 0}),
     ("numeric", "non-finite best", 0, {"best_reward": float("nan"),
                                        "finite_best": False}),
@@ -72,6 +73,7 @@ VIOLATIONS = [
     ("numeric", "no rollback", 0, {"rollbacks": 0}),
     ("numeric", "no resurrection", 0, {"restarts": 0}),
     ("numeric", "agent lost", 0, {"failed_agents": 1}),
+    ("numeric", "unaccounted agent", 0, {"unaccounted_agents": 2}),
     ("proc", "no evaluations", 0, {"evaluations": 0}),
     ("proc", "agent lost", 0, {"failed_agents": 2}),
     ("proc", "no worker crash or timeout", 0, {"worker_crashes": 0,
@@ -80,6 +82,7 @@ VIOLATIONS = [
     ("proc", "no respawn", 0, {"respawns": 0}),
     ("proc", "no quarantine", 0, {"quarantined": 0}),
     ("proc", "events missing", 0, {"events_ok": False}),
+    ("proc", "unaccounted agent", 0, {"unaccounted_agents": 1}),
     ("crashpoint", "fingerprint mismatch", 1, {"fingerprint_mismatches": 1}),
     ("crashpoint", "re-evaluation", 1, {"reevaluations": 2}),
     ("crashpoint", "call beyond the journal deficit", 1,
@@ -97,7 +100,7 @@ def violate(profile, index, columns):
 
 
 def test_one_case_per_invariant():
-    assert len(VIOLATIONS) == 21
+    assert len(VIOLATIONS) == 24
     for profile, scenario in chaos.SCENARIOS.items():
         invariants = (len(scenario.zero) + len(scenario.fire)
                       + (scenario.across is not None))
