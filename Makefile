@@ -101,19 +101,25 @@ bench-quick:
 	$(PYTHON) benchmarks/bench_baseline.py --quick --no-write
 
 ## one minimal run (--seconds 0: three repetitions) of every end-to-end
-## workload; fails unless the last line reports "correct": true, i.e.
-## every repetition's fingerprint, best reward and evaluation count
-## matched perfbench/reference.json
+## workload, then one traced run (--trace 1); fails unless each last
+## line reports "correct": true, i.e. every repetition's fingerprint,
+## best reward and evaluation count matched perfbench/reference.json,
+## and, traced, every expected layer fired with the same call counts in
+## every repetition and the traced outcome equalled the untraced one
 perfbench-check:
 	@for w in $(PERFBENCH_WORKLOADS); do \
-		last=$$($(PYTHON) perfbench/run.py --workload $$w --seed 0 \
-			--seconds 0 --trace 0 | tail -n 1); \
-		echo "perfbench-check $$w: $$last"; \
-		case "$$last" in \
-			'{"correct": true,'*) ;; \
-			*) echo "perfbench-check: $$w does not match" \
-				"perfbench/reference.json"; exit 1 ;; \
-		esac; \
+		for t in 0 1; do \
+			last=$$($(PYTHON) perfbench/run.py --workload $$w --seed 0 \
+				--seconds 0 --trace $$t | tail -n 1); \
+			echo "perfbench-check $$w (trace $$t):" \
+				"$$(printf '%s' "$$last" | cut -c 1-72)"; \
+			case "$$last" in \
+				'{"correct": true,'*) ;; \
+				*) echo "perfbench-check: $$w (trace $$t) does not" \
+					"match perfbench/reference.json or its layers"; \
+					exit 1 ;; \
+			esac; \
+		done; \
 	done
 
 ## fail when the latest BENCH_substrate.json entry regresses any tracked

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 
 from .builder import Plan, compile_architecture
 from .ops import Operation
@@ -42,13 +43,25 @@ __all__ = ["PlanCache", "SignatureResolver", "plan_signature"]
 Shape = tuple[int, ...]
 
 
+#: op token per live operation object, keyed by ``id``; each entry
+#: leaves with its op, so spaces rebuilt per run accumulate nothing
+_OP_TOKENS: dict[int, tuple[weakref.ref, str]] = {}
+
+
 def _op_token(op: Operation | None) -> str | None:
     """Stable serialization of an operation, mirroring the identity that
     ``Operation.__eq__`` defines: type plus constructor state."""
     if op is None:
         return None
+    key = id(op)
+    hit = _OP_TOKENS.get(key)
+    if hit is not None and hit[0]() is op:
+        return hit[1]
     state = ",".join(f"{k}={v!r}" for k, v in sorted(op.__dict__.items()))
-    return f"{type(op).__name__}({state})"
+    token = f"{type(op).__name__}({state})"
+    _OP_TOKENS[key] = (
+        weakref.ref(op, lambda _ref: _OP_TOKENS.pop(key, None)), token)
+    return token
 
 
 def plan_signature(plan: Plan) -> str:
@@ -57,8 +70,13 @@ def plan_signature(plan: Plan) -> str:
     Nodes are renamed by their (topological) emission order and inputs
     by sorted name, so two plans are assigned the same signature exactly
     when they are the same DAG of the same operations over the same
-    shapes — regardless of which action sequence produced them.
+    shapes — regardless of which action sequence produced them.  Plans
+    are never mutated after compilation, so the signature is memoized on
+    the plan, outside the dataclass fields ``Plan.__eq__`` compares.
     """
+    sig = getattr(plan, "_signature", None)
+    if sig is not None:
+        return sig
     rename = {name: f"i{k}" for k, name in enumerate(sorted(plan.input_shapes))}
     for idx, node in enumerate(plan.nodes):
         rename[node.name] = f"n{idx}"
@@ -72,7 +90,8 @@ def plan_signature(plan: Plan) -> str:
         "output": rename[plan.output],
     }
     blob = json.dumps(payload, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    plan._signature = sig = hashlib.sha256(blob).hexdigest()
+    return sig
 
 
 class SignatureResolver:

@@ -136,8 +136,8 @@ class Structure:
     @property
     def variable_nodes(self) -> list[VariableNode]:
         """Decision points, in action order."""
-        return [n for _, _, _, n in self.iter_nodes()
-                if isinstance(n, VariableNode)]
+        return [node for cell in self.cells for block in cell.blocks
+                for node in block.nodes if isinstance(node, VariableNode)]
 
     @property
     def num_actions(self) -> int:

@@ -37,6 +37,7 @@ resumes them deterministically.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import re
@@ -46,7 +47,7 @@ from pathlib import Path
 from ..evaluator.base import ReplayEval
 from ..events import (EVAL_DONE, RESTART, EventLog, EventSink, SearchEvent)
 from ..nas.arch import Architecture
-from ..util.atomicio import FsyncPolicy, atomic_write_json
+from ..util.atomicio import FsyncPolicy, atomic_write_bytes
 from .checkpoint import SearchCheckpoint
 
 __all__ = ["JournalWriter", "read_journal",
@@ -117,8 +118,10 @@ class JournalWriter(EventSink):
             raise ValueError("journal is closed")
         ev = event.to_dict()
         self.seq += 1
-        line = _canonical({"seq": self.seq, "crc": _crc(ev), "ev": ev})
-        self._fh.write(line + "\n")
+        body = _canonical(ev)
+        crc = zlib.crc32(body.encode("utf-8"))
+        # the bytes of _canonical({"seq": self.seq, "crc": crc, "ev": ev})
+        self._fh.write(f'{{"crc":{crc},"ev":{body},"seq":{self.seq}}}\n')
         self._fh.flush()
         self._policy.tick(self._fh.fileno())
         return self.seq
@@ -187,13 +190,16 @@ class CheckpointGenerations:
     """A directory of verified checkpoint generations.
 
     Each :meth:`save` writes ``ckpt-NNNNNNNN.json`` — the checkpoint's
-    pinned v1 JSON plus one additive ``integrity`` key carrying the
-    payload sha256 and the journal sequence at capture — atomically
-    (tmp + fsync + rename).  :meth:`load_latest` walks the generations
-    newest-first and returns the first whose digest verifies, logging a
-    warning for every generation it has to discard: a crash can tear at
-    most the newest file, and bit rot in it costs one generation, not
-    the run.
+    pinned v1 JSON in canonical form (sorted keys, compact separators)
+    plus one additive ``integrity`` key carrying the payload sha256 and
+    the journal sequence at capture — atomically (tmp + fsync +
+    rename).  :meth:`load_latest` walks the generations newest-first
+    and returns the first whose digest verifies, logging a warning for
+    every generation it has to discard: a crash can tear at most the
+    newest file, and bit rot in it costs one generation, not the run.
+    It digests the canonical dump of what it parsed, so a generation in
+    any JSON layout (such as the default layout earlier versions wrote)
+    loads alike.
     """
 
     def __init__(self, directory, keep: int = 5) -> None:
@@ -211,7 +217,6 @@ class CheckpointGenerations:
 
     @staticmethod
     def _digest(data: dict) -> str:
-        import hashlib
         return hashlib.sha256(_canonical(data).encode("utf-8")).hexdigest()
 
     def save(self, ckpt: SearchCheckpoint, journal_seq: int) -> Path:
@@ -220,10 +225,14 @@ class CheckpointGenerations:
         nxt = 1
         if existing:
             nxt = int(_GEN_RE.match(existing[-1].name).group(1)) + 1
-        data = ckpt.to_json()
-        data["integrity"] = {"sha256": self._digest(data),
-                             "journal_seq": int(journal_seq)}
-        path = atomic_write_json(self.dir / f"ckpt-{nxt:08d}.json", data)
+        # the canonical payload bytes, hashed and written from one buffer,
+        # with ``integrity`` appended as the last key
+        body = _canonical(ckpt.to_json()).encode("utf-8")
+        integrity = {"sha256": hashlib.sha256(body).hexdigest(),
+                     "journal_seq": int(journal_seq)}
+        tail = f',"integrity":{_canonical(integrity)}}}'.encode("utf-8")
+        path = atomic_write_bytes(self.dir / f"ckpt-{nxt:08d}.json",
+                                  memoryview(body)[:-1], tail)
         for stale in existing[:max(0, len(existing) + 1 - self.keep)]:
             try:
                 stale.unlink()

@@ -3,8 +3,9 @@
 Three layers publish files through the same atomic dance — the
 checkpoint generations under a search journal directory
 (:meth:`repro.search.journal.CheckpointGenerations.save`, the only
-on-disk checkpoint store), the bench table's manifest
-(:mod:`repro.bench.table`), and the trend files
+on-disk checkpoint store, which publishes the canonical payload bytes
+it hashed through :func:`atomic_write_bytes`), the bench table's
+manifest (:mod:`repro.bench.table`), and the trend files
 ``BENCH_substrate.json`` and ``VERIFY_report.json``, whose one writer
 is :func:`append_trend_record`.  The dance matters because write-to-tmp
 plus atomic ``replace`` alone is *not* crash-safe: a host crash can tear
@@ -15,7 +16,7 @@ itself (the data never became durable).  So:
 2. atomically ``rename`` it over ``path``;
 3. ``fsync`` the containing directory so the rename is durable.
 
-After :func:`atomic_write_text` returns, either the old or the new file
+After :func:`atomic_write_bytes` returns, either the old or the new file
 survives a crash — never a torn hybrid.  A crash between steps 1 and 2
 leaves a stale ``<path>.tmp`` behind; readers never open it, and the
 next publish to ``path`` overwrites it.  Platforms without directory
@@ -37,8 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["fsync_dir", "atomic_write_text", "atomic_write_json",
-           "append_trend_record", "FsyncPolicy"]
+__all__ = ["fsync_dir", "atomic_write_bytes", "atomic_write_text",
+           "atomic_write_json", "append_trend_record", "FsyncPolicy"]
 
 
 def fsync_dir(path: str | Path) -> None:
@@ -53,13 +54,16 @@ def fsync_dir(path: str | Path) -> None:
         pass    # platforms without directory fsync: best effort
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Durably publish ``text`` at ``path`` (tmp + fsync + rename +
-    dir-fsync); returns the published path."""
+def atomic_write_bytes(path: str | Path, *chunks) -> Path:
+    """Durably publish the concatenation of the bytes-like ``chunks`` at
+    ``path`` (tmp + fsync + rename + dir-fsync); returns the published
+    path.  Chunks are written as given, so a caller can publish a slice
+    of a large buffer without copying it."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
         fh.flush()
         os.fsync(fh.fileno())
     tmp.replace(path)
@@ -67,12 +71,16 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    """Durably publish ``text`` (UTF-8) at ``path``."""
+    return atomic_write_bytes(path, text.encode("utf-8"))
+
+
 def atomic_write_json(path: str | Path, data, **dumps_kwargs) -> Path:
     """Durably publish ``data`` as JSON at ``path``.
 
-    ``dumps_kwargs`` pass through to :func:`json.dumps`, so call sites
-    keep their existing byte format (the bench manifest's compact
-    sorted form, the checkpoint's default form).
+    ``dumps_kwargs`` pass through to :func:`json.dumps`, so a call site
+    keeps its byte format (the bench manifest's compact sorted form).
     """
     return atomic_write_text(path, json.dumps(data, **dumps_kwargs))
 

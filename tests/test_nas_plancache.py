@@ -6,15 +6,21 @@ are interchangeable (bit-identical search fingerprints), and cache state
 survives checkpoint/resume.
 """
 
+import gc
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.bench import capped_space, enumerate_space
+from repro.experiments import PAPER_SETUP
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.nas.builder import compile_architecture
+from repro.nas import plancache
 from repro.nas.nodes import VariableNode
-from repro.nas.plancache import PlanCache, plan_signature
+from repro.nas.plancache import PlanCache, SignatureResolver, plan_signature
 from repro.nas.space import Block, Cell, Structure
-from repro.nas.spaces import combo_small
+from repro.nas.spaces import SPACES, combo_small, get_space
 from repro.nas.ops import DenseOp, DropoutOp
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
@@ -82,6 +88,70 @@ class TestPlanSignature:
         p1 = compile_architecture(s1, (0,), SHAPES)
         p2 = compile_architecture(s2, (0,), SHAPES)
         assert plan_signature(p1) != plan_signature(p2)
+
+    def test_memos_leave_plan_identity_and_ops_alone(self):
+        """The signature is memoized on the plan and the op token per
+        live op, so neither changes what ``==`` compares, and a rebuilt
+        space's tokens are dropped with its ops."""
+        s = dup_space()
+        plan = compile_architecture(s, (2,), SHAPES)
+        op_state = dict(plan.nodes[0].op.__dict__)
+        sig = plan_signature(plan)
+        assert plan_signature(plan) is sig
+        assert plan == compile_architecture(s, (2,), SHAPES)
+        assert plan.nodes[0].op.__dict__ == op_state
+        held = len(plancache._OP_TOKENS)
+        del s, plan
+        gc.collect()
+        assert len(plancache._OP_TOKENS) < held
+
+
+#: sha256 over the plan signatures of a fixed architecture sample from
+#: every registered space, recorded at commit 70853e5 (before signatures
+#: and op tokens were memoized).  Bench tables on disk are keyed by
+#: these signatures, so any change to how a plan is hashed moves this.
+_SIGNATURE_SAMPLE_DIGEST = \
+    "0f5b202743f1cffc7b6b2e22db108606fd1fd97b60d2a031c4c2b365febae204"
+#: seeded random architectures drawn from each registered space
+_RANDOM_ARCHS_PER_SPACE = 64
+
+
+def _signature_sample(new_cache):
+    """Signatures of all 4,096 archs of the nt3 cap-ops-2 sub-space (the
+    benchmark's table), of seeded random archs of every registered space
+    under its problem's paper shapes and head, and of seeded nt3 archs
+    over an input too short for some pooling chains; ``None`` marks an
+    architecture that does not compile.  Each resolver gets its own
+    cache from ``new_cache()``: a plan cache is keyed by space and
+    choices alone, so one must not serve two input shapes."""
+    nt3 = capped_space(get_space("nt3-small", scale=0.05), 2)
+    shapes, head, _ = PAPER_SETUP["nt3"]
+    resolver = SignatureResolver(nt3, shapes, head(), new_cache())
+    sigs = [resolver.try_signature(a) for a in enumerate_space(nt3)]
+    assert len(sigs) == 4096
+    for name, factory in SPACES.items():
+        space = factory()
+        shapes, head, _ = PAPER_SETUP[name.split("-")[0]]
+        resolver = SignatureResolver(space, shapes, head(), new_cache())
+        rng = np.random.default_rng(0)
+        sigs += [resolver.try_signature(space.random_architecture(rng))
+                 for _ in range(_RANDOM_ARCHS_PER_SPACE)]
+    space = get_space("nt3-small")
+    resolver = SignatureResolver(space, {"rnaseq_expression": (60, 1)},
+                                 PAPER_SETUP["nt3"][1](), new_cache())
+    rng = np.random.default_rng(0)
+    sigs += [resolver.try_signature(space.random_architecture(rng))
+             for _ in range(_RANDOM_ARCHS_PER_SPACE)]
+    return sigs
+
+
+@pytest.mark.parametrize("cached", [False, True],
+                         ids=["no_cache", "plan_cache"])
+def test_plan_signatures_are_pinned(cached):
+    sigs = _signature_sample(PlanCache if cached else lambda: None)
+    assert None in sigs and len(set(sigs)) > 1
+    blob = "\n".join(str(sig) for sig in sigs).encode()
+    assert hashlib.sha256(blob).hexdigest() == _SIGNATURE_SAMPLE_DIGEST
 
 
 class TestPlanCache:

@@ -8,12 +8,15 @@ crash-point fuzzer (``repro.search.chaos --profile crashpoint``).
 """
 
 import json
+import math
 import os
+import zlib
 
 import pytest
 
 from repro.events import EVAL_DONE, PUSH, RESTART, SUBMIT, SearchEvent, emit
 from repro.hpc import NodeAllocation, TrainingCostModel
+from repro.nas.arch import Architecture
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
@@ -127,6 +130,46 @@ class TestJournalWriter:
         raw = [json.loads(line) for line in path.read_text().splitlines()]
         assert [rec["seq"] for rec in raw] == [1, 2, 3, 4]
 
+    def test_line_format_is_pinned(self, tmp_path):
+        """Every line is the canonical dump of the whole record, the
+        formula the writer used before it built lines around one dump of
+        the event: 17-digit and non-finite floats, nested dicts, an
+        ``arch`` payload and ``None`` agent/iteration fields included."""
+        def canonical(data):
+            return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+        events = [
+            SearchEvent(SUBMIT, 0.1 + 0.2, agent_id=0, iteration=3,
+                        payload={"x": 1 / 3, "pi": math.pi, "tiny": 5e-324,
+                                 "neg_zero": -0.0, "big": 10 ** 20}),
+            SearchEvent(EVAL_DONE, 12.5, agent_id=1, iteration=0, payload={
+                "arch": Architecture("combo-small", (0, 3, 1)).to_dict(),
+                "reward": 0.30000000000000004, "duration": 1e-07,
+                "params": 100, "failed": False}),
+            SearchEvent(PUSH, 2.0 / 3.0, agent_id=None, iteration=None,
+                        payload={"nested": {"b": {"d": [1.1, None, True],
+                                                  "c": "\u00e9"},
+                                            "a": 1.7976931348623157e308},
+                                 "nan": math.nan, "inf": -math.inf}),
+            SearchEvent(RESTART, 3.0),
+        ]
+        path = tmp_path / "journal.jsonl"
+        writer = JournalWriter(path)
+        for event in events:
+            writer.append(event)
+        writer.close()
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""
+        assert len(lines) == len(events)
+        for n, (line, event) in enumerate(zip(lines, events), start=1):
+            ev = event.to_dict()
+            crc = zlib.crc32(canonical(ev).encode("utf-8"))
+            assert line == canonical({"seq": n, "crc": crc, "ev": ev})
+        back = read_journal(path)
+        assert back.num_skipped == 0
+        assert [canonical(e.to_dict()) for e in back] \
+            == [canonical(e.to_dict()) for e in events]
+
     def test_append_after_close_raises(self, tmp_path):
         writer = JournalWriter(tmp_path / "journal.jsonl")
         writer.close()
@@ -187,6 +230,29 @@ class TestCheckpointGenerations:
         integrity = data.pop("integrity")
         assert set(integrity) == {"sha256", "journal_seq"}
         assert data == json.loads(json.dumps(ckpt.to_json()))
+
+    def test_integrity_digests_the_parsed_payload(self, tmp_path, ckpt):
+        """A generation is the canonical payload plus ``integrity``, and
+        its sha256 is the digest ``load_latest`` recomputes."""
+        path = CheckpointGenerations(tmp_path).save(ckpt, journal_seq=5)
+        text = path.read_text()
+        data = json.loads(text)
+        integrity = data.pop("integrity")
+        assert integrity == {"sha256": CheckpointGenerations._digest(data),
+                             "journal_seq": 5}
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        assert text.startswith(canonical[:-1] + ',"integrity":')
+
+    def test_default_layout_generation_still_loads(self, tmp_path, ckpt):
+        """A generation written the earlier way — ``json.dumps`` default
+        layout, ``integrity`` last — still verifies and loads."""
+        data = ckpt.to_json()
+        data["integrity"] = {"sha256": CheckpointGenerations._digest(data),
+                             "journal_seq": 7}
+        (tmp_path / "ckpt-00000001.json").write_text(json.dumps(data))
+        loaded, integrity = CheckpointGenerations(tmp_path).load_latest()
+        assert loaded.fingerprint() == ckpt.fingerprint()
+        assert integrity["journal_seq"] == 7
 
     def test_prune_keeps_newest(self, tmp_path, ckpt):
         gens = CheckpointGenerations(tmp_path, keep=3)
