@@ -12,6 +12,12 @@ BENCH_LABEL ?= dev
 ## the end-to-end benchmark's workloads (BENCHMARK.json)
 PERFBENCH_WORKLOADS = sim_a3c_1024 tabular_rdm_durable tabular_ambs train_combo_a3c
 
+## perfbench-check's runs, as workload:seed:trace — every workload on
+## input set 0, untraced and traced; the two tabular workloads, whose
+## runs do not rotate through input sets, also untraced on set 5
+PERFBENCH_CHECKS = $(foreach w,$(PERFBENCH_WORKLOADS),$(w):0:0 $(w):0:1) \
+	tabular_rdm_durable:5:0 tabular_ambs:5:0
+
 ## full tier-1 test suite
 test:
 	$(PYTHON) -m pytest -q
@@ -101,25 +107,25 @@ bench-quick:
 	$(PYTHON) benchmarks/bench_baseline.py --quick --no-write
 
 ## one minimal run (--seconds 0: three repetitions) of every end-to-end
-## workload, then one traced run (--trace 1); fails unless each last
+## workload, then one traced run (--trace 1), then the tabular workloads
+## on a second input set (PERFBENCH_CHECKS); fails unless each last
 ## line reports "correct": true, i.e. every repetition's fingerprint,
 ## best reward and evaluation count matched perfbench/reference.json,
 ## and, traced, every expected layer fired with the same call counts in
 ## every repetition and the traced outcome equalled the untraced one
 perfbench-check:
-	@for w in $(PERFBENCH_WORKLOADS); do \
-		for t in 0 1; do \
-			last=$$($(PYTHON) perfbench/run.py --workload $$w --seed 0 \
-				--seconds 0 --trace $$t | tail -n 1); \
-			echo "perfbench-check $$w (trace $$t):" \
-				"$$(printf '%s' "$$last" | cut -c 1-72)"; \
-			case "$$last" in \
-				'{"correct": true,'*) ;; \
-				*) echo "perfbench-check: $$w (trace $$t) does not" \
-					"match perfbench/reference.json or its layers"; \
-					exit 1 ;; \
-			esac; \
-		done; \
+	@for check in $(PERFBENCH_CHECKS); do \
+		set -- $$(echo $$check | tr ':' ' '); \
+		last=$$($(PYTHON) perfbench/run.py --workload $$1 --seed $$2 \
+			--seconds 0 --trace $$3 | tail -n 1); \
+		echo "perfbench-check $$1 (seed $$2, trace $$3):" \
+			"$$(printf '%s' "$$last" | cut -c 1-72)"; \
+		case "$$last" in \
+			'{"correct": true,'*) ;; \
+			*) echo "perfbench-check: $$1 (seed $$2, trace $$3) does" \
+				"not match perfbench/reference.json or its layers"; \
+				exit 1 ;; \
+		esac; \
 	done
 
 ## fail when the latest BENCH_substrate.json entry regresses any tracked

@@ -22,6 +22,9 @@ The cache has two levels:
   one plan object, so downstream memoization and materialization warm
   up once per *structure*, not once per *action sequence*.
 
+A plan also depends on the input shapes and head ops, which the exact
+key leaves out: the cache refuses a space name under a second set.
+
 Cache state intentionally stays out of checkpoint files: plans are
 recomputable, so :meth:`PlanCache.snapshot` captures only the keys and
 counters and :meth:`PlanCache.restore` recompiles — bit-identical by
@@ -94,6 +97,14 @@ def plan_signature(plan: Plan) -> str:
     return sig
 
 
+class _ContextMismatch(ValueError):
+    """A space looked up under other input shapes or head ops."""
+
+
+def _context(shapes, head_ops) -> tuple:
+    return {k: tuple(v) for k, v in shapes.items()}, list(head_ops or ())
+
+
 class SignatureResolver:
     """Memoized ``architecture -> plan_signature`` mapping for one space.
 
@@ -149,6 +160,8 @@ class SignatureResolver:
         reward models map to ``FAILURE_REWARD``."""
         try:
             return self.signature(arch)
+        except _ContextMismatch:
+            raise       # a miswired cache, not an invalid architecture
         except (ValueError, KeyError, FloatingPointError, OverflowError):
             return None
 
@@ -175,6 +188,8 @@ class PlanCache:
         #: compiles whose plan turned out isomorphic to a cached one and
         #: was aliased to it (subset of ``misses``)
         self.iso_hits = 0
+        #: space name -> the (input shapes, head ops) it was compiled for
+        self._bound: dict[str, tuple] = {}
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -187,6 +202,16 @@ class PlanCache:
     def clear(self) -> None:
         self._plans.clear()
         self._by_sig.clear()
+        self._bound.clear()
+
+    def _bind(self, name: str, input_shapes, head_ops) -> None:
+        """Record the context ``name`` is first compiled with; a lookup
+        with another would be handed plans compiled for the first."""
+        bound = self._bound.setdefault(name, (input_shapes, head_ops))
+        if _context(*bound) != _context(input_shapes, head_ops):
+            raise _ContextMismatch(
+                f"plan cache holds {name!r} plans for {_context(*bound)}; "
+                f"other input shapes or head ops need their own cache")
 
     # -- the one lookup path -------------------------------------------
     def get_or_compile(self, structure: Structure, choices,
@@ -199,6 +224,9 @@ class PlanCache:
         cached, so a failing architecture stays re-attemptable — the
         same rule the evaluator applies to failure rewards.
         """
+        # identical objects compare equal without a deep comparison
+        if self._bound.get(structure.name) != (input_shapes, head_ops):
+            self._bind(structure.name, input_shapes, head_ops)
         key = (structure.name, tuple(int(c) for c in choices))
         plan = self._plans.get(key)
         if plan is not None:
@@ -209,6 +237,7 @@ class PlanCache:
                                     head_ops)
         if len(self._plans) >= self.max_entries:  # bound memory at scale
             self.clear()
+            self._bind(structure.name, input_shapes, head_ops)
         return self._insert(key, plan)
 
     def _insert(self, key: tuple, plan: Plan) -> Plan:
@@ -241,6 +270,7 @@ class PlanCache:
         are skipped; counters are restored exactly as captured.
         """
         self.clear()
+        self._bind(structure.name, input_shapes, head_ops)
         for space_name, choices in snapshot["keys"]:
             if space_name != structure.name:
                 continue

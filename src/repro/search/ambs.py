@@ -61,13 +61,11 @@ def encode_rows(rows: np.ndarray, dims: np.ndarray) -> np.ndarray:
     ``(N, sum(dims) + 1)`` float64.
     """
     rows = np.asarray(rows, dtype=np.int64)
+    dims = np.asarray(dims)
     n = rows.shape[0]
-    width = int(np.sum(dims)) + 1
-    out = np.zeros((n, width), dtype=np.float64)
-    offset = 0
-    for t, d in enumerate(dims):
-        out[np.arange(n), offset + rows[:, t]] = 1.0
-        offset += int(d)
+    out = np.zeros((n, int(np.sum(dims)) + 1), dtype=np.float64)
+    # decision t's options follow the columns of decisions 0..t-1
+    out[np.arange(n)[:, None], np.cumsum(dims) - dims + rows] = 1.0
     out[:, -1] = 1.0
     return out
 
@@ -82,14 +80,21 @@ class RidgeEnsemble:
 
     def fit(self, x: np.ndarray, y: np.ndarray,
             rng: np.random.Generator) -> None:
+        """One stacked solve, bit for bit the member-by-member one: a
+        draw below 2³² takes one 32-bit word however calls are split,
+        one-hot Gram entries are integer counts (exact in any order),
+        each right-hand side is the same ``xm.T @ ym``, and ``solve`` runs
+        the same ``gesv`` per member.  Members are gathered one by one."""
         n, d = x.shape
-        eye = self.lam * np.eye(d)
-        weights = np.empty((self.members, d), dtype=np.float64)
+        idx = rng.integers(0, n, size=(self.members, n))
+        gram = np.empty((self.members, d, d))
+        rhs = np.empty((self.members, d, 1))
         for m in range(self.members):
-            idx = rng.integers(0, n, size=n)
-            xm, ym = x[idx], y[idx]
-            weights[m] = np.linalg.solve(xm.T @ xm + eye, xm.T @ ym)
-        self._weights = weights
+            xm = x.take(idx[m], axis=0)
+            np.matmul(xm.T, xm, out=gram[m])
+            rhs[m, :, 0] = xm.T @ y.take(idx[m])
+        gram += self.lam * np.eye(d)
+        self._weights = np.linalg.solve(gram, rhs)[:, :, 0]
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row ensemble ``(mean, std)`` over the candidate matrix."""
@@ -111,25 +116,32 @@ class AmbsProposer(HistoryProposer):
         if len(obs) < _WARMUP:
             return loop.rng.integers(0, self.dims,
                                      size=(loop.batch, len(self.dims)))
-        rows = np.array([c for c, _ in obs], dtype=np.int64)
+        # the history is encoded once; slot m fits on rows [:m], then
+        # writes its pick, the pick's encoding and the lie to row m
+        n = len(obs)
+        rows = np.zeros((n + loop.batch, len(self.dims)), dtype=np.int64)
+        rows[:n] = [c for c, _ in obs]
+        x = encode_rows(rows, self.dims)
+        rewards = np.empty(n + loop.batch)
         # failed evals report NaN reward; score them as worst-case so
         # the surrogate steers away instead of poisoning the fit
-        rewards = np.nan_to_num(np.array([r for _, r in obs]), nan=-1.0)
-        picks = np.empty((loop.batch, len(self.dims)), dtype=np.int64)
-        lie = np.min(rewards)
-        for slot in range(loop.batch):
-            picks[slot] = self._propose_one(loop.rng, rows, rewards)
-            rows = np.vstack([rows, picks[slot]])
-            rewards = np.append(rewards, lie)
-        return picks
+        rewards[:n] = np.nan_to_num(np.array([r for _, r in obs]), nan=-1.0)
+        rewards[n:] = np.min(rewards[:n])
+        for m in range(n, n + loop.batch):
+            rows[m], x[m] = self._propose_one(loop.rng, rows[:m], x[:m],
+                                              rewards[:m])
+        return rows[n:].copy()
 
-    def _propose_one(self, rng, rows, rewards):
-        """Fit on (rows, rewards) and return the acquisition argmax."""
+    def _propose_one(self, rng, rows, x, rewards):
+        """Fit on (x, rewards) and return the acquisition argmax's row
+        and its encoding."""
         model = RidgeEnsemble(_ENSEMBLE)
-        model.fit(encode_rows(rows, self.dims), rewards, rng)
+        model.fit(x, rewards, rng)
         pool = self._candidate_pool(rng, rows, rewards)
-        mean, std = model.predict(encode_rows(pool, self.dims))
-        return pool[int(np.argmax(mean + _KAPPA * std))]
+        pool_x = encode_rows(pool, self.dims)
+        mean, std = model.predict(pool_x)
+        best = int(np.argmax(mean + _KAPPA * std))
+        return pool[best], pool_x[best]
 
     def _candidate_pool(self, rng, rows, rewards):
         """¾ uniform exploration rows, ¼ mutations of the top archs."""
@@ -137,7 +149,5 @@ class AmbsProposer(HistoryProposer):
         pool = rng.integers(0, self.dims,
                             size=(_CANDIDATES - n_mut, len(self.dims)))
         top = np.argsort(rewards)[::-1][:n_mut]
-        mutants = np.array([
-            mutate_choices(self.space, rows[top[i % len(top)]], rng)
-            for i in range(n_mut)], dtype=np.int64)
-        return np.vstack([pool, mutants])
+        parents = rows[top[np.arange(n_mut) % len(top)]]
+        return np.vstack([pool, mutate_choices(self.dims, parents, rng)])

@@ -168,16 +168,16 @@ def _run_row(level: str, search: NasSearch, sink: RecordingSink,
             "finite_best": math.isfinite(best),
             "failed_evals": result.num_failed_evals,
             "failed_agents": len(result.failed_agents),
-            "unaccounted_agents": _unaccounted_agents(sink, result),
+            "unaccounted_agents": _unaccounted_agents(sink.events, result),
             **columns(search, result)}
 
 
-def _unaccounted_agents(sink: RecordingSink, result) -> int:
+def _unaccounted_agents(events, result) -> int:
     """Agents whose non-cached records differ in number from their
-    journaled evaluations (``eval-done``, net of replays and of what
-    each RESTART trimmed) — the record accounting that needs no
-    reference run."""
-    journaled = build_replay(sink.events, None)
+    evaluations in the event stream ``events`` (``eval-done``, net of
+    replays and of what each RESTART trimmed) — the record accounting
+    that needs no reference run."""
+    journaled = build_replay(events, None)
     real: dict[int, int] = {}
     for rec in result.records:
         if not rec.cached:
@@ -468,7 +468,7 @@ def _crashpoint_cell(method: str, seed: int = 3, iterations: int = 4,
                "kill_points": kill_points, "kills_landed": 0,
                "replay_loaded": 0, "fingerprint_mismatches": 0,
                "reevaluations": 0, "replay_leftover": 0,
-               "direct_reexec": 0}
+               "direct_reexec": 0, "unaccounted_agents": 0}
         for k in kill_points:
             with tempfile.TemporaryDirectory(
                     prefix="crashpoint-", ignore_cleanup_errors=True) as crash:
@@ -489,6 +489,8 @@ def _crashpoint_cell(method: str, seed: int = 3, iterations: int = 4,
                 # every armed replay entry must have been consumed
                 row["replay_leftover"] += sum(
                     ev.replay_pending() for ev in search.evaluators)
+                row["unaccounted_agents"] += _unaccounted_agents(
+                    read_journal(Path(crash) / JOURNAL_NAME), result)
                 if backend != "process":
                     # in-process backends: the resumed run's direct call
                     # count must be exactly the journal deficit
@@ -579,13 +581,13 @@ SCENARIOS: dict[str, Scenario] = {
               "direct_reexec": "reward model re-invoked {} time(s) beyond "
                                "the journal deficit",
               "replay_leftover": "{} armed replay entr(y/ies) never "
-                                 "consumed"},
+                                 "consumed", **_UNACCOUNTED},
         fire={"kills_landed": "no SIGKILL landed — every child finished "
                               "first, the profile tested nothing"},
         across=_replay_loaded,
         columns=("journal_records", "baseline_evals", "kills_landed",
                  "replay_loaded", "fingerprint_mismatches",
-                 "reevaluations", "replay_leftover"),
+                 "reevaluations", "replay_leftover", "unaccounted_agents"),
         # the fuzzer's cells search two seeds above the CLI's --seed
         options=lambda a: {"seed": a.seed + 2, "points": a.points,
                            "backends": tuple(a.backends.split(","))}),

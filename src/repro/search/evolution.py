@@ -56,7 +56,8 @@ class EvolutionProposer(HistoryProposer):
                                                 size=len(self.dims))
             else:
                 parent = self._tournament(loop.rng, pop)
-                picks[slot] = mutate_choices(self.space, parent, loop.rng)
+                picks[slot] = mutate_choices(self.dims, [parent],
+                                             loop.rng)[0]
         return picks
 
     def _tournament(self, rng, pop) -> tuple:

@@ -52,22 +52,29 @@ __all__ = ["Proposer", "RandomProposer", "PolicyProposer", "A3CProposer",
            "A2CProposer", "HistoryProposer", "mutate_choices"]
 
 
-def mutate_choices(space, choices, rng: np.random.Generator) -> tuple:
-    """Change one decision of ``choices`` to a different uniformly
-    drawn option (the aging-evolution mutation, Real et al. 2018);
-    shared by the evolution proposer and the AMBS candidate generator.
+def mutate_choices(dims, parents, rng: np.random.Generator) -> np.ndarray:
+    """Change one decision of each ``(k, T)`` parent row to another
+    uniformly drawn option (aging-evolution mutation, Real et al. 2018;
+    ``dims`` holds the option counts), for evolution and AMBS.  Each row
+    draws a mutable decision, then one of its other options; when those
+    share one count, one broadcast call makes the same draws in order.
     """
-    nodes = space.variable_nodes
-    out = list(choices)
-    mutable = [i for i, n in enumerate(nodes) if n.num_ops > 1]
-    if not mutable:
-        return tuple(out)
-    i = mutable[rng.integers(len(mutable))]
-    new = int(rng.integers(nodes[i].num_ops - 1))
-    if new >= out[i]:
-        new += 1    # skip the current value
-    out[i] = new
-    return tuple(out)
+    out = np.array(parents, dtype=np.int64)
+    mutable = (np.asarray(dims) > 1).nonzero()[0]
+    if not len(mutable):
+        return out
+    options = np.asarray(dims)[mutable]
+    if (options == options[0]).all():
+        draws = rng.integers(0, [len(mutable), options[0] - 1],
+                             size=(len(out), 2))
+    else:
+        draws = np.empty((len(out), 2), dtype=np.int64)
+        for r in range(len(out)):
+            draws[r, 0] = t = rng.integers(len(mutable))
+            draws[r, 1] = rng.integers(options[t] - 1)
+    rows, cols, new = np.arange(len(out)), mutable[draws[:, 0]], draws[:, 1]
+    out[rows, cols] = new + (new >= out[rows, cols])   # skip the current value
+    return out
 
 
 class Proposer:
@@ -267,7 +274,6 @@ class HistoryProposer(Proposer):
     """
 
     def __init__(self, space) -> None:
-        self.space = space
         self.dims = np.array(space.action_dims)
         #: (choices tuple, reward) in global observation order
         self._obs: list[tuple[tuple, float]] = []

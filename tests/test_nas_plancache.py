@@ -122,8 +122,8 @@ def _signature_sample(new_cache):
     under its problem's paper shapes and head, and of seeded nt3 archs
     over an input too short for some pooling chains; ``None`` marks an
     architecture that does not compile.  Each resolver gets its own
-    cache from ``new_cache()``: a plan cache is keyed by space and
-    choices alone, so one must not serve two input shapes."""
+    cache from ``new_cache()``: a plan cache refuses to serve one space
+    under two input shapes."""
     nt3 = capped_space(get_space("nt3-small", scale=0.05), 2)
     shapes, head, _ = PAPER_SETUP["nt3"]
     resolver = SignatureResolver(nt3, shapes, head(), new_cache())
@@ -231,6 +231,44 @@ class TestPlanCache:
         restored.restore(snap, other, COMBO_PAPER_SHAPES, combo_head())
         assert len(restored) == 0           # key belongs to "dup", skipped
         assert restored.hits == cache.hits  # counters still authoritative
+
+    def test_one_space_under_two_input_shapes_is_refused(self):
+        # one cache behind two nt3-small resolvers: a plan depends on the
+        # input shapes, which the exact key leaves out, so the second
+        # resolver must not be handed the first one's plans
+        space = get_space("nt3-small")
+        shapes, head, _ = PAPER_SETUP["nt3"]
+        short = {"rnaseq_expression": (60, 1)}
+        cache = PlanCache()
+        paper = SignatureResolver(space, shapes, head(), cache)
+        rng = np.random.default_rng(0)
+        archs = [space.random_architecture(rng) for _ in range(32)]
+        sigs = [paper.signature(a) for a in archs]
+        resolver = SignatureResolver(space, short, head(), cache)
+        for arch in archs:
+            with pytest.raises(ValueError, match="own cache"):
+                resolver.try_signature(arch)
+        with pytest.raises(ValueError, match="own cache"):
+            cache.get_or_compile(space, archs[0].choices, short, head())
+        # equal shapes and head ops in other objects share the plans
+        again = SignatureResolver(space, dict(shapes), head(), cache)
+        assert [again.signature(a) for a in archs] == sigs
+        assert cache.misses == len({a.choices for a in archs})
+
+    def test_clear_and_restore_reset_the_context(self):
+        cache = PlanCache()
+        s = dup_space()
+        cache.get_or_compile(s, (0,), SHAPES)
+        snap = cache.snapshot()
+        cache.clear()
+        wide = {"x": (16,)}
+        plan = cache.get_or_compile(s, (0,), wide)
+        assert plan.input_shapes["x"] == (16,)
+        cache.restore(snap, s, SHAPES)
+        assert cache.get_or_compile(s, (0,), SHAPES).input_shapes["x"] \
+            == (8,)
+        with pytest.raises(ValueError, match="own cache"):
+            cache.get_or_compile(s, (0,), wide)
 
 
 class TestSearchIntegration:

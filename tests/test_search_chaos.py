@@ -35,7 +35,8 @@ def crashpoint_row(backend, replay_loaded):
             "baseline_evals": 24, "kill_points": [13, 26, 39],
             "kills_landed": 3, "replay_loaded": replay_loaded,
             "fingerprint_mismatches": 0, "reevaluations": 0,
-            "replay_leftover": 0, "direct_reexec": 0}
+            "replay_leftover": 0, "direct_reexec": 0,
+            "unaccounted_agents": 0}
 
 
 #: profile -> factory of fresh healthy rows.  The faults set holds two
@@ -88,6 +89,7 @@ VIOLATIONS = [
     ("crashpoint", "call beyond the journal deficit", 1,
      {"direct_reexec": 1}),
     ("crashpoint", "unconsumed replay entry", 1, {"replay_leftover": 1}),
+    ("crashpoint", "unaccounted agent", 1, {"unaccounted_agents": 1}),
     ("crashpoint", "no kill landed", 1, {"kills_landed": 0}),
     ("crashpoint", "no row loaded a replay entry", 0, {"replay_loaded": 0}),
 ]
@@ -100,7 +102,7 @@ def violate(profile, index, columns):
 
 
 def test_one_case_per_invariant():
-    assert len(VIOLATIONS) == 24
+    assert len(VIOLATIONS) == 25
     for profile, scenario in chaos.SCENARIOS.items():
         invariants = (len(scenario.zero) + len(scenario.fire)
                       + (scenario.across is not None))

@@ -48,14 +48,14 @@ class TestMutation:
         rng = np.random.default_rng(0)
         parent = space.random_architecture(rng)
         for _ in range(20):
-            child = mutate_choices(space, parent.choices, rng)
+            child, = mutate_choices(space.action_dims, [parent.choices], rng)
             diff = sum(a != b for a, b in zip(parent.choices, child))
             assert diff == 1
 
     def test_child_is_valid(self, space):
         rng = np.random.default_rng(1)
         parent = space.random_architecture(rng)
-        child = mutate_choices(space, parent.choices, rng)
+        child, = mutate_choices(space.action_dims, [parent.choices], rng)
         space.decode(child)  # raises if invalid
 
 
