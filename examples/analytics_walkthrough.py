@@ -1,20 +1,21 @@
 """Analytics walkthrough: logs, monitoring, and replication statistics.
 
-Runs a small simulated search, persists its log, and demonstrates every
-analytics surface: trajectory extraction, top-k, cache statistics,
-Balsam-style job-table monitoring, and replication quantile bands.
+Runs a small simulated search with its write-ahead journal on, rebuilds
+its records from the journal, and demonstrates every analytics surface:
+trajectory extraction, top-k, cache statistics, Balsam-style job-table
+monitoring, and replication quantile bands.
 
 Run:  python examples/analytics_walkthrough.py
 """
 
+import shutil
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from repro.analytics import (best_so_far_trajectory, cache_hit_fraction,
-                             load_records, quantile_bands,
-                             rolling_mean_trajectory, save_records,
+                             quantile_bands, rolling_mean_trajectory,
                              time_to_reward, top_k_architectures,
                              unique_architectures)
 from repro.hpc import (NodeAllocation, TrainingCostModel, job_table_stats,
@@ -23,6 +24,8 @@ from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.search import NasSearch, SearchConfig
+from repro.search.journal import JOURNAL_NAME, read_journal, read_records
+from repro.verify.fingerprint import record_digest
 
 
 def make_reward(seed=7):
@@ -34,8 +37,10 @@ def make_reward(seed=7):
 
 def main() -> None:
     space = combo_small()
+    journal_dir = Path(tempfile.mkdtemp(prefix="walkthrough-"))
     cfg = SearchConfig(method="a3c", allocation=NodeAllocation(48, 5, 4),
-                       wall_time=90 * 60.0, seed=11)
+                       wall_time=90 * 60.0, seed=11,
+                       journal_dir=str(journal_dir))
     search = NasSearch(space, make_reward(), cfg)
     result = search.run()
 
@@ -68,12 +73,12 @@ def main() -> None:
     print("throughput (evals/min):",
           " ".join(f"{r * 60:.1f}" for _, r in tput))
 
-    # --- persistence -----------------------------------------------------
-    with tempfile.TemporaryDirectory() as tmp:
-        log = Path(tmp) / "run.jsonl"
-        save_records(result.records, log, metadata={"example": True})
-        loaded, meta = load_records(log)
-        print(f"\nlog round-trip: {len(loaded)} records, metadata={meta}")
+    # --- persistence: the journal is the run's record log ----------------
+    loaded, meta = read_records(read_journal(journal_dir / JOURNAL_NAME))
+    same = record_digest(loaded) == record_digest(result.records)
+    print(f"\njournal rebuild: {len(loaded)} records, same multiset as "
+          f"the run: {same}, run={meta}")
+    shutil.rmtree(journal_dir)
 
     # --- replication quantiles (Fig 13 style) -----------------------------
     reps = []

@@ -7,11 +7,11 @@ Commands
 ``baselines``
     Print the manually designed networks' parameter counts (paper scale).
 ``search``
-    Run a simulated NAS experiment and write a JSON-lines log.
+    Run a simulated NAS experiment; ``--journal-dir`` keeps its journal.
 ``analyze``
-    Summarize a search log (trajectory, top architectures, uniqueness).
+    Summarize a journaled run (trajectory, top architectures, uniqueness).
 ``posttrain``
-    Post-train the top architectures of a search log against the
+    Post-train the top architectures of a journaled run against the
     baseline and print the ratio table.
 ``verify``
     Run the correctness battery (differential tester, gradient checks,
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from . import experiments as ex
 from .analytics import (best_so_far_trajectory, cache_hit_fraction,
                         time_to_reward, top_k_architectures,
                         unique_architectures)
-from .analytics.io import load_records, save_records
+from .events import RUN_END
 from .health import GuardConfig
 from .hpc import NodeAllocation
 from .nas.spaces import SPACES, get_space
@@ -40,6 +41,7 @@ from .posttrain import post_train
 from .problems import get_problem
 from .rewards import SurrogateReward
 from .search import NasSearch, SEARCH_METHODS, SearchConfig, resume_durable
+from .search.journal import JOURNAL_NAME, read_journal, read_records
 
 __all__ = ["main"]
 
@@ -141,18 +143,25 @@ def _cmd_search(args) -> int:
               f"timeouts={ws.get('worker_timeouts', 0)} "
               f"respawns={ws.get('respawns', 0)} "
               f"quarantined={ws.get('quarantined', 0)}")
-    if args.output:
-        save_records(result.records, args.output, metadata={
-            "problem": args.problem, "size": args.size,
-            "method": args.method, "nodes": args.nodes,
-            "fraction": args.fraction, "seed": args.seed})
-        print(f"log written to {args.output}")
     return 0
 
 
+def _read_run(directory):
+    """A journal directory's events, records and run metadata."""
+    try:
+        events = read_journal(Path(directory) / JOURNAL_NAME)
+        return (events, *read_records(events))
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"repro: {directory}: {exc}") from None
+
+
 def _cmd_analyze(args) -> int:
-    records, metadata = load_records(args.log)
-    print(f"log: {args.log} ({len(records)} records, metadata={metadata})")
+    events, records, metadata = _read_run(args.journal_dir)
+    print(f"journal: {args.journal_dir} ({len(records)} records, {metadata})")
+    if events.num_skipped:
+        print(f"skipped {events.num_skipped} unreadable journal record(s)")
+    if events[-1].kind != RUN_END:
+        print("the run did not end: records may include unconsumed evals")
     print(f"unique architectures: {unique_architectures(records)}")
     print(f"cache-hit fraction: {cache_hit_fraction(records):.2f}")
     traj = best_so_far_trajectory(records)
@@ -168,10 +177,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_posttrain(args) -> int:
-    records, metadata = load_records(args.log)
-    problem_name = metadata.get("problem") or args.problem
-    if problem_name is None:
-        raise SystemExit("log has no problem metadata; pass --problem")
+    _events, records, metadata = _read_run(args.journal_dir)
+    # a space name leads with its problem: combo-small, nt3-small#cap2
+    problem_name = metadata.get("space", "").split("-")[0] or args.problem
+    if problem_name not in ex.PAPER_SETUP:
+        raise SystemExit("the journal names no known problem; pass --problem")
     problem = get_problem(problem_name)
     _, _, cost = ex.PAPER_SETUP[problem_name]
     top = top_k_architectures(records, args.top)
@@ -283,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--landscape-seed", type=int, default=7,
                    help="seed of the surrogate reward landscape")
-    p.add_argument("--output", help="write a JSON-lines log here")
     p.add_argument("--guard-mode", choices=("off", "check", "recover"),
                    default="off",
                    help="numerical health guards (repro.health): check "
@@ -330,13 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "evaluations are never re-executed)")
     p.set_defaults(fn=_cmd_search)
 
-    p = sub.add_parser("analyze", help="summarize a search log")
-    p.add_argument("log")
+    p = sub.add_parser("analyze", help="summarize a journaled run")
+    p.add_argument("journal_dir", metavar="DIR", help="a --journal-dir")
     p.add_argument("--top", type=int, default=10)
     p.set_defaults(fn=_cmd_analyze)
 
-    p = sub.add_parser("posttrain", help="post-train a log's top archs")
-    p.add_argument("log")
+    p = sub.add_parser("posttrain", help="post-train a run's top archs")
+    p.add_argument("journal_dir", metavar="DIR", help="a --journal-dir")
     p.add_argument("--problem", choices=("combo", "uno", "nt3"))
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--epochs", type=int, default=10)

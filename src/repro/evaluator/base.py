@@ -202,11 +202,15 @@ class Evaluator:
         if cached is None:
             return False
         self.num_cache_hits += 1
+        now = self.clock()
         self._finished.append(EvalRecord(
-            arch, cached, self.agent_id, submit_time, submit_time,
-            self.clock(), cached=True))
-        emit(self.sink, CACHE_HIT, self.clock(), self.agent_id,
-             reward=cached.reward)
+            arch, cached, self.agent_id, submit_time, submit_time, now,
+            cached=True))
+        if self.sink is not None:   # eval-done's record fields
+            emit(self.sink, CACHE_HIT, now, self.agent_id,
+                 reward=cached.reward, arch=arch.to_dict(),
+                 params=cached.params, duration=cached.duration,
+                 timed_out=cached.timed_out)
         return True
 
     # -- evaluation and delivery ---------------------------------------
@@ -242,11 +246,11 @@ class Evaluator:
         cached.  ``start_time`` defaults to the submission and
         ``end_time`` to now.
 
-        The payload is the wire format
-        :func:`repro.search.journal.build_replay` reads back: the
-        architecture, the full result tuple and, as the event time, the
-        completion timestamp.  A journal-replayed completion also
-        carries ``replayed=True``, which ``build_replay`` skips.
+        The payload is the wire format the journal's ``build_replay``
+        and ``read_records`` read back: the architecture, the full result
+        tuple and, as the event time, the completion timestamp.  A
+        replayed completion also carries ``replayed=True``, which
+        ``build_replay`` skips and ``read_records`` counts.
         """
         start_time = submit_time if start_time is None else start_time
         end_time = self.clock() if end_time is None else end_time

@@ -21,11 +21,15 @@ __all__ = [
     "SUBMIT", "BATCH_STATS", "EVAL_DONE", "CACHE_HIT", "PUSH", "BARRIER",
     "ROLLBACK", "RESTART", "CHECKPOINT", "CRASH", "AGENT_DONE",
     "WORKER_SPAWN", "WORKER_CRASH", "WORKER_RESPAWN", "WORKER_TIMEOUT",
-    "QUARANTINE", "PREEMPT",
+    "QUARANTINE", "PREEMPT", "RUN", "RUN_END",
     "EVENT_KINDS", "SearchEvent", "EventSink", "NullSink", "RecordingSink",
     "CallbackSink", "TeeSink", "EventLog", "emit",
 ]
 
+#: a run began or resumed: its setup and ``records``, per-agent counts
+RUN = "run"
+#: the run ended; ``records`` holds each agent's final record count
+RUN_END = "run-end"
 #: a batch of architectures entered the evaluator
 SUBMIT = "submit"
 #: the evaluator gathered a batch against the shared plan cache; payload
@@ -34,7 +38,7 @@ SUBMIT = "submit"
 BATCH_STATS = "batch-stats"
 #: one evaluation finished (real or failed — see ``payload["failed"]``)
 EVAL_DONE = "eval-done"
-#: an architecture was answered from the agent-local cache
+#: the agent-local cache answered an architecture (eval-done's fields)
 CACHE_HIT = "cache-hit"
 #: an agent handed its delta to the parameter server
 PUSH = "push"
@@ -42,7 +46,7 @@ PUSH = "push"
 BARRIER = "barrier"
 #: a health guard rolled an agent's policy back to its last snapshot
 ROLLBACK = "rollback"
-#: a crashed agent was resurrected from its iteration boundary
+#: a crashed agent restarted from its boundary's ``num_records``
 RESTART = "restart"
 #: the search captured a resumable checkpoint
 CHECKPOINT = "checkpoint"
@@ -67,7 +71,7 @@ PREEMPT = "preempt"
 EVENT_KINDS = (SUBMIT, BATCH_STATS, EVAL_DONE, CACHE_HIT, PUSH, BARRIER,
                ROLLBACK, RESTART, CHECKPOINT, CRASH, AGENT_DONE,
                WORKER_SPAWN, WORKER_CRASH, WORKER_RESPAWN, WORKER_TIMEOUT,
-               QUARANTINE, PREEMPT)
+               QUARANTINE, PREEMPT, RUN, RUN_END)
 
 
 @dataclass(frozen=True)

@@ -168,8 +168,8 @@ class RewardRecord:
     timed_out: bool
 
     def to_json(self) -> dict:
-        """One JSON object per record: the codec search logs
-        (:mod:`repro.analytics.io`) and checkpoints both write."""
+        """One JSON object per record, the codec checkpoints write; a
+        journal's eval-done and cache-hit events carry the same fields."""
         return {"time": self.time, "agent_id": self.agent_id,
                 "arch": self.arch.to_dict(), "reward": self.reward,
                 "params": self.params, "duration": self.duration,

@@ -24,10 +24,10 @@ and at most one check across rows.  :func:`run`, :func:`check` and
 * ``crashpoint`` — SIGKILL the whole search at stratified journal
   records; resume must be bit-identical with zero re-evaluation.
 
-The faults, numeric and proc rows also account for every record: per
-agent, the result's non-cached records must equal the journaled
-evaluations of the event stream (``unaccounted_agents`` stays zero), an
-invariant that needs no reference run.
+Every row also accounts for every record: per agent, the result's
+records must equal, as a multiset, the ones the run's event stream
+rebuilds (``unaccounted_agents`` stays zero), an invariant that needs
+no reference run.
 
 Run via ``make chaos`` or::
 
@@ -62,9 +62,9 @@ from ..nas.spaces import combo_small
 from ..problems.combo import COMBO_PAPER_SHAPES, combo_head
 from ..rewards import SurrogateReward
 from ..rewards.base import EvalResult, RewardModel
+from ..verify.fingerprint import record_digest
 from .base import SearchConfig
-from .journal import (JOURNAL_NAME, build_replay, read_journal,
-                      resume_durable)
+from .journal import JOURNAL_NAME, read_journal, read_records, resume_durable
 from .runner import NasSearch
 
 __all__ = ["ChaosEvalModel", "Scenario", "SCENARIOS", "fault_levels",
@@ -173,17 +173,15 @@ def _run_row(level: str, search: NasSearch, sink: RecordingSink,
 
 
 def _unaccounted_agents(events, result) -> int:
-    """Agents whose non-cached records differ in number from their
-    evaluations in the event stream ``events`` (``eval-done``, net of
-    replays and of what each RESTART trimmed) — the record accounting
-    that needs no reference run."""
-    journaled = build_replay(events, None)
-    real: dict[int, int] = {}
-    for rec in result.records:
-        if not rec.cached:
-            real[rec.agent_id] = real.get(rec.agent_id, 0) + 1
-    return sum(1 for agent_id in set(real) | set(journaled)
-               if real.get(agent_id, 0) != len(journaled.get(agent_id, ())))
+    """Agents whose records differ, as a multiset, from the ones
+    :func:`~repro.search.journal.read_records` rebuilds from ``events``
+    — the record accounting that needs no reference run."""
+    rebuilt = read_records(events)[0]
+
+    def digest(records, agent_id):
+        return record_digest(r for r in records if r.agent_id == agent_id)
+    return sum(1 for a in {r.agent_id for r in rebuilt + result.records}
+               if digest(rebuilt, a) != digest(result.records, a))
 
 
 def fault_levels(minutes: float, seed: int) -> list[tuple[str,
@@ -531,9 +529,9 @@ class Scenario:
 
 
 _NO_EVALS = {"evaluations": "produced no evaluations"}
-_UNACCOUNTED = {"unaccounted_agents": "{} agent(s) whose non-cached "
-                                      "records differ from the journal's "
-                                      "evaluations"}
+_UNACCOUNTED = {"unaccounted_agents": "{} agent(s) whose records differ "
+                                      "from the ones the event stream "
+                                      "rebuilds"}
 
 SCENARIOS: dict[str, Scenario] = {
     "faults": Scenario(

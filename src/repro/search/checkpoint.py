@@ -47,7 +47,7 @@ from ..rewards.base import EvalResult
 from .base import RewardRecord
 
 __all__ = ["AgentBoundary", "AgentCheckpoint", "SearchCheckpoint",
-           "restore_boundary"]
+           "restore_boundary", "trim_to_boundaries"]
 
 FORMAT_VERSION = 1
 
@@ -107,6 +107,22 @@ def restore_boundary(boundary: AgentBoundary, policy, optimizer) -> None:
         optimizer.restore_state(boundary.opt_state)
     if boundary.lr is not None:
         optimizer.lr = boundary.lr
+
+
+def trim_to_boundaries(records: list[RewardRecord],
+                       budgets: dict[int, int]) -> list[RewardRecord]:
+    """Keep each budgeted agent's first ``budgets[agent_id]`` records
+    (those up to its iteration boundary; its replay re-records the
+    rest) and every record of the other agents."""
+    left = dict(budgets)
+    kept = []
+    for rec in records:
+        if rec.agent_id in left:
+            if left[rec.agent_id] <= 0:
+                continue
+            left[rec.agent_id] -= 1
+        kept.append(rec)
+    return kept
 
 
 @dataclass

@@ -45,12 +45,14 @@ import zlib
 from pathlib import Path
 
 from ..evaluator.base import ReplayEval
-from ..events import (EVAL_DONE, RESTART, EventLog, EventSink, SearchEvent)
+from ..events import (CACHE_HIT, EVAL_DONE, RESTART, RUN, RUN_END, EventLog,
+                      EventSink, SearchEvent)
 from ..nas.arch import Architecture
 from ..util.atomicio import FsyncPolicy, atomic_write_bytes
-from .checkpoint import SearchCheckpoint
+from .base import RewardRecord
+from .checkpoint import SearchCheckpoint, trim_to_boundaries
 
-__all__ = ["JournalWriter", "read_journal",
+__all__ = ["JournalWriter", "read_journal", "read_records",
            "CheckpointGenerations", "SearchJournal", "build_replay",
            "resume_durable"]
 
@@ -184,6 +186,37 @@ def read_journal(path) -> EventLog:
     and counted in ``num_skipped``)."""
     records, skipped = _scan(path)
     return EventLog([event for _seq, event in records], num_skipped=skipped)
+
+
+def read_records(events) -> tuple[list[RewardRecord], dict]:
+    """Rebuild a run's reward records, in stream order, with the first
+    ``run`` event's metadata.  An agent's ``eval-done`` (replays too)
+    and ``cache-hit`` events are its records, cut at each ``run``,
+    ``run-end`` and ``restart`` to the count it carries: an iteration
+    boundary, where its first n events are its n records.  A stream
+    with no ``run`` before its first record raises ValueError."""
+    records, metadata = [], None
+    for event in events:
+        kind, payload = event.kind, event.payload
+        if metadata is None and kind in (EVAL_DONE, CACHE_HIT, RESTART,
+                                         RUN_END):
+            break                               # refused below
+        if kind == EVAL_DONE or kind == CACHE_HIT:
+            records.append(RewardRecord.from_json(dict(
+                payload, time=event.time, agent_id=event.agent_id,
+                cached=kind == CACHE_HIT)))
+        elif kind == RESTART:
+            records = trim_to_boundaries(
+                records, {event.agent_id: payload["num_records"]})
+        elif kind == RUN or kind == RUN_END:
+            metadata = metadata or {k: v for k, v in payload.items()
+                                    if k != "records"}
+            records = trim_to_boundaries(records,
+                                         dict(enumerate(payload["records"])))
+    if metadata is None:
+        raise ValueError("no 'run' event before the first record: the "
+                         "journal is empty or older than run events")
+    return records, metadata
 
 
 class CheckpointGenerations:

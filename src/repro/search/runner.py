@@ -46,14 +46,15 @@ set, the loop is byte-for-byte the fault-free search.
 from __future__ import annotations
 
 import signal
+from dataclasses import asdict
 
 from ..evaluator.balsam import BalsamEvaluator, BalsamService
 from ..evaluator.base import Evaluator
 from ..evaluator.process import ProcessEvaluator
 from ..evaluator.serial import SerialEvaluator
 from ..evaluator.thread import ThreadEvaluator
-from ..events import (AGENT_DONE, CHECKPOINT, CRASH, PREEMPT, RESTART,
-                      EventSink, TeeSink, emit)
+from ..events import (AGENT_DONE, CHECKPOINT, CRASH, PREEMPT, RESTART, RUN,
+                      RUN_END, EventSink, TeeSink, emit)
 from ..hpc.cluster import Cluster
 from ..hpc.faults import FaultInjector
 from ..hpc.sim import Interrupt, Simulator
@@ -64,7 +65,7 @@ from ..rl.policy import LSTMPolicy
 from ..rl.ppo import PPOConfig, PPOUpdater
 from .base import RewardRecord, SearchConfig, SearchResult
 from .checkpoint import (AgentBoundary, AgentCheckpoint, SearchCheckpoint,
-                         restore_boundary)
+                         restore_boundary, trim_to_boundaries)
 from .methods import build_proposer
 from .hooks import BoundaryHook, HealthHook, HookStack, NumericFaultHook
 from .journal import SearchJournal
@@ -129,6 +130,8 @@ class NasSearch:
         #: preemption cause (signal name or explicit request); None while
         #: the search is allowed to keep running
         self._preempt_cause: str | None = None
+        #: the zero-delay event a requested preemption waits for
+        self._preempt_settle = None
         #: checkpoints captured during run() (newest last)
         self.checkpoints: list[SearchCheckpoint] = []
         #: records present at the last capture (drives the
@@ -231,10 +234,10 @@ class NasSearch:
         """Ask the search to stop at the next event boundary.
 
         Safe to call from a signal handler or any thread: it only flips
-        a flag; the event loop observes it before its next callback,
-        where every agent is parked at a yield point and the state is
-        checkpoint-consistent.  ``run()`` then captures a resumable
-        checkpoint and returns with ``SearchResult.preempted``.
+        a flag; the event loop stops once the agents woken at the
+        current instant have run (:meth:`_preempt_settled`), where the
+        state is checkpoint-consistent.  ``run()`` then captures a
+        resumable checkpoint and returns with ``SearchResult.preempted``.
         """
         self._preempt_cause = cause
 
@@ -261,6 +264,9 @@ class NasSearch:
 
     def _run(self) -> SearchResult:
         cfg = self.config
+        self._emit_counts(RUN, space=self.space.name, method=cfg.method,
+                          seed=cfg.seed, backend=cfg.backend,
+                          **asdict(cfg.allocation))
         if self.injector is not None:
             self.injector.attach(self.cluster)
         for agent_id in range(cfg.allocation.num_agents):
@@ -271,7 +277,7 @@ class NasSearch:
                              if cfg.preemptible else {})
         try:
             self.sim.run(until=cfg.wall_time,
-                         stop=(lambda: self._preempt_cause is not None)
+                         stop=self._preempt_settled
                          if cfg.preemptible else None)
         finally:
             for sig, old in previous_handlers.items():
@@ -298,6 +304,7 @@ class NasSearch:
         converged = (self._converged_agents == cfg.allocation.num_agents
                      and end_time < cfg.wall_time)
         unique = len({rec.arch.key for rec in self.records})
+        self._emit_counts(RUN_END)
         return SearchResult(cfg, self.records, self.cluster, end_time,
                             converged, unique,
                             failed_agents=list(self._failed_agents),
@@ -308,6 +315,30 @@ class NasSearch:
                             agent_rollbacks=dict(self._rollbacks),
                             preempted=preempted,
                             worker_stats=worker_stats)
+
+    def _preempt_settled(self) -> bool:
+        """``sim.run``'s stop predicate: True once a requested preemption
+        may be captured.  The first poll that sees the request schedules
+        a zero-delay event, and the run stops once it has fired, as
+        :meth:`_maybe_record_checkpoint` defers its capture: a request
+        can land just after a sync barrier released (on the serial and
+        process backends the releasing agent evaluates its next batch
+        within that step), while other woken agents' boundaries still
+        point at the applied round."""
+        if self._preempt_cause is None:
+            return False
+        if self._preempt_settle is None:
+            self._preempt_settle = self.sim.timeout_event(0.0)
+        return self._preempt_settle.triggered
+
+    def _emit_counts(self, kind: str, **payload) -> None:
+        """Emit ``kind`` with each agent's record count, as a list (JSON
+        turns dict keys into strings, and their sort breaks the CRC)."""
+        if self.sink is not None:
+            counts = [0] * self.config.allocation.num_agents
+            for rec in self.records:
+                counts[rec.agent_id] += 1
+            emit(self.sink, kind, self.sim.now, records=counts, **payload)
 
     # -- the agent wrapper ---------------------------------------------
     def _build_loop(self, agent_id: int) -> AgentLoop:
@@ -410,19 +441,20 @@ class NasSearch:
         """
         self.proposer.leave(failed=True)
         # trimmed in place: every live agent loop appends to this list
-        self.records[:] = _trim_to_boundaries(
+        self.records[:] = trim_to_boundaries(
             self.records, {agent_id: boundary.num_records})
         # shared-history proposers re-fold their state from the kept
         # records (the records ARE the history; see proposer.rebuild)
         self.proposer.rebuild(self.records)
         self._restore_agent_state(agent_id, boundary)
         self.proposer.rejoin(agent_id)
-        # real_evals tells a journal replay (repro.search.journal) how
-        # far to truncate this agent's accumulated eval-done stream —
-        # the journal-side mirror of the record trimming above
+        # real_evals and num_records tell the journal's replay and record
+        # rebuild (repro.search.journal) how far to cut this agent's
+        # events — the journal-side mirrors of the record trimming above
         emit(self.sink, RESTART, self.sim.now, agent_id,
              boundary.iteration, cause=cause,
-             real_evals=boundary.num_submitted - boundary.num_cache_hits)
+             real_evals=boundary.num_submitted - boundary.num_cache_hits,
+             num_records=boundary.num_records)
 
     def _restore_agent_state(self, agent_id: int,
                              boundary: AgentBoundary) -> None:
@@ -560,7 +592,7 @@ class NasSearch:
         self._validate_checkpoint(ckpt)
         # a sync agent parked at the barrier has already recorded its
         # in-flight iteration
-        self.records = _trim_to_boundaries(
+        self.records = trim_to_boundaries(
             ckpt.records, {a.agent_id: a.boundary.num_records
                            for a in ckpt.agents
                            if not a.done and a.boundary is not None})
@@ -590,22 +622,6 @@ class NasSearch:
             self._restore_agent_state(agent.agent_id, agent.boundary)
         self.proposer.restore_state(ckpt.ps_state)
         self._records_at_ckpt = len(self.records)
-
-
-def _trim_to_boundaries(records: list[RewardRecord],
-                        budgets: dict[int, int]) -> list[RewardRecord]:
-    """Keep each budgeted agent's first ``budgets[agent_id]`` records
-    (those up to its iteration boundary; its replay re-records the
-    rest) and every record of the other agents."""
-    left = dict(budgets)
-    kept = []
-    for rec in records:
-        if rec.agent_id in left:
-            if left[rec.agent_id] <= 0:
-                continue
-            left[rec.agent_id] -= 1
-        kept.append(rec)
-    return kept
 
 
 def run_search(space: Structure, reward_model: RewardModel,

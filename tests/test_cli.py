@@ -6,7 +6,6 @@ import pytest
 
 import repro.search
 from repro import experiments as ex
-from repro.analytics import save_records
 from repro.cli import build_parser, main
 from repro.hpc import NodeAllocation
 from repro.search import SearchConfig, run_search
@@ -40,28 +39,40 @@ class TestCommands:
         assert "13,772,001" in out and "19,274,001" in out
 
     def test_search_analyze_posttrain_pipeline(self, tmp_path, capsys):
-        log = tmp_path / "run.jsonl"
+        run = tmp_path / "run"
         assert main(["search", "--problem", "combo", "--method", "rdm",
-                     "--minutes", "15", "--output", str(log)]) == 0
-        assert log.exists()
-        assert main(["analyze", str(log), "--top", "2"]) == 0
+                     "--minutes", "15", "--journal-dir", str(run)]) == 0
+        evaluations = re.search(r"evaluations: (\d+) ",
+                                capsys.readouterr().out).group(1)
+        assert main(["analyze", str(run), "--top", "2"]) == 0
         out = capsys.readouterr().out
+        assert f"({evaluations} records, " in out
+        assert "'space': 'combo-small'" in out
         assert "unique architectures" in out
-        assert main(["posttrain", str(log), "--top", "2",
+        assert "did not end" not in out
+        # the problem comes from the journal's space name
+        assert main(["posttrain", str(run), "--top", "2",
                      "--epochs", "2"]) == 0
         out = capsys.readouterr().out
         assert "acc_ratio" in out
 
     def test_analyze_empty_log(self, tmp_path, capsys):
-        # a search stopped before its first evaluation writes a valid
-        # log with no records; analyze still prints its summary
-        log = tmp_path / "empty.jsonl"
-        save_records([], log, metadata={"problem": "combo"})
-        assert main(["analyze", str(log)]) == 0
+        # a search stopped before its first evaluation journals a run
+        # with no records; analyze still prints its summary
+        run = tmp_path / "run"
+        assert main(["search", "--minutes", "0.5",
+                     "--journal-dir", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(run)]) == 0
         out = capsys.readouterr().out
         assert "(0 records" in out
         assert "final best reward: n/a" in out
         assert "time to reward 0.5: not reached" in out
+
+    def test_analyze_refuses_a_directory_without_a_run(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(tmp_path)])
+        assert "journal.jsonl" in str(exc.value.code)
 
     def test_nt3_large_rejected(self):
         with pytest.raises(SystemExit):
@@ -150,11 +161,13 @@ class TestDurability:
 
     def test_removed_persistence_flags_rejected(self, capsys):
         for flag in (["--events", "run.jsonl"], ["--events-fsync-every", "2"],
-                     ["--checkpoint-path", "c.json"], ["--resume", "c.json"]):
+                     ["--checkpoint-path", "c.json"], ["--resume", "c.json"],
+                     ["--output", "run.jsonl"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["search", *flag])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["search", "--help"])
         help_text = capsys.readouterr().out
-        for gone in ("--events", "--checkpoint-path", "--resume "):
+        for gone in ("--events", "--checkpoint-path", "--resume ",
+                     "--output"):
             assert gone not in help_text

@@ -16,7 +16,8 @@ from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.search import NasSearch, SearchConfig, chaos, run_search
-from repro.search.journal import build_replay
+from repro.search.journal import read_records
+from repro.verify.fingerprint import record_digest
 
 pytestmark = pytest.mark.health
 
@@ -98,9 +99,9 @@ class TestNumericChaos:
     def test_restart_keeps_every_agents_records(self, space, method):
         """A resurrection trims the shared record list in place, so the
         records other live agents append afterwards still reach the
-        result.  Each agent's real (non-cached) records equal its
-        journaled evaluations, net of replays and of what each restart
-        trimmed (the numeric chaos row's configuration)."""
+        result.  Each agent's records equal, as a multiset, the ones the
+        event stream rebuilds, which each restart cuts back to its
+        boundary (the numeric chaos row's configuration)."""
         cfg = small_config(method, minutes=40, faults=numeric_faults(),
                            guard=GuardConfig(mode="recover"),
                            max_restarts=3)
@@ -108,11 +109,13 @@ class TestNumericChaos:
         res = NasSearch(space, make_surrogate(space), cfg,
                         event_sink=sink).run()
         assert res.num_restarts >= 1
-        journaled = build_replay(sink.events, None)
+        rebuilt = read_records(sink.events)[0]
         for agent_id in range(cfg.allocation.num_agents):
-            real = sum(1 for rec in res.records
-                       if rec.agent_id == agent_id and not rec.cached)
-            assert real == len(journaled.get(agent_id, ())), agent_id
+            kept = [rec for rec in res.records if rec.agent_id == agent_id]
+            assert kept, agent_id
+            assert record_digest(kept) == record_digest(
+                [rec for rec in rebuilt if rec.agent_id == agent_id]), \
+                agent_id
 
     def test_check_mode_resurrects_without_rollbacks(self, space):
         cfg = small_config(minutes=40, faults=numeric_faults(),

@@ -1,18 +1,23 @@
-"""Every chaos invariant fires on a row that breaks it — no searches run.
+"""Every chaos invariant fires on a row that breaks it.
 
 Each scenario of :data:`repro.search.chaos.SCENARIOS` gets a healthy
 synthetic row set that must check clean.  Then, once per invariant, one
 row of that set is broken in exactly the way the invariant guards
 against, and :func:`repro.search.chaos.check` must report exactly one
 problem, naming that row's ``level``.  A dropped or mistyped invariant
-therefore fails here instead of passing silently on healthy runs.
+therefore fails here instead of passing silently on healthy runs.  No
+search runs, except one short one whose event stream is broken to show
+that the record accounting behind ``unaccounted_agents`` catches it.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.search import chaos
+from repro.events import CACHE_HIT, RecordingSink
+from repro.hpc import NodeAllocation
+from repro.nas.spaces import combo_small
+from repro.search import NasSearch, SearchConfig, chaos
 
 
 def search_row(level, method, **columns):
@@ -195,3 +200,37 @@ class TestMain:
         with pytest.raises(SystemExit):
             chaos.main(["--method", "a3c"])
         assert calls == []
+
+
+class TestRecordAccounting:
+    """``unaccounted_agents`` compares each agent's records, as a
+    multiset, with the ones its event stream rebuilds, so a lost cache
+    hit or a changed record field counts, not only a lost evaluation."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        space = combo_small()
+        sink = RecordingSink()
+        cfg = SearchConfig(method="a3c", allocation=NodeAllocation(16, 3, 3),
+                           wall_time=7200.0, seed=3)
+        result = NasSearch(space, chaos._surrogate(space), cfg,
+                           event_sink=sink).run()
+        assert any(e.kind == CACHE_HIT for e in sink.events)
+        return sink.events, result
+
+    def test_real_stream_accounts_for_every_record(self, run):
+        assert chaos._unaccounted_agents(*run) == 0
+
+    def test_dropped_cache_hit_is_unaccounted(self, run):
+        events, result = run
+        drop = next(i for i, e in enumerate(events) if e.kind == CACHE_HIT)
+        assert chaos._unaccounted_agents(
+            events[:drop] + events[drop + 1:], result) == 1
+
+    def test_changed_reward_is_unaccounted(self, run):
+        events, result = run
+        records = list(result.records)
+        records[5] = dataclasses.replace(records[5],
+                                         reward=records[5].reward + 0.5)
+        assert chaos._unaccounted_agents(
+            events, dataclasses.replace(result, records=records)) == 1

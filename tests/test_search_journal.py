@@ -4,26 +4,37 @@ The write-ahead journal, the checkpoint generations, and the shared
 atomic-write primitives are each tested in isolation here; the
 end-to-end crash/resume promises (bit-identical fingerprints, zero
 re-evaluation) live in ``test_search_journal_resume.py`` and the
-crash-point fuzzer (``repro.search.chaos --profile crashpoint``).
+crash-point fuzzer (``repro.search.chaos --profile crashpoint``).  The
+record rebuild (``read_records``) is tested here on synthetic streams
+and on the journals of real runs: cut by their wall time, preempted
+and resumed, and SIGKILLed.
 """
 
+import dataclasses
 import json
 import math
 import os
 import zlib
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from repro.events import EVAL_DONE, PUSH, RESTART, SUBMIT, SearchEvent, emit
+from repro.cli import main as cli_main
+from repro.events import (CACHE_HIT, EVAL_DONE, PUSH, RESTART, RUN, RUN_END,
+                          SUBMIT, CallbackSink, SearchEvent, emit)
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.nas.arch import Architecture
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
-from repro.search import NasSearch, SearchConfig
-from repro.search.journal import (CheckpointGenerations, JournalWriter,
-                                  build_replay, read_journal, resume_durable)
+from repro.search import NasSearch, SearchConfig, chaos
+from repro.search.journal import (GENERATIONS_DIR, JOURNAL_NAME,
+                                  CheckpointGenerations, JournalWriter,
+                                  build_replay, read_journal, read_records,
+                                  resume_durable)
 from repro.util import (FsyncPolicy, atomic_write_json, atomic_write_text)
+from repro.verify.fingerprint import record_digest
 
 
 def some_events(n=3):
@@ -356,6 +367,133 @@ class TestBuildReplay:
 
     def test_empty_stream(self):
         assert build_replay([], None) == {}
+
+
+def record_event(kind, agent_id, arch_dict, reward):
+    return SearchEvent(kind, 1.0, agent_id=agent_id, payload={
+        "arch": arch_dict, "reward": reward, "duration": 2.0,
+        "params": 100, "timed_out": False})
+
+
+def counts_event(kind, counts):
+    return SearchEvent(kind, 0.0, payload={"space": "combo-small",
+                                           "records": counts})
+
+
+def surrogate(space):
+    return SurrogateReward(space, COMBO_PAPER_SHAPES, combo_head(),
+                           TrainingCostModel.combo_paper(), epochs=1,
+                           train_fraction=0.1, timeout=600.0, seed=7)
+
+
+def journal_records(journal_dir):
+    return read_records(read_journal(journal_dir / JOURNAL_NAME))[0]
+
+
+class TestReadRecords:
+    """``read_records`` rebuilds a run's records from its journal: one
+    per ``eval-done`` and ``cache-hit``, each agent cut back to the
+    count every ``run``, ``run-end`` and ``restart`` event carries."""
+
+    def test_counts_cut_each_agent(self):
+        arch = combo_small().random_architecture(
+            np.random.default_rng(0)).to_dict()
+        events = [
+            counts_event(RUN, [0, 0]),
+            record_event(EVAL_DONE, 0, arch, 0.1),
+            record_event(CACHE_HIT, 1, arch, 0.2),
+            record_event(EVAL_DONE, 0, arch, 0.3),
+            SearchEvent(RESTART, 2.0, agent_id=0,
+                        payload={"real_evals": 1, "num_records": 1}),
+            record_event(EVAL_DONE, 0, arch, 0.4),
+            record_event(EVAL_DONE, 1, arch, 0.5),   # never consumed
+            counts_event(RUN_END, [2, 1]),
+        ]
+        records, metadata = read_records(events)
+        assert [(r.agent_id, r.reward, r.cached) for r in records] == [
+            (0, 0.1, False), (1, 0.2, True), (0, 0.4, False)]
+        assert metadata == {"space": "combo-small"}
+
+    @pytest.mark.parametrize("events", [
+        [], [SearchEvent(SUBMIT, 0.0, agent_id=0, payload={"count": 1})],
+        [eval_done(0, {"space": "combo-small", "choices": [0]}),
+         counts_event(RUN, [0])]])
+    def test_stream_without_a_leading_run_is_refused(self, events):
+        with pytest.raises(ValueError, match="no 'run' event"):
+            read_records(events)
+
+    def test_wall_time_cut_run_rebuilds_exactly(self, tmp_path):
+        """A balsam run cut by its wall time leaves evaluations no agent
+        consumed; ``run-end`` drops them.  Twelve agents: the per-agent
+        counts must survive the journal's CRC as a list."""
+        space = combo_small()
+        cfg = SearchConfig(method="a3c", allocation=NodeAllocation(49, 12, 3),
+                           wall_time=120 * 60.0, seed=0,
+                           journal_dir=os.fspath(tmp_path))
+        result = NasSearch(space, surrogate(space), cfg).run()
+        events = read_journal(tmp_path / JOURNAL_NAME)
+        assert events.num_skipped == 0
+        records, metadata = read_records(events)
+        assert record_digest(records) == record_digest(result.records)
+        assert metadata == {"space": "combo-small", "method": "a3c",
+                            "seed": 0, "backend": "balsam",
+                            "total_nodes": 49, "num_agents": 12,
+                            "workers_per_agent": 3, "service_nodes": 1}
+        unended = read_records([e for e in events if e.kind != RUN_END])[0]
+        assert len(unended) == len(records) + 2
+
+    @pytest.mark.parametrize("method,backend", [("a3c", "balsam"),
+                                                ("a2c", "serial")])
+    def test_preempted_then_resumed_journal_rebuilds_the_result(
+            self, tmp_path, method, backend):
+        space = combo_small()
+        cfg = SearchConfig(method=method, allocation=NodeAllocation(16, 3, 3),
+                           wall_time=1800.0, seed=3, backend=backend,
+                           max_iterations=10 if backend == "serial" else None,
+                           journal_dir=os.fspath(tmp_path))
+        count = [0]
+
+        def preempt_at_12th(event):
+            if event.kind == EVAL_DONE:
+                count[0] += 1
+                if count[0] == 12:
+                    search.request_preemption("test")
+
+        search = NasSearch(space, surrogate(space),
+                           dataclasses.replace(cfg, preemptible=True),
+                           event_sink=CallbackSink(preempt_at_12th))
+        assert search.run().preempted
+        final = resume_durable(space, surrogate(space), cfg).run()
+        assert not final.preempted
+        assert record_digest(journal_records(tmp_path)) == \
+            record_digest(final.records)
+
+
+@pytest.mark.crashfuzz
+def test_sigkilled_journal_rebuilds_and_analyzes(tmp_path, capsys):
+    """A journal SIGKILLed mid-run (through the crash-point fuzzer's
+    child) has no ``run-end``: its rebuild holds every record of the
+    newest verified checkpoint generation, and ``repro analyze`` reads
+    it, torn tail included."""
+    base = tmp_path / "base"
+    chaos.crashpoint_child(base)
+    total = (base / JOURNAL_NAME).read_bytes().count(b"\n")
+    crash = tmp_path / "crash"
+    assert chaos._spawn_and_kill_at(crash, total // 2, "a3c", "serial",
+                                    seed=3, iterations=4, throttle=0.05)
+    with open(crash / JOURNAL_NAME, "a") as fh:
+        fh.write('{"crc": 1, "ev": {"kind": "eval-')
+    ckpt, _integrity = CheckpointGenerations(
+        crash / GENERATIONS_DIR).load_latest()
+    assert ckpt.records
+
+    def multiset(records):
+        return Counter(json.dumps(r.to_json(), sort_keys=True)
+                       for r in records)
+
+    assert not multiset(ckpt.records) - multiset(journal_records(crash))
+    assert cli_main(["analyze", str(crash)]) == 0
+    assert "did not end" in capsys.readouterr().out
 
 
 class TestResumeDurableValidation:

@@ -76,6 +76,38 @@ class TestPreemption:
                             resume_from=ckpt.round_trip()).run()
         assert resumed.fingerprint() == base.fingerprint()
 
+    @pytest.mark.parametrize("backend", [
+        "serial", pytest.param("process", marks=pytest.mark.proc)])
+    def test_preempt_after_a_barrier_resumes_bit_identically(
+            self, space, backend):
+        """On the serial and process backends the agent that releases
+        an a2c barrier evaluates its next batch within the same step.
+        A preemption landing on one of those evaluations must still
+        capture every agent at a boundary past the applied round, or
+        the resume pushes that round twice."""
+        kwargs = dict(CFG, method="a2c", backend=backend, max_iterations=10)
+        base = NasSearch(space, make_surrogate(space),
+                         SearchConfig(**kwargs)).run()
+        count = [0]
+        holder = []
+
+        def on_event(ev):
+            if ev.kind == EVAL_DONE:
+                count[0] += 1
+                if count[0] == 12:
+                    holder[0].request_preemption("test")
+
+        search = NasSearch(space, make_surrogate(space),
+                           SearchConfig(**kwargs, preemptible=True),
+                           event_sink=CallbackSink(on_event))
+        holder.append(search)
+        assert search.run().preempted
+        resumed = NasSearch(space, make_surrogate(space),
+                            SearchConfig(**kwargs),
+                            resume_from=search.checkpoints[-1].round_trip()
+                            ).run()
+        assert resumed.fingerprint() == base.fingerprint()
+
     def test_unpreempted_preemptible_run_matches_baseline(self, space):
         """The preemption machinery (stop polling, boundary capture)
         must not perturb a run that is never actually preempted."""
