@@ -49,7 +49,8 @@ lint:
 
 ## substrate smoke check: lint gate + core NN/RL tests + one quick
 ## benchmark pass + the bench regression gate over BENCH_substrate.json
-## + a bounded crash-point fuzzing pass (a3c/ambs/evolution on serial)
+## + a bounded crash-point fuzzing pass (a3c/ambs/evolution on serial,
+## and on process, where journal order differs from record order)
 ## + the end-to-end benchmark's own tests, whose install test resolves
 ## every repro entry point perfbench patches (a rename fails here, not
 ## in the benchmark run), and one run of each of its workloads, which
@@ -60,7 +61,7 @@ smoke: lint bench-table perfbench-check
 	$(PYTHON) -c "import sys; from repro.perf import smoke; sys.exit(smoke([]))"
 	$(PYTHON) tools/check_bench.py
 	$(PYTHON) -m repro.search.chaos --profile crashpoint \
-		--methods a3c,ambs,evolution --backends serial --points 1
+		--methods a3c,ambs,evolution --backends serial,process --points 1
 
 ## tabular-benchmark smoke: sweep a tiny capped Combo sub-space into a
 ## resumable arch→metrics table (repro.bench), re-enter it to prove the

@@ -70,7 +70,7 @@ def _space_name(problem: str, size: str) -> str:
 
 
 def _cmd_search(args) -> int:
-    if getattr(args, "list_methods", False):
+    if args.list_methods:
         print(f"{'method':<10} {'learns':>6}  summary")
         for name in sorted(SEARCH_METHODS):
             m = SEARCH_METHODS[name]
@@ -84,29 +84,22 @@ def _cmd_search(args) -> int:
         epochs=1, train_fraction=args.fraction, timeout=600.0,
         seed=args.landscape_seed)
     alloc = NodeAllocation.paper_scaling(args.nodes, args.scaling)
-    guard_mode = getattr(args, "guard_mode", "off")
-    guard = (GuardConfig(mode=guard_mode)
-             if guard_mode != "off" else None)
-    backend = getattr(args, "backend", "balsam")
+    guard = (GuardConfig(mode=args.guard_mode)
+             if args.guard_mode != "off" else None)
     cfg = SearchConfig(method=args.method, allocation=alloc,
                        wall_time=args.minutes * 60.0, seed=args.seed,
-                       guard=guard,
-                       max_restarts=getattr(args, "max_restarts", 0),
-                       backend=backend,
-                       max_iterations=getattr(args, "iterations", None),
-                       preemptible=getattr(args, "preempt", False),
-                       journal_dir=getattr(args, "journal_dir", None),
-                       journal_fsync_every=getattr(args,
-                                                   "journal_fsync_every",
-                                                   None),
-                       checkpoint_every_records=getattr(
-                           args, "checkpoint_every_records", None))
+                       guard=guard, max_restarts=args.max_restarts,
+                       backend=args.backend, max_iterations=args.iterations,
+                       preemptible=args.preempt,
+                       journal_dir=args.journal_dir,
+                       journal_fsync_every=args.journal_fsync_every,
+                       checkpoint_every_records=args.checkpoint_every_records)
     print(f"running {args.method} on {space.name} "
           f"({alloc.num_agents} agents x {alloc.workers_per_agent} "
           f"workers, {args.minutes:.0f} simulated min, "
-          f"{backend} backend) ...")
+          f"{args.backend} backend) ...")
     try:
-        if getattr(args, "resume_durable", False):
+        if args.resume_durable:
             # crash-anywhere restart: load the newest intact checkpoint
             # generation and replay the journal suffix so completed
             # evaluations are never re-executed

@@ -199,8 +199,8 @@ class ProcessEvaluator(Evaluator):
 
     def __init__(self, reward_model: RewardModel, agent_id: int = 0,
                  config: ProcConfig | None = None, use_cache: bool = True,
-                 clock=time.monotonic, sink: EventSink | None = None,
-                 start: bool = True) -> None:
+                 clock=time.monotonic, sink: EventSink | None = None
+                 ) -> None:
         super().__init__(reward_model, agent_id=agent_id,
                          use_cache=use_cache, clock=clock, sink=sink)
         self.proc_config = config or ProcConfig()
@@ -217,6 +217,9 @@ class ProcessEvaluator(Evaluator):
         #: arch key -> quarantine record dict
         self.quarantined: dict[tuple, dict] = {}
         self._respawn_budget = self.proc_config.max_respawns
+        #: the pool starts with the first job it must run, so an
+        #: evaluator that is built but never used spawns nothing
+        self._pool_started = False
         self._stopped = False
         # supervision counters (surfaced via stats())
         self.num_worker_spawns = 0
@@ -225,9 +228,6 @@ class ProcessEvaluator(Evaluator):
         self.num_respawns = 0
         self.num_quarantined = 0
         self.num_inline_evals = 0
-        if start:
-            for _ in range(self.proc_config.workers):
-                self._spawn_worker()
 
     # -- worker pool ---------------------------------------------------
     @staticmethod
@@ -263,9 +263,15 @@ class ProcessEvaluator(Evaluator):
              self.clock(), self.agent_id, worker=wid, pid=proc.pid)
         return worker
 
+    def _start_pool(self) -> None:
+        self._pool_started = True
+        for _ in range(self.proc_config.workers):
+            self._spawn_worker()
+
     def worker_pids(self) -> list[int]:
-        """PIDs of currently live workers (chaos harness hook)."""
-        return [w.proc.pid for w in self._workers.values()
+        """PIDs of currently live workers (chaos harness hook; safe to
+        call from another thread while the pool respawns)."""
+        return [w.proc.pid for w in list(self._workers.values())
                 if w.proc.is_alive() and w.proc.pid is not None]
 
     @property
@@ -291,6 +297,8 @@ class ProcessEvaluator(Evaluator):
             self.quarantined[arch.key]["resubmits"] += 1
             self._deliver(arch, None, submit_time)
             return
+        if not self._pool_started and not self._stopped:
+            self._start_pool()
         job = _Job(self._next_job_id, arch, submit_time)
         self._next_job_id += 1
         self._jobs[job.job_id] = job

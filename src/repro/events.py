@@ -18,15 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 __all__ = [
-    "SUBMIT", "BATCH_STATS", "EVAL_DONE", "CACHE_HIT", "PUSH", "BARRIER",
-    "ROLLBACK", "RESTART", "CHECKPOINT", "CRASH", "AGENT_DONE",
-    "WORKER_SPAWN", "WORKER_CRASH", "WORKER_RESPAWN", "WORKER_TIMEOUT",
-    "QUARANTINE", "PREEMPT", "RUN", "RUN_END",
+    "SUBMIT", "BATCH_STATS", "EVAL_DONE", "CACHE_HIT", "BATCH_RECORDED",
+    "PUSH", "BARRIER", "ROLLBACK", "RESTART", "CHECKPOINT", "CRASH",
+    "AGENT_DONE", "WORKER_SPAWN", "WORKER_CRASH", "WORKER_RESPAWN",
+    "WORKER_TIMEOUT", "QUARANTINE", "PREEMPT", "RUN", "RUN_END",
     "EVENT_KINDS", "SearchEvent", "EventSink", "NullSink", "RecordingSink",
     "CallbackSink", "TeeSink", "EventLog", "emit",
 ]
 
-#: a run began or resumed: its setup and ``records``, per-agent counts
+#: a run began or resumed: its setup, and the per-agent counts of the
+#: ``records`` and ``caches`` entries it starts from (``caches`` is None
+#: when the search keeps no evaluation cache)
 RUN = "run"
 #: the run ended; ``records`` holds each agent's final record count
 RUN_END = "run-end"
@@ -40,6 +42,10 @@ BATCH_STATS = "batch-stats"
 EVAL_DONE = "eval-done"
 #: the agent-local cache answered an architecture (eval-done's fields)
 CACHE_HIT = "cache-hit"
+#: an agent appended its finished batch's records, in row order; row i
+#: is the agent's ``payload["order"][i]``-th ``eval-done``/``cache-hit``
+#: since its previous ``batch-recorded`` (no ``order``: the i-th)
+BATCH_RECORDED = "batch-recorded"
 #: an agent handed its delta to the parameter server
 PUSH = "push"
 #: a synchronous exchange round released its barrier
@@ -54,7 +60,7 @@ CHECKPOINT = "checkpoint"
 CRASH = "crash"
 #: an agent finished (converged, wall-time, or post-crash accounting)
 AGENT_DONE = "agent-done"
-#: a process-pool worker was started (initial pool fill)
+#: a process-pool worker was started (the pool fills at its first job)
 WORKER_SPAWN = "worker-spawn"
 #: a worker died unexpectedly (crash, external kill, lost heartbeat)
 WORKER_CRASH = "worker-crash"
@@ -68,10 +74,10 @@ QUARANTINE = "quarantine"
 #: checkpointable boundary
 PREEMPT = "preempt"
 
-EVENT_KINDS = (SUBMIT, BATCH_STATS, EVAL_DONE, CACHE_HIT, PUSH, BARRIER,
-               ROLLBACK, RESTART, CHECKPOINT, CRASH, AGENT_DONE,
-               WORKER_SPAWN, WORKER_CRASH, WORKER_RESPAWN, WORKER_TIMEOUT,
-               QUARANTINE, PREEMPT, RUN, RUN_END)
+EVENT_KINDS = (SUBMIT, BATCH_STATS, EVAL_DONE, CACHE_HIT, BATCH_RECORDED,
+               PUSH, BARRIER, ROLLBACK, RESTART, CHECKPOINT, CRASH,
+               AGENT_DONE, WORKER_SPAWN, WORKER_CRASH, WORKER_RESPAWN,
+               WORKER_TIMEOUT, QUARANTINE, PREEMPT, RUN, RUN_END)
 
 
 @dataclass(frozen=True)
@@ -160,13 +166,18 @@ class TeeSink(EventSink):
 
 class EventLog(list):
     """A list of :class:`SearchEvent` records that also reports how many
-    unreadable records the reader had to skip (``num_skipped``) — what
+    unreadable records the reader had to skip (``num_skipped``) and each
+    event's journal sequence number (``seqs``, parallel to the list;
+    1, 2, ... by default, a stream with no gap) — what
     :func:`repro.search.journal.read_journal` returns for the stream's
     only on-disk form, the write-ahead journal."""
 
-    def __init__(self, events=(), num_skipped: int = 0) -> None:
+    def __init__(self, events=(), num_skipped: int = 0,
+                 seqs=None) -> None:
         super().__init__(events)
         self.num_skipped = num_skipped
+        self.seqs: list[int] = (list(range(1, len(self) + 1))
+                                if seqs is None else list(seqs))
 
 
 def emit(sink: EventSink | None, kind: str, time: float,

@@ -239,7 +239,7 @@ class ParameterServer:
         if self.service_time > 0:
             state["served_until"] = self._served_until
         # Health-layer counters ride along only when the layer is in
-        # play, so a guard-off checkpoint keeps the pinned v1 schema
+        # play, so a guard-off checkpoint keeps the pinned schemas
         # (tests/test_search_checkpoint_golden.py) byte-for-byte.
         if self.sanitizer is not None or self.num_resurrections:
             health: dict = {"num_resurrections": self.num_resurrections}

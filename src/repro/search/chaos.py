@@ -25,9 +25,9 @@ and at most one check across rows.  :func:`run`, :func:`check` and
   records; resume must be bit-identical with zero re-evaluation.
 
 Every row also accounts for every record: per agent, the result's
-records must equal, as a multiset, the ones the run's event stream
-rebuilds (``unaccounted_agents`` stays zero), an invariant that needs
-no reference run.
+records must equal, in order, the ones the run's event stream rebuilds
+(``unaccounted_agents`` stays zero), an invariant that needs no
+reference run.
 
 Run via ``make chaos`` or::
 
@@ -38,6 +38,7 @@ Run via ``make chaos`` or::
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import signal
@@ -62,7 +63,6 @@ from ..nas.spaces import combo_small
 from ..problems.combo import COMBO_PAPER_SHAPES, combo_head
 from ..rewards import SurrogateReward
 from ..rewards.base import EvalResult, RewardModel
-from ..verify.fingerprint import record_digest
 from .base import SearchConfig
 from .journal import JOURNAL_NAME, read_journal, read_records, resume_durable
 from .runner import NasSearch
@@ -173,15 +173,16 @@ def _run_row(level: str, search: NasSearch, sink: RecordingSink,
 
 
 def _unaccounted_agents(events, result) -> int:
-    """Agents whose records differ, as a multiset, from the ones
+    """Agents whose records differ, as ordered lists, from the ones
     :func:`~repro.search.journal.read_records` rebuilds from ``events``
     — the record accounting that needs no reference run."""
     rebuilt = read_records(events)[0]
 
-    def digest(records, agent_id):
-        return record_digest(r for r in records if r.agent_id == agent_id)
+    def records_of(records, agent_id):
+        return [json.dumps(r.to_json(), sort_keys=True) for r in records
+                if r.agent_id == agent_id]
     return sum(1 for a in {r.agent_id for r in rebuilt + result.records}
-               if digest(rebuilt, a) != digest(result.records, a))
+               if records_of(rebuilt, a) != records_of(result.records, a))
 
 
 def fault_levels(minutes: float, seed: int) -> list[tuple[str,

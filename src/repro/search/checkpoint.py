@@ -6,16 +6,22 @@ continue a run deterministically:
 
 * per-agent **iteration boundaries** — the virtual time at which the
   agent last started an iteration, its policy's flat parameter vector
-  (PR 1's ``get_flat``), its RNG bit-generator state, its convergence
+  (``get_flat``), its RNG bit-generator state, its convergence
   counter, and how much of its evaluation cache existed at that point;
-* the **global reward records** of all completed iterations;
+* the **global reward records** of all completed iterations and each
+  agent's **evaluation-cache entries** — in memory only: the
+  write-ahead journal already holds both, so the version-2 file leaves
+  them out and loading rebuilds them from the journal prefix the
+  generation's watermark names (:mod:`repro.search.journal`);
 * the **parameter-server state** (recent-update window, round/push
   counters, active-agent count), excluding pushes from in-flight
   iterations;
 * which agents had already finished (converged, stopped, or crashed).
 
 On disk a checkpoint exists only as a verified generation under a
-journal directory (:mod:`repro.search.journal`).  Resume —
+journal directory (:mod:`repro.search.journal`), so a file costs
+O(agents), not O(records).  Version-1 files, which embed the records
+and the caches, still load.  Resume —
 ``NasSearch(..., resume_from=ckpt)``, which
 :func:`~repro.search.journal.resume_durable` calls — rebuilds a fresh
 :class:`~repro.search.runner.NasSearch`, applies the checkpoint, and
@@ -49,7 +55,9 @@ from .base import RewardRecord
 __all__ = ["AgentBoundary", "AgentCheckpoint", "SearchCheckpoint",
            "restore_boundary", "trim_to_boundaries"]
 
-FORMAT_VERSION = 1
+#: the version :meth:`SearchCheckpoint.to_json` writes; version 1, which
+#: also embedded ``records`` and each agent's ``cache``, still loads
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -89,7 +97,7 @@ class AgentBoundary:
     #: the proposer had folded when this iteration began, so a resumed
     #: agent's re-proposal reads exactly the history prefix the original
     #: one saw.  None for the RL/rdm methods (proposals depend only on
-    #: per-agent state), keeping the v1 schema for them unchanged.
+    #: per-agent state), keeping the pinned schemas for them unchanged.
     proposer_seen: int | None = None
 
 
@@ -157,17 +165,19 @@ class SearchCheckpoint:
     #: health-layer counters (repro.health): per-agent resurrection and
     #: rollback counts at capture time.  Both empty when the health
     #: layer is off, in which case they are not serialized at all —
-    #: the v1 guard-off schema is pinned by the golden checkpoint test.
+    #: the guard-off schemas are pinned by the golden checkpoint tests.
     agent_restarts: dict = field(default_factory=dict)
     agent_rollbacks: dict = field(default_factory=dict)
     #: process-backend quarantine state: agent_id -> poison-architecture
     #: rows (``[space, choices, kills, resubmits]``).  Empty — and not
-    #: serialized — for every other backend, keeping the pinned v1
-    #: schema unchanged; rides in the conditional ``health`` export.
+    #: serialized — for every other backend, keeping the pinned
+    #: schemas unchanged; rides in the conditional ``health`` export.
     quarantine: dict = field(default_factory=dict)
 
     # -- persistence ----------------------------------------------------
     def to_json(self) -> dict:
+        """The version-2 wire form: everything but the records and the
+        cache entries, which the journal holds."""
         data = {
             "version": FORMAT_VERSION,
             "time": self.time,
@@ -179,7 +189,6 @@ class SearchCheckpoint:
             "converged_agents": self.converged_agents,
             "failed_agents": [list(fa) for fa in self.failed_agents],
             "ps_state": self.ps_state,
-            "records": [r.to_json() for r in self.records],
             "agents": [_agent_to_json(a) for a in self.agents],
         }
         if self.agent_restarts or self.agent_rollbacks or self.quarantine:
@@ -196,9 +205,14 @@ class SearchCheckpoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchCheckpoint":
-        if data.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {data.get('version')!r}")
+        """Decode either version.  A version-2 checkpoint comes back with
+        no records and no cache entries; its loader fills them in from
+        the journal (:meth:`~repro.search.journal.CheckpointGenerations
+        .load_latest`)."""
+        version = data.get("version")
+        if version not in (1, FORMAT_VERSION):
+            raise ValueError(f"unsupported checkpoint version {version!r}")
+        embedded = version == 1
         health = data.get("health", {})
         return cls(
             time=float(data["time"]),
@@ -207,8 +221,9 @@ class SearchCheckpoint:
             space_name=data["space_name"],
             num_agents=int(data["num_agents"]),
             wall_time=float(data["wall_time"]),
-            records=[RewardRecord.from_json(r) for r in data["records"]],
-            agents=[_agent_from_json(a) for a in data["agents"]],
+            records=([RewardRecord.from_json(r) for r in data["records"]]
+                     if embedded else []),
+            agents=[_agent_from_json(a, embedded) for a in data["agents"]],
             ps_state=data["ps_state"],
             converged_agents=int(data["converged_agents"]),
             failed_agents=[tuple(fa) for fa in data["failed_agents"]],
@@ -221,9 +236,14 @@ class SearchCheckpoint:
         )
 
     def round_trip(self) -> "SearchCheckpoint":
-        """JSON-encode and decode (what a checkpoint generation's save
-        and load do, without disk)."""
-        return self.from_json(json.loads(json.dumps(self.to_json())))
+        """JSON-encode and decode what a generation stores, carrying the
+        records and cache entries over unchanged — what a save and a
+        journal-backed load do, without disk or journal."""
+        back = self.from_json(json.loads(json.dumps(self.to_json())))
+        back.records = list(self.records)
+        for agent, mine in zip(back.agents, self.agents):
+            agent.cache_entries = list(mine.cache_entries)
+        return back
 
     def fingerprint(self) -> str:
         """Determinism fingerprint of the trajectory captured so far.
@@ -248,15 +268,6 @@ class SearchCheckpoint:
 # ----------------------------------------------------------------------
 # JSON helpers
 # ----------------------------------------------------------------------
-def _result_to_json(res: EvalResult) -> list:
-    return [res.reward, res.duration, res.params, res.timed_out]
-
-
-def _result_from_json(data: list) -> EvalResult:
-    return EvalResult(float(data[0]), float(data[1]), int(data[2]),
-                      bool(data[3]))
-
-
 def _agent_to_json(agent: AgentCheckpoint) -> dict:
     b = agent.boundary
     return {
@@ -264,9 +275,9 @@ def _agent_to_json(agent: AgentCheckpoint) -> dict:
         "done": agent.done,
         "converged": agent.converged,
         "boundary": None if b is None else {
-            # recover-mode only; absent keeps the guard-off v1 schema
+            # recover-mode only; absent keeps the guard-off schema
             **({} if b.lr is None else {"lr": b.lr}),
-            # shared-history methods only; absent keeps the v1 schema
+            # shared-history methods only; absent keeps the schema
             **({} if b.proposer_seen is None
                else {"proposer_seen": b.proposer_seen}),
             "time": b.time,
@@ -287,13 +298,11 @@ def _agent_to_json(agent: AgentCheckpoint) -> dict:
             "num_failed": b.num_failed,
             "traj_digest": b.traj_digest,
         },
-        "cache": [[_key_to_json(key), _result_to_json(res)]
-                  for key, res in agent.cache_entries],
         "traj_digest": agent.traj_digest,
     }
 
 
-def _agent_from_json(data: dict) -> AgentCheckpoint:
+def _agent_from_json(data: dict, embedded: bool) -> AgentCheckpoint:
     b = data["boundary"]
     boundary = None if b is None else AgentBoundary(
         time=float(b["time"]), iteration=int(b["iteration"]),
@@ -315,22 +324,17 @@ def _agent_from_json(data: dict) -> AgentCheckpoint:
         lr=(None if b.get("lr") is None else float(b["lr"])),
         proposer_seen=(None if b.get("proposer_seen") is None
                        else int(b["proposer_seen"])))
-    cache = [(_key_from_json(key), _result_from_json(res))
-             for key, res in data["cache"]]
+    # only version 1 embeds the cache (``[[space, choices], [reward,
+    # duration, params, timed_out]]`` rows)
+    cache = ([((key[0], tuple(int(c) for c in key[1])),
+               EvalResult(float(res[0]), float(res[1]), int(res[2]),
+                          bool(res[3])))
+              for key, res in data["cache"]] if embedded else [])
     return AgentCheckpoint(agent_id=int(data["agent_id"]),
                            done=bool(data["done"]),
                            converged=bool(data["converged"]),
                            boundary=boundary, cache_entries=cache,
                            traj_digest=data.get("traj_digest"))
-
-
-def _key_to_json(key: tuple) -> list:
-    space, choices = key
-    return [space, list(choices)]
-
-
-def _key_from_json(data: list) -> tuple:
-    return (data[0], tuple(int(c) for c in data[1]))
 
 
 def _jsonable(obj):

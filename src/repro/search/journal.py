@@ -8,12 +8,15 @@ the search emits is appended — checksummed, before the search acts on
 it further — to a JSONL write-ahead journal, and checkpoints are
 written as verified *generations* next to it.  Resume then becomes:
 
-1. load the newest checkpoint generation whose sha256 verifies (falling
-   back generation by generation when the newest is torn or corrupt);
-2. read the journal — tolerating a torn trailing record and skipping
-   interior corruption — and turn its ``eval-done`` suffix into
-   per-agent :class:`~repro.evaluator.base.ReplayEval` queues;
-3. restart the search from the checkpoint; when the resumed agents
+1. read the journal — tolerating a torn trailing record and skipping
+   interior corruption;
+2. load the newest checkpoint generation whose sha256 verifies and
+   whose journal prefix is intact (falling back generation by
+   generation when the newest is torn or corrupt), rebuilding its
+   reward records and evaluation caches from that prefix;
+3. turn the journal's ``eval-done`` suffix into per-agent
+   :class:`~repro.evaluator.base.ReplayEval` queues;
+4. restart the search from the checkpoint; when the resumed agents
    deterministically re-submit the architectures the dead run had
    already paid for, the evaluators answer from the replay queues instead
    of re-executing the reward model.
@@ -29,10 +32,10 @@ Journal record format: one JSON object per line,
 canonical dump (sorted keys, compact separators) of ``ev``.  The CRC is
 recomputed from the re-parsed event on read, so any bit flip inside a
 record — not just ones that break JSON syntax — is detected.  Balsam
-(virtual-time) searches journal and checkpoint like every other
-backend, but skip evaluation replay: their evaluations are simulated
-jobs whose cost is virtual anyway, and the checkpoint alone already
-resumes them deterministically.
+(virtual-time) searches journal, checkpoint and rebuild like every
+other backend, but skip evaluation replay: their evaluations are
+simulated jobs whose cost is virtual anyway, and the rebuilt checkpoint
+alone already resumes them deterministically.
 """
 
 from __future__ import annotations
@@ -40,14 +43,17 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 import zlib
+from itertools import islice
 from pathlib import Path
 
 from ..evaluator.base import ReplayEval
-from ..events import (CACHE_HIT, EVAL_DONE, RESTART, RUN, RUN_END, EventLog,
-                      EventSink, SearchEvent)
+from ..events import (BATCH_RECORDED, CACHE_HIT, EVAL_DONE, RESTART, RUN,
+                      EventLog, EventSink, SearchEvent)
 from ..nas.arch import Architecture
+from ..rewards.base import EvalResult
 from ..util.atomicio import FsyncPolicy, atomic_write_bytes
 from .base import RewardRecord
 from .checkpoint import SearchCheckpoint, trim_to_boundaries
@@ -61,6 +67,8 @@ _log = logging.getLogger("repro.search.journal")
 JOURNAL_NAME = "journal.jsonl"
 GENERATIONS_DIR = "generations"
 _GEN_RE = re.compile(r"^ckpt-(\d{8})\.json$")
+#: bytes read per step when scanning a journal back from its end
+_TAIL_BLOCK = 1 << 16
 
 
 def _canonical(data: dict) -> str:
@@ -87,7 +95,8 @@ class JournalWriter(EventSink):
     Opening an existing journal *repairs* it first: a torn trailing line
     (the half-written record of a crash mid-append) is truncated away so
     the new run's records never concatenate onto the fragment, and the
-    sequence counter continues from the last valid record.  Durability
+    sequence counter continues from the last valid record, parsed back
+    from the end.  Durability
     policy is the shared :class:`~repro.util.atomicio.FsyncPolicy`:
     every record is flushed (survives process death); ``fsync_every=N``
     additionally forces every Nth record to stable storage (survives
@@ -100,8 +109,7 @@ class JournalWriter(EventSink):
         self.seq = 0
         if self.path.exists():
             self._repair_tail()
-            for event_seq in _scan_seqs(self.path):
-                self.seq = max(self.seq, event_seq)
+            self.seq = _last_seq(self.path)
         self._policy = FsyncPolicy(fsync_every)
         self._fh = open(self.path, "a", encoding="utf-8")
 
@@ -131,28 +139,63 @@ class JournalWriter(EventSink):
     def emit(self, event: SearchEvent) -> None:
         self.append(event)
 
+    def sync(self) -> None:
+        """Force every appended record to stable storage."""
+        os.fsync(self._fh.fileno())
+
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
 
 
-def _scan_seqs(path):
-    """Yield the sequence numbers of the journal's valid records."""
-    for _seq, event in _scan(path, collect_warnings=False)[0]:
-        yield _seq
+def _parse(line) -> tuple[int, SearchEvent]:
+    """One journal line as ``(seq, event)``; ValueError (or a subclass)
+    when it is unreadable or fails its CRC."""
+    try:
+        rec = json.loads(line)
+        ev = rec["ev"]
+        if int(rec["crc"]) != _crc(ev):
+            raise ValueError("CRC mismatch")
+        return int(rec["seq"]), SearchEvent(
+            ev["kind"], ev["time"], ev.get("agent_id"), ev.get("iteration"),
+            ev.get("payload") or {})
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed journal record: {exc}") from None
 
 
-def _scan(path, collect_warnings: bool = True):
-    """Parse a journal into ``([(seq, SearchEvent), ...], num_skipped)``.
+def _last_seq(path) -> int:
+    """Sequence number of the journal's last valid record (0 for none).
 
-    A torn trailing line is silently dropped (expected crash residue);
-    any other unreadable or CRC-failing record is skipped with a
-    warning — a corrupt record costs one replay entry (that evaluation
-    re-executes), never the run.
+    Sequence numbers only increase, so this reads blocks back from the
+    end and parses lines until one is valid — a torn or corrupt tail
+    costs a line or two, never a scan of the whole journal.
     """
-    out: list[tuple[int, SearchEvent]] = []
-    skipped = 0
+    with open(path, "rb") as fh:
+        pos = fh.seek(0, os.SEEK_END)
+        rest = b""                  # the unread head of the lowest line
+        while pos > 0:
+            step = min(_TAIL_BLOCK, pos)
+            pos -= step
+            fh.seek(pos)
+            lines = (fh.read(step) + rest).split(b"\n")
+            rest = lines.pop(0) if pos > 0 else b""
+            for line in reversed(lines):
+                try:
+                    return _parse(line)[0]
+                except ValueError:
+                    continue
+    return 0
+
+
+def read_journal(path) -> EventLog:
+    """Read a journal back as an :class:`~repro.events.EventLog`, CRC
+    verified per record.  A torn trailing line is silently dropped
+    (expected crash residue); any other unreadable or CRC-failing record
+    is skipped with a warning and counted in ``num_skipped``, and
+    ``seqs`` shows the gap — a corrupt record costs one replay entry
+    (that evaluation re-executes), never the run."""
+    events, seqs, skipped = [], [], 0
     with open(Path(path), encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
@@ -161,74 +204,122 @@ def _scan(path, collect_warnings: bool = True):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-            ev = rec["ev"]
-            if int(rec["crc"]) != _crc(ev):
-                raise ValueError("CRC mismatch")
-            event = SearchEvent(ev["kind"], ev["time"], ev.get("agent_id"),
-                                ev.get("iteration"), ev.get("payload") or {})
-            seq = int(rec["seq"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            seq, event = _parse(line)
+        except ValueError:
             if i == len(lines) - 1:
                 break       # torn trailing record from a crash mid-write
             skipped += 1
-            if collect_warnings:
-                _log.warning("%s: skipping corrupt journal record at "
-                             "line %d", path, i + 1)
+            _log.warning("%s: skipping corrupt journal record at line %d",
+                         path, i + 1)
             continue
-        out.append((seq, event))
-    return out, skipped
-
-
-def read_journal(path) -> EventLog:
-    """Read a journal back as an :class:`~repro.events.EventLog` (CRC
-    verified per record; torn tail dropped; interior corruption skipped
-    and counted in ``num_skipped``)."""
-    records, skipped = _scan(path)
-    return EventLog([event for _seq, event in records], num_skipped=skipped)
+        events.append(event)
+        seqs.append(seq)
+    return EventLog(events, num_skipped=skipped, seqs=seqs)
 
 
 def read_records(events) -> tuple[list[RewardRecord], dict]:
-    """Rebuild a run's reward records, in stream order, with the first
-    ``run`` event's metadata.  An agent's ``eval-done`` (replays too)
-    and ``cache-hit`` events are its records, cut at each ``run``,
-    ``run-end`` and ``restart`` to the count it carries: an iteration
-    boundary, where its first n events are its n records.  A stream
-    with no ``run`` before its first record raises ValueError."""
-    records, metadata = [], None
+    """Rebuild a run's reward records, in the order the search appended
+    them, with the first ``run`` event's metadata.  An agent's
+    ``eval-done`` (replays too) and ``cache-hit`` events become its
+    records at its next ``batch-recorded`` event, in the row order that
+    event gives; each ``run`` and ``restart`` then cuts every agent it
+    names to the record count it carries.  A stream with no ``run``
+    before its first record raises ValueError, and so does one written
+    before ``batch-recorded`` events existed."""
+    records, _caches, metadata = _fold(events, caches=False)
+    return records, metadata
+
+
+def _fold(events, caches: bool):
+    """One pass over an event stream: ``(records, per-agent cache
+    stores, metadata)``; stores are built only when ``caches`` is set.
+    Each store maps an architecture key to its result in insertion
+    order, as the agent's :class:`~repro.evaluator.cache.EvalCache`
+    does: one entry per successful ``eval-done``, every ``run`` event
+    cutting it to the length that run starts from (a run whose
+    ``caches`` is None keeps no cache at all)."""
+    records, stores, metadata, cached = [], {}, None, False
+    pending: dict[int, list[SearchEvent]] = {}  # completions not recorded
     for event in events:
-        kind, payload = event.kind, event.payload
-        if metadata is None and kind in (EVAL_DONE, CACHE_HIT, RESTART,
-                                         RUN_END):
-            break                               # refused below
+        kind, payload, agent = event.kind, event.payload, event.agent_id
         if kind == EVAL_DONE or kind == CACHE_HIT:
-            records.append(RewardRecord.from_json(dict(
-                payload, time=event.time, agent_id=event.agent_id,
-                cached=kind == CACHE_HIT)))
+            if metadata is None:
+                break                               # refused below
+            pending.setdefault(agent, []).append(event)
+            if cached and kind == EVAL_DONE and not payload["failed"]:
+                arch = payload["arch"]
+                stores.setdefault(agent, {})[
+                    (arch["space"], tuple(arch["choices"]))] = EvalResult(
+                        float(payload["reward"]), float(payload["duration"]),
+                        int(payload["params"]), bool(payload["timed_out"]),
+                        bool(payload["nonfinite"]))
+        elif kind == BATCH_RECORDED:
+            # a completion lost to a skipped corrupt record drops a row
+            done = pending.pop(agent, [])
+            records.extend(RewardRecord.from_json(dict(
+                done[j].payload, time=done[j].time, agent_id=agent,
+                cached=done[j].kind == CACHE_HIT))
+                for j in payload.get("order", range(len(done)))
+                if j < len(done))
         elif kind == RESTART:
+            if metadata is None:
+                break
             records = trim_to_boundaries(
-                records, {event.agent_id: payload["num_records"]})
-        elif kind == RUN or kind == RUN_END:
+                records, {agent: payload["num_records"]})
+        elif kind == RUN:
+            if "caches" not in payload:
+                raise ValueError("the journal is older than "
+                                 "'batch-recorded' events")
             metadata = metadata or {k: v for k, v in payload.items()
-                                    if k != "records"}
+                                    if k not in ("records", "caches")}
+            pending.clear()             # a run starts with fresh evaluators
             records = trim_to_boundaries(records,
                                          dict(enumerate(payload["records"])))
+            cached = caches and payload["caches"] is not None
+            stores = {a: dict(islice(stores.get(a, {}).items(), n))
+                      for a, n in enumerate(payload["caches"] or ())}
     if metadata is None:
         raise ValueError("no 'run' event before the first record: the "
                          "journal is empty or older than run events")
-    return records, metadata
+    return records, stores, metadata
+
+
+def _rebuild(ckpt: SearchCheckpoint, events: EventLog, watermark: int
+             ) -> None:
+    """Fill a version-2 checkpoint's records and cache entries from the
+    journal prefix up to its ``watermark`` sequence number: the records
+    as they stood, a finished agent's whole cache, and a running one's
+    first ``cache_len`` entries.  A prefix with a gap (a skipped corrupt
+    record, or a journal that ends early) raises ValueError."""
+    seqs = events.seqs
+    if watermark > len(seqs) or (watermark and
+                                 seqs[watermark - 1] != watermark):
+        raise ValueError(f"the journal's records up to seq {watermark} "
+                         f"are not all readable")
+    ckpt.records, stores, _metadata = _fold(islice(events, watermark),
+                                            caches=True)
+    for agent in ckpt.agents:
+        entries = list(stores.get(agent.agent_id, {}).items())
+        if agent.done:
+            agent.cache_entries = entries
+        elif agent.boundary is not None:
+            agent.cache_entries = entries[:agent.boundary.cache_len]
 
 
 class CheckpointGenerations:
     """A directory of verified checkpoint generations.
 
     Each :meth:`save` writes ``ckpt-NNNNNNNN.json`` — the checkpoint's
-    pinned v1 JSON in canonical form (sorted keys, compact separators)
-    plus one additive ``integrity`` key carrying the payload sha256 and
-    the journal sequence at capture — atomically (tmp + fsync +
-    rename).  :meth:`load_latest` walks the generations newest-first
-    and returns the first whose digest verifies, logging a warning for
-    every generation it has to discard: a crash can tear at most the
+    pinned version-2 JSON in canonical form (sorted keys, compact
+    separators) plus one additive ``integrity`` key carrying the payload
+    sha256 and the journal sequence at capture, the watermark —
+    atomically (tmp + fsync + rename).  Version 2 leaves the reward
+    records and the evaluation caches out, so a generation's size does
+    not grow with the run: :meth:`load_latest` rebuilds them from the
+    journal prefix up to the watermark (a version-1 generation, which
+    embeds them, loads as it is).  It walks the generations newest-first
+    and returns the first that verifies and rebuilds, logging a warning
+    for every generation it has to discard: a crash can tear at most the
     newest file, and bit rot in it costs one generation, not the run.
     It digests the canonical dump of what it parsed, so a generation in
     any JSON layout (such as the default layout earlier versions wrote)
@@ -273,16 +364,22 @@ class CheckpointGenerations:
                 pass
         return path
 
-    def load_latest(self) -> tuple[SearchCheckpoint, dict] | None:
+    def load_latest(self, events: EventLog
+                    ) -> tuple[SearchCheckpoint, dict] | None:
         """Newest generation that verifies, as ``(checkpoint,
-        integrity)``; None when no generation survives."""
+        integrity)``, its records and caches rebuilt from ``events``
+        (:func:`read_journal` of the run's journal); None when no
+        generation survives."""
         for path in reversed(self.paths()):
             try:
                 data = json.loads(path.read_text())
                 integrity = data.pop("integrity")
                 if integrity["sha256"] != self._digest(data):
                     raise ValueError("sha256 mismatch")
-                return SearchCheckpoint.from_json(data), integrity
+                ckpt = SearchCheckpoint.from_json(data)
+                if data["version"] != 1:    # only version 1 embeds them
+                    _rebuild(ckpt, events, int(integrity["journal_seq"]))
+                return ckpt, integrity
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 _log.warning("%s: discarding unreadable checkpoint "
                              "generation (%s); falling back to the "
@@ -318,7 +415,7 @@ class SearchJournal:
         directory = Path(directory)
         journal = directory / JOURNAL_NAME
         gens = directory / GENERATIONS_DIR
-        if (journal.exists() and _scan(journal, collect_warnings=False)[0]) \
+        if (journal.exists() and _last_seq(journal)) \
                 or (gens.is_dir() and any(gens.iterdir())):
             raise ValueError(
                 f"journal_dir {str(directory)!r} already holds a search "
@@ -332,8 +429,12 @@ class SearchJournal:
 
     def save_checkpoint(self, ckpt: SearchCheckpoint) -> Path:
         """Write a checkpoint generation stamped with the journal's
-        current sequence number (every journaled record with a lower
-        sequence is already reflected in the checkpoint)."""
+        current sequence number (every journaled record up to it is
+        already reflected in the checkpoint, and loading rebuilds the
+        records and caches from exactly those).  The journal is forced
+        to stable storage first, so whatever ``fsync_every`` says, a
+        generation never names records a host crash could lose."""
+        self.writer.sync()
         return self.generations.save(ckpt, journal_seq=self.writer.seq)
 
     def close(self) -> None:
@@ -408,10 +509,11 @@ def resume_durable(space, reward_model, config, event_sink=None):
     the suffix.  The same call is therefore both the first launch and
     every relaunch — exactly what a crash-looped batch script needs.
 
-    Evaluation replay applies to the real backends (serial / thread /
-    process), where re-executing a reward model costs real time; the
-    balsam backend's virtual-time evaluations resume from the
-    checkpoint alone.
+    The journal is read once: the same events rebuild the checkpoint's
+    records and caches and build the replay.  Evaluation replay applies
+    to the real backends (serial / thread / process), where re-executing
+    a reward model costs real time; the balsam backend's virtual-time
+    evaluations resume from the rebuilt checkpoint alone.
     """
     from .runner import NasSearch       # lazy: runner imports this module
 
@@ -420,7 +522,7 @@ def resume_durable(space, reward_model, config, event_sink=None):
     journal = SearchJournal(config.journal_dir,
                             fsync_every=config.journal_fsync_every)
     events = read_journal(journal.journal_path)
-    loaded = journal.generations.load_latest()
+    loaded = journal.generations.load_latest(events)
     ckpt = loaded[0] if loaded is not None else None
     replay = None
     if config.backend != "balsam":

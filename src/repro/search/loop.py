@@ -28,6 +28,7 @@ import copy
 
 import numpy as np
 
+from ..events import BATCH_RECORDED, emit
 from ..hpc.sim import Timeout
 from ..verify.fingerprint import agent_genesis, chain_step
 from .base import RewardRecord
@@ -40,11 +41,12 @@ class AgentLoop:
 
     The loop appends to the runner-owned ``records`` list and
     ``digests`` dict in place, preserving the global interleaving that
-    the trajectory fingerprint hashes.
+    the trajectory fingerprint hashes, and marks each append with a
+    ``batch-recorded`` event on ``sink``.
     """
 
     def __init__(self, *, sim, space, config, agent_id, evaluator, policy,
-                 updater, proposer, hooks, records, digests,
+                 updater, proposer, hooks, records, digests, sink=None,
                  resume=None) -> None:
         self.sim = sim
         self.space = space
@@ -57,6 +59,7 @@ class AgentLoop:
         self.hooks = hooks
         self.records = records
         self.digests = digests
+        self.sink = sink
         self.resume = resume
         self.batch = config.allocation.workers_per_agent
         # live per-lifetime state (hooks read these)
@@ -135,19 +138,27 @@ class AgentLoop:
             batch_done = Timeout(0.0)
         yield batch_done
         recs = self.evaluator.get_finished_evals()
-        # align rewards with the rollout's row order
+        # align rewards with the rollout's row order: row i takes
+        # completion order[i], the first unclaimed one of its key
         by_key: dict[tuple, list] = {}
-        for rec in recs:
-            by_key.setdefault(rec.arch.key, []).append(rec)
+        for j, rec in enumerate(recs):
+            by_key.setdefault(rec.arch.key, []).append(j)
         rewards = np.empty(len(archs))
-        for i, arch in enumerate(archs):
-            rec = by_key[arch.key].pop(0)
+        order = [by_key[arch.key].pop(0) for arch in archs]
+        for i, j in enumerate(order):
+            rec = recs[j]
             rewards[i] = rec.reward
             self.records.append(RewardRecord(
                 rec.end_time, self.agent_id, rec.arch, rec.reward,
                 rec.result.params, rec.result.duration, rec.cached,
                 rec.result.timed_out))
-            self.num_records += 1
+        self.num_records += len(order)
+        # the journal builds these records here, in this order
+        # (repro.search.journal.read_records); completions arrive in row
+        # order on the serial backend, so the map is usually left out
+        emit(self.sink, BATCH_RECORDED, self.sim.now, self.agent_id,
+             self.iteration, **({} if order == list(range(len(recs)))
+                                else {"order": order}))
         return rewards
 
     def _advance(self, actions, rewards):

@@ -266,6 +266,8 @@ class NasSearch:
         cfg = self.config
         self._emit_counts(RUN, space=self.space.name, method=cfg.method,
                           seed=cfg.seed, backend=cfg.backend,
+                          caches=([len(ev.cache) for ev in self.evaluators]
+                                  if cfg.use_cache else None),
                           **asdict(cfg.allocation))
         if self.injector is not None:
             self.injector.attach(self.cluster)
@@ -371,7 +373,8 @@ class NasSearch:
             evaluator=self.evaluators[agent_id],
             policy=self.policies[agent_id], updater=updater,
             proposer=self.proposer, hooks=hooks, records=self.records,
-            digests=self._digests, resume=self._boundaries.get(agent_id))
+            digests=self._digests, sink=self.sink,
+            resume=self._boundaries.get(agent_id))
 
     def _agent(self, agent_id: int):
         """Crash-safe wrapper: whatever happens inside the agent loop,

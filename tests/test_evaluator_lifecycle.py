@@ -110,7 +110,10 @@ class TestStragglersThread:
 class TestLifecycleProcess:
     def test_shutdown_is_idempotent(self):
         ev = make_process()
+        assert ev.pool_size == 0            # the pool starts with a job
+        ev.add_eval_batch(make_archs(1))
         assert ev.pool_size == 2
+        ev.wait_all(timeout=120)
         ev.shutdown()
         assert ev.pool_size == 0
         ev.shutdown()       # second call must be a no-op

@@ -186,7 +186,9 @@ class TestGracefulDegradation:
                                   config=ProcConfig(workers=1,
                                                     max_respawns=0))
         with inline:
-            # shrink the pool before dispatch so everything runs inline
+            # start the pool, then shrink it before dispatch so
+            # everything runs inline
+            inline._start_pool()
             for worker in list(inline._workers.values()):
                 worker.proc.kill()
             time.sleep(0.2)

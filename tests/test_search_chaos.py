@@ -18,6 +18,8 @@ from repro.events import CACHE_HIT, RecordingSink
 from repro.hpc import NodeAllocation
 from repro.nas.spaces import combo_small
 from repro.search import NasSearch, SearchConfig, chaos
+from repro.search.journal import read_records
+from repro.verify.fingerprint import record_digest
 
 
 def search_row(level, method, **columns):
@@ -203,9 +205,10 @@ class TestMain:
 
 
 class TestRecordAccounting:
-    """``unaccounted_agents`` compares each agent's records, as a
-    multiset, with the ones its event stream rebuilds, so a lost cache
-    hit or a changed record field counts, not only a lost evaluation."""
+    """``unaccounted_agents`` compares each agent's records, as an
+    ordered list, with the ones its event stream rebuilds, so a lost
+    cache hit, a changed record field or two swapped records count, not
+    only a lost evaluation."""
 
     @pytest.fixture(scope="class")
     def run(self):
@@ -234,3 +237,20 @@ class TestRecordAccounting:
                                          reward=records[5].reward + 0.5)
         assert chaos._unaccounted_agents(
             events, dataclasses.replace(result, records=records)) == 1
+
+    def test_swapped_records_are_unaccounted(self, run):
+        """Two of one agent's records swapped: the multiset is the same,
+        so only the ordered comparison sees it."""
+        events, result = run
+        records = list(result.records)
+        i, j = [k for k, r in enumerate(records) if r.agent_id == 0][:2]
+        assert records[i] != records[j]
+        records[i], records[j] = records[j], records[i]
+        swapped = dataclasses.replace(result, records=records)
+        assert chaos._unaccounted_agents(events, swapped) == 1
+        rebuilt = read_records(events)[0]
+
+        def multiset(records, agent_id):
+            return record_digest(r for r in records if r.agent_id == agent_id)
+        assert sum(multiset(rebuilt, a) != multiset(records, a)
+                   for a in {r.agent_id for r in records}) == 0

@@ -1,19 +1,25 @@
-"""Golden-file test pinning the checkpoint v1 JSON wire format.
+"""Golden-file tests pinning the checkpoint JSON wire formats.
 
 The schema (recursive key -> type-name mapping, values elided) of a
-deterministic checkpoint is pinned in ``tests/golden/``.  Renaming,
-removing, or re-typing a field changes the schema and fails this test —
-which is the point: v1 checkpoints on disk must stay loadable, so any
-wire-format change requires bumping ``FORMAT_VERSION`` and updating the
-golden file deliberately.
+deterministic checkpoint is pinned in ``tests/golden/`` for both
+versions: version 2, which :meth:`SearchCheckpoint.to_json` writes and
+which leaves the records and caches to the journal, and version 1,
+which embedded them and which earlier runs left on disk.  Renaming,
+removing, or re-typing a field changes a schema and fails these tests —
+which is the point: checkpoints on disk must stay loadable, so any
+wire-format change requires bumping ``FORMAT_VERSION`` and adding a
+golden file deliberately.  The v1 file is frozen; the v1 form is built
+by ``checkpoint_v1_json`` in ``tests/_checkpoint_common.py``.
 
-Regenerate (after an intentional format bump) with::
+Regenerate the v2 golden (after an intentional format change) with::
 
     PYTHONPATH=src python tests/test_search_checkpoint_golden.py
 """
 
 import json
 from pathlib import Path
+
+from _checkpoint_common import checkpoint_v1_json
 
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.nas.spaces import get_space
@@ -23,7 +29,8 @@ from repro.search import SearchConfig
 from repro.search.checkpoint import FORMAT_VERSION, SearchCheckpoint
 from repro.search.runner import NasSearch
 
-GOLDEN = Path(__file__).parent / "golden" / "checkpoint_v1_schema.json"
+GOLDEN_V1 = Path(__file__).parent / "golden" / "checkpoint_v1_schema.json"
+GOLDEN_V2 = Path(__file__).parent / "golden" / "checkpoint_v2_schema.json"
 
 
 def schema_of(obj):
@@ -64,21 +71,43 @@ def make_checkpoint() -> SearchCheckpoint:
 
 
 def test_checkpoint_v1_schema_is_pinned():
+    """The version-1 form (records and caches embedded) still matches
+    the frozen v1 golden, and decodes."""
+    ckpt = make_checkpoint()
+    wire = checkpoint_v1_json(ckpt)
+    assert wire["version"] == 1
+    golden = json.loads(GOLDEN_V1.read_text())
+    assert schema_of(wire) == golden, "the v1 wire format is frozen"
+    restored = SearchCheckpoint.from_json(wire)
+    assert restored.fingerprint() == ckpt.fingerprint()
+    assert [a.cache_entries for a in restored.agents] == \
+        [a.cache_entries for a in ckpt.agents]
+
+
+def test_checkpoint_v2_schema_is_pinned():
     ckpt = make_checkpoint()
     wire = json.loads(json.dumps(ckpt.to_json()))
-    assert wire["version"] == FORMAT_VERSION == 1
-    golden = json.loads(GOLDEN.read_text())
+    assert wire["version"] == FORMAT_VERSION == 2
+    golden = json.loads(GOLDEN_V2.read_text())
     assert schema_of(wire) == golden, (
         "checkpoint wire format changed; if intentional, bump "
-        "FORMAT_VERSION and regenerate tests/golden/ (see module "
-        "docstring)")
+        "FORMAT_VERSION and add a golden file (see module docstring)")
+
+
+def test_v2_is_v1_without_records_and_caches():
+    """Version 2 holds O(agents) state: exactly version 1's keys less
+    the records and every agent's cache."""
+    v1 = json.loads(GOLDEN_V1.read_text())
+    del v1["records"]
+    del v1["agents"][0]["cache"]
+    assert json.loads(GOLDEN_V2.read_text()) == v1
 
 
 def test_checkpoint_schema_exercises_all_sections():
     """The pinned snapshot must actually cover the interesting parts —
     a vacuous golden (empty records/agents) would pin nothing."""
     ckpt = make_checkpoint()
-    wire = ckpt.to_json()
+    wire = checkpoint_v1_json(ckpt)
     assert wire["records"], "no records captured"
     assert wire["agents"], "no agents captured"
     boundaries = [a["boundary"] for a in wire["agents"]
@@ -89,17 +118,21 @@ def test_checkpoint_schema_exercises_all_sections():
 
 
 def test_golden_round_trips_through_loader():
-    """What the golden pins is exactly what from_json accepts."""
+    """What the v2 golden pins is exactly what from_json accepts; the
+    records and caches it leaves out come back empty, for the journal
+    to fill in."""
     ckpt = make_checkpoint()
     restored = SearchCheckpoint.from_json(
         json.loads(json.dumps(ckpt.to_json())))
-    assert restored.fingerprint() == ckpt.fingerprint()
-    assert len(restored.records) == len(ckpt.records)
+    assert restored.records == []
+    assert all(a.cache_entries == [] for a in restored.agents)
     assert len(restored.agents) == len(ckpt.agents)
+    assert json.dumps(restored.to_json()) == json.dumps(ckpt.to_json())
+    assert restored.round_trip().to_json() == restored.to_json()
 
 
-if __name__ == "__main__":  # regenerate the golden file
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+if __name__ == "__main__":  # regenerate the v2 golden file
+    GOLDEN_V2.parent.mkdir(parents=True, exist_ok=True)
     wire = json.loads(json.dumps(make_checkpoint().to_json()))
-    GOLDEN.write_text(json.dumps(schema_of(wire), indent=2) + "\n")
-    print(f"wrote {GOLDEN}")
+    GOLDEN_V2.write_text(json.dumps(schema_of(wire), indent=2) + "\n")
+    print(f"wrote {GOLDEN_V2}")

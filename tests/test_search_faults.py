@@ -10,7 +10,8 @@ from repro.rewards import SurrogateReward
 from repro.rewards.base import RewardModel
 from repro.search import (NasSearch, SearchCheckpoint, SearchConfig,
                           resume_durable, run_search)
-from repro.search.journal import GENERATIONS_DIR, CheckpointGenerations
+from repro.search.journal import (GENERATIONS_DIR, JOURNAL_NAME,
+                                  CheckpointGenerations, read_journal)
 
 
 @pytest.fixture(scope="module")
@@ -117,13 +118,15 @@ class TestCheckpointResume:
         """Save, then resume from disk: a checkpoint is written only as
         a verified generation under ``journal_dir``, and
         ``resume_durable`` continues from the newest one (balsam skips
-        evaluation replay, so the generation alone carries the run)."""
+        evaluation replay, so the generation, with the records and
+        caches the journal rebuilds, carries the run)."""
         cfg = small_config(minutes=30, checkpoint_every_records=33,
                            journal_dir=str(tmp_path))
         search = NasSearch(space, make_surrogate(space), cfg)
         full = search.run()
         loaded, _integrity = CheckpointGenerations(
-            tmp_path / GENERATIONS_DIR).load_latest()
+            tmp_path / GENERATIONS_DIR).load_latest(
+                read_journal(tmp_path / JOURNAL_NAME))
         assert loaded.time == search.checkpoints[-1].time
         resumed = resume_durable(space, make_surrogate(space),
                                  small_config(minutes=30,

@@ -1,13 +1,15 @@
 """Unit tests for the durability layer (repro.search.journal).
 
-The write-ahead journal, the checkpoint generations, and the shared
-atomic-write primitives are each tested in isolation here; the
-end-to-end crash/resume promises (bit-identical fingerprints, zero
-re-evaluation) live in ``test_search_journal_resume.py`` and the
-crash-point fuzzer (``repro.search.chaos --profile crashpoint``).  The
-record rebuild (``read_records``) is tested here on synthetic streams
-and on the journals of real runs: cut by their wall time, preempted
-and resumed, and SIGKILLed.
+The write-ahead journal, the checkpoint generations (saved from one
+journaled run's capture and loaded with its journal, which rebuilds
+their records and caches), and the shared atomic-write primitives are
+each tested here; the end-to-end crash/resume promises (bit-identical
+fingerprints, zero re-evaluation, exact rebuilds on every backend) live
+in ``test_search_journal_resume.py`` and the crash-point fuzzer
+(``repro.search.chaos --profile crashpoint``).  The record rebuild
+(``read_records``) is tested here on synthetic streams and on the
+journals of real runs: cut by their wall time, preempted and resumed,
+and SIGKILLed.
 """
 
 import dataclasses
@@ -15,26 +17,27 @@ import json
 import math
 import os
 import zlib
-from collections import Counter
 
 import numpy as np
 import pytest
 
+from _checkpoint_common import checkpoint_v1_json, records_json, watermarks
 from repro.cli import main as cli_main
-from repro.events import (CACHE_HIT, EVAL_DONE, PUSH, RESTART, RUN, RUN_END,
-                          SUBMIT, CallbackSink, SearchEvent, emit)
+from repro.events import (BATCH_RECORDED, CACHE_HIT, EVAL_DONE, PUSH,
+                          RESTART, RUN, RUN_END, SUBMIT, CallbackSink,
+                          EventLog, SearchEvent, emit)
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.nas.arch import Architecture
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.search import NasSearch, SearchConfig, chaos
+from repro.search.checkpoint import AgentCheckpoint, SearchCheckpoint
 from repro.search.journal import (GENERATIONS_DIR, JOURNAL_NAME,
                                   CheckpointGenerations, JournalWriter,
                                   build_replay, read_journal, read_records,
                                   resume_durable)
 from repro.util import (FsyncPolicy, atomic_write_json, atomic_write_text)
-from repro.verify.fingerprint import record_digest
 
 
 def some_events(n=3):
@@ -140,6 +143,18 @@ class TestJournalWriter:
         writer.close()
         raw = [json.loads(line) for line in path.read_text().splitlines()]
         assert [rec["seq"] for rec in raw] == [1, 2, 3, 4]
+        # a complete last record that fails its CRC is not the last
+        # valid one: the writer continues after seq 4, as a scan of the
+        # whole journal would
+        with open(path, "a") as fh:
+            fh.write('{"crc":1,"ev":{"kind":"submit"},"seq":5}\n')
+        writer = JournalWriter(path)
+        assert writer.seq == 4
+        writer.append(some_events(1)[0])
+        writer.close()
+        back = read_journal(path)
+        assert back.seqs == [1, 2, 3, 4, 5]
+        assert back.num_skipped == 1          # the corrupt record
 
     def test_line_format_is_pinned(self, tmp_path):
         """Every line is the canonical dump of the whole record, the
@@ -201,46 +216,66 @@ class TestJournalWriter:
         assert writer.seq == 2
 
 
-def make_checkpoint():
-    """A deterministic mid-run checkpoint (same idiom as the golden
-    wire-format test): agents in flight, boundaries and caches live."""
-    space = combo_small()
-    surrogate = SurrogateReward(space, COMBO_PAPER_SHAPES, combo_head(),
-                                TrainingCostModel.combo_paper(),
-                                epochs=1, train_fraction=0.1,
-                                timeout=600.0, seed=7)
-    cfg = SearchConfig(method="a3c", allocation=NodeAllocation(32, 4, 3),
-                       wall_time=30 * 60.0, seed=1,
-                       checkpoint_every_records=15)
-    search = NasSearch(space, surrogate, cfg)
-    search.run()
-    return search.checkpoints[len(search.checkpoints) // 2]
+@dataclasses.dataclass
+class Captured:
+    """A deterministic mid-run checkpoint of a journaled search (same
+    idiom as the golden wire-format test: agents in flight, boundaries
+    and caches live), with the journal it was captured from and its
+    watermark there."""
+
+    ckpt: object
+    events: object
+    mark: int
 
 
 @pytest.fixture(scope="module")
-def ckpt():
-    return make_checkpoint()
+def captured(tmp_path_factory):
+    space = combo_small()
+    directory = tmp_path_factory.mktemp("captured")
+    cfg = SearchConfig(method="a3c", allocation=NodeAllocation(32, 4, 3),
+                       wall_time=30 * 60.0, seed=1,
+                       checkpoint_every_records=15,
+                       journal_dir=os.fspath(directory))
+    search = NasSearch(space, surrogate(space), cfg)
+    search.run()
+    events = read_journal(directory / JOURNAL_NAME)
+    mid = len(search.checkpoints) // 2
+    return Captured(search.checkpoints[mid], events, watermarks(events)[mid])
+
+
+@pytest.fixture(scope="module")
+def ckpt(captured):
+    return captured.ckpt
+
+
+def assert_loads_as_captured(loaded, ckpt):
+    assert loaded.fingerprint() == ckpt.fingerprint()
+    assert records_json(loaded.records) == records_json(ckpt.records)
+    assert [a.cache_entries for a in loaded.agents] == \
+        [a.cache_entries for a in ckpt.agents]
 
 
 class TestCheckpointGenerations:
-    def test_save_load_round_trip(self, tmp_path, ckpt):
+    def test_save_load_round_trip(self, tmp_path, captured):
         gens = CheckpointGenerations(tmp_path)
-        path = gens.save(ckpt, journal_seq=17)
+        path = gens.save(captured.ckpt, journal_seq=captured.mark)
         assert path.name == "ckpt-00000001.json"
-        loaded, integrity = gens.load_latest()
-        assert loaded.fingerprint() == ckpt.fingerprint()
-        assert integrity["journal_seq"] == 17
+        loaded, integrity = gens.load_latest(captured.events)
+        assert_loads_as_captured(loaded, captured.ckpt)
+        assert integrity["journal_seq"] == captured.mark
 
-    def test_generation_is_pinned_v1_plus_integrity(self, tmp_path, ckpt):
-        """The on-disk generation is exactly the pinned checkpoint v1
-        payload plus one additive ``integrity`` key — guard-off readers
-        of the v1 schema keep working on generation files."""
+    def test_generation_is_pinned_v2_plus_integrity(self, tmp_path, ckpt):
+        """The on-disk generation is exactly the pinned checkpoint v2
+        payload plus one additive ``integrity`` key: no records and no
+        cache entries, which the journal holds."""
         gens = CheckpointGenerations(tmp_path)
         path = gens.save(ckpt, journal_seq=3)
         data = json.loads(path.read_text())
         integrity = data.pop("integrity")
         assert set(integrity) == {"sha256", "journal_seq"}
         assert data == json.loads(json.dumps(ckpt.to_json()))
+        assert data["version"] == 2 and "records" not in data
+        assert not any("cache" in agent for agent in data["agents"])
 
     def test_integrity_digests_the_parsed_payload(self, tmp_path, ckpt):
         """A generation is the canonical payload plus ``integrity``, and
@@ -254,66 +289,121 @@ class TestCheckpointGenerations:
         canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
         assert text.startswith(canonical[:-1] + ',"integrity":')
 
-    def test_default_layout_generation_still_loads(self, tmp_path, ckpt):
+    def test_default_layout_generation_still_loads(self, tmp_path,
+                                                   captured):
         """A generation written the earlier way — ``json.dumps`` default
         layout, ``integrity`` last — still verifies and loads."""
-        data = ckpt.to_json()
+        data = captured.ckpt.to_json()
         data["integrity"] = {"sha256": CheckpointGenerations._digest(data),
-                             "journal_seq": 7}
+                             "journal_seq": captured.mark}
         (tmp_path / "ckpt-00000001.json").write_text(json.dumps(data))
-        loaded, integrity = CheckpointGenerations(tmp_path).load_latest()
-        assert loaded.fingerprint() == ckpt.fingerprint()
-        assert integrity["journal_seq"] == 7
+        loaded, integrity = CheckpointGenerations(tmp_path).load_latest(
+            captured.events)
+        assert_loads_as_captured(loaded, captured.ckpt)
+        assert integrity["journal_seq"] == captured.mark
 
-    def test_prune_keeps_newest(self, tmp_path, ckpt):
+    def test_v1_generation_loads_without_the_journal(self, tmp_path,
+                                                     captured):
+        """A version-1 generation embeds its records and caches, so it
+        loads as it is, whatever the journal holds."""
+        data = checkpoint_v1_json(captured.ckpt)
+        data["integrity"] = {"sha256": CheckpointGenerations._digest(data),
+                             "journal_seq": captured.mark}
+        (tmp_path / "ckpt-00000001.json").write_text(json.dumps(data))
+        loaded, _ = CheckpointGenerations(tmp_path).load_latest(EventLog())
+        assert_loads_as_captured(loaded, captured.ckpt)
+
+    def test_v2_generation_needs_its_journal_prefix(self, tmp_path,
+                                                    captured, caplog):
+        """A version-2 generation whose journal prefix has a gap (a
+        corrupt record skipped, or a journal that ends early) cannot be
+        rebuilt exactly, so it is discarded like a corrupt file."""
+        events = captured.events
+        gapped = EventLog(events, seqs=[seq + (seq >= 7)
+                                        for seq in events.seqs])
+        short = EventLog(events[:captured.mark - 1])
+        gens = CheckpointGenerations(tmp_path)
+        gens.save(captured.ckpt, journal_seq=captured.mark)
+        with caplog.at_level("WARNING", logger="repro.search.journal"):
+            assert gens.load_latest(gapped) is None
+            assert gens.load_latest(short) is None
+        assert sum("not all readable" in rec.message
+                   for rec in caplog.records) == 2
+
+    def test_generation_size_is_flat_in_the_record_count(self, tmp_path):
+        """Each save costs O(agents): the generation's bytes do not
+        grow with the records, which the journal holds."""
+        space = combo_small()
+        cfg = SearchConfig(method="rdm", allocation=NodeAllocation(10, 2, 3),
+                           wall_time=3600.0, seed=3, backend="serial",
+                           max_iterations=40, checkpoint_every_records=24,
+                           journal_dir=os.fspath(tmp_path))
+        search = NasSearch(space, surrogate(space), cfg)
+        sizes = []
+        save = search.journal.generations.save
+
+        def sized_save(ckpt, journal_seq):
+            path = save(ckpt, journal_seq)
+            sizes.append(path.stat().st_size)
+            return path
+
+        search.journal.generations.save = sized_save
+        search.run()
+        records = [len(c.records) for c in search.checkpoints]
+        assert len(sizes) == len(records) >= 8
+        assert records[-1] >= 8 * records[0]
+        assert max(sizes) <= 1.1 * min(sizes)
+
+    def test_prune_keeps_newest(self, tmp_path, captured):
         gens = CheckpointGenerations(tmp_path, keep=3)
         for seq in range(5):
-            gens.save(ckpt, journal_seq=seq)
+            gens.save(captured.ckpt, journal_seq=seq)
         names = [p.name for p in gens.paths()]
         assert names == ["ckpt-00000003.json", "ckpt-00000004.json",
                          "ckpt-00000005.json"]
-        assert gens.load_latest()[1]["journal_seq"] == 4
+        assert gens.load_latest(captured.events)[1]["journal_seq"] == 4
 
-    def test_corrupt_newest_falls_back_with_warning(self, tmp_path, ckpt,
-                                                    caplog):
+    def test_corrupt_newest_falls_back_with_warning(self, tmp_path,
+                                                    captured, caplog):
         gens = CheckpointGenerations(tmp_path)
-        gens.save(ckpt, journal_seq=1)
-        newest = gens.save(ckpt, journal_seq=2)
+        gens.save(captured.ckpt, journal_seq=captured.mark)
+        newest = gens.save(captured.ckpt, journal_seq=captured.mark + 1)
         data = json.loads(newest.read_text())
         data["time"] = -12345.0               # bit rot after the sha stamp
         newest.write_text(json.dumps(data))
         with caplog.at_level("WARNING", logger="repro.search.journal"):
-            loaded, integrity = gens.load_latest()
-        assert loaded.fingerprint() == ckpt.fingerprint()
-        assert integrity["journal_seq"] == 1
+            loaded, integrity = gens.load_latest(captured.events)
+        assert_loads_as_captured(loaded, captured.ckpt)
+        assert integrity["journal_seq"] == captured.mark
         assert any("falling back" in rec.message for rec in caplog.records)
 
-    def test_torn_newest_falls_back(self, tmp_path, ckpt):
+    def test_torn_newest_falls_back(self, tmp_path, captured):
         """Crash residue: a torn newest generation is discarded, and the
         stale ``.tmp`` of a save that died before its rename is never
         read and does not block the next save."""
+        ckpt, events = captured.ckpt, captured.events
         gens = CheckpointGenerations(tmp_path)
         gens.save(ckpt, journal_seq=1)
         newest = gens.save(ckpt, journal_seq=2)
         newest.write_bytes(newest.read_bytes()[:100])   # torn mid-write
         (tmp_path / "ckpt-00000003.json.tmp").write_text('{"torn": ')
-        assert gens.load_latest()[1]["journal_seq"] == 1
+        assert gens.load_latest(events)[1]["journal_seq"] == 1
         assert gens.save(ckpt, journal_seq=3).name == "ckpt-00000003.json"
         assert list(tmp_path.glob("*.tmp")) == []
-        assert gens.load_latest()[1]["journal_seq"] == 3
+        assert gens.load_latest(events)[1]["journal_seq"] == 3
 
-    def test_no_surviving_generation_returns_none(self, tmp_path, ckpt,
+    def test_no_surviving_generation_returns_none(self, tmp_path, captured,
                                                   caplog):
         gens = CheckpointGenerations(tmp_path)
-        path = gens.save(ckpt, journal_seq=1)
+        path = gens.save(captured.ckpt, journal_seq=1)
         path.write_text("garbage")
         with caplog.at_level("WARNING", logger="repro.search.journal"):
-            assert gens.load_latest() is None
+            assert gens.load_latest(captured.events) is None
 
     def test_empty_directory(self, tmp_path):
         gens = CheckpointGenerations(tmp_path / "missing")
         assert gens.paths() == []
-        assert gens.load_latest() is None
+        assert gens.load_latest(EventLog()) is None
 
 
 def eval_done(agent_id, arch_dict, reward=0.5, replayed=False, time=1.0):
@@ -377,7 +467,13 @@ def record_event(kind, agent_id, arch_dict, reward):
 
 def counts_event(kind, counts):
     return SearchEvent(kind, 0.0, payload={"space": "combo-small",
-                                           "records": counts})
+                                           "records": counts,
+                                           "caches": [0] * len(counts)})
+
+
+def recorded(agent_id, order=None):
+    return SearchEvent(BATCH_RECORDED, 1.0, agent_id=agent_id, payload=(
+        {} if order is None else {"order": order}))
 
 
 def surrogate(space):
@@ -391,28 +487,104 @@ def journal_records(journal_dir):
 
 
 class TestReadRecords:
-    """``read_records`` rebuilds a run's records from its journal: one
-    per ``eval-done`` and ``cache-hit``, each agent cut back to the
-    count every ``run``, ``run-end`` and ``restart`` event carries."""
+    """``read_records`` rebuilds a run's records from its journal, in
+    the order the search appended them: an agent's ``eval-done`` and
+    ``cache-hit`` events become records at its ``batch-recorded``
+    event, and each ``run`` and ``restart`` cuts the agents it names
+    back to the count it carries."""
 
-    def test_counts_cut_each_agent(self):
-        arch = combo_small().random_architecture(
+    @pytest.fixture(scope="class")
+    def arch(self):
+        return combo_small().random_architecture(
             np.random.default_rng(0)).to_dict()
+
+    def test_counts_cut_each_agent(self, arch):
         events = [
             counts_event(RUN, [0, 0]),
             record_event(EVAL_DONE, 0, arch, 0.1),
             record_event(CACHE_HIT, 1, arch, 0.2),
             record_event(EVAL_DONE, 0, arch, 0.3),
+            recorded(1),
+            recorded(0),
             SearchEvent(RESTART, 2.0, agent_id=0,
                         payload={"real_evals": 1, "num_records": 1}),
             record_event(EVAL_DONE, 0, arch, 0.4),
+            recorded(0),
             record_event(EVAL_DONE, 1, arch, 0.5),   # never consumed
             counts_event(RUN_END, [2, 1]),
         ]
         records, metadata = read_records(events)
         assert [(r.agent_id, r.reward, r.cached) for r in records] == [
-            (0, 0.1, False), (1, 0.2, True), (0, 0.4, False)]
+            (1, 0.2, True), (0, 0.1, False), (0, 0.4, False)]
         assert metadata == {"space": "combo-small"}
+
+    def test_rows_follow_the_order_map(self, arch):
+        """Row i of a batch is the agent's ``order[i]``-th completion
+        since its previous ``batch-recorded``; other agents'
+        completions in between do not count."""
+        events = [
+            counts_event(RUN, [0, 0]),
+            record_event(EVAL_DONE, 0, arch, 0.1),
+            record_event(EVAL_DONE, 1, arch, 0.9),
+            record_event(EVAL_DONE, 0, arch, 0.2),
+            record_event(CACHE_HIT, 0, arch, 0.3),
+            recorded(0, order=[2, 0, 1]),
+            recorded(1),
+        ]
+        records, _metadata = read_records(events)
+        assert [(r.agent_id, r.reward) for r in records] == [
+            (0, 0.3), (0, 0.1), (0, 0.2), (1, 0.9)]
+
+    def test_a_run_drops_unrecorded_completions(self, arch):
+        """A resumed run starts with fresh evaluators: completions the
+        killed run never recorded do not join its next batch."""
+        events = [
+            counts_event(RUN, [0]),
+            record_event(EVAL_DONE, 0, arch, 0.1),     # killed here
+            counts_event(RUN, [0]),
+            record_event(EVAL_DONE, 0, arch, 0.2),
+            recorded(0),
+        ]
+        assert [r.reward for r in read_records(events)[0]] == [0.2]
+
+    def test_journal_without_recorded_events_is_refused(self, arch):
+        events = [SearchEvent(RUN, 0.0, payload={"records": [0]}),
+                  record_event(EVAL_DONE, 0, arch, 0.1)]
+        with pytest.raises(ValueError, match="batch-recorded"):
+            read_records(events)
+
+    @pytest.mark.parametrize("caches", [[1], None])
+    def test_cache_rebuild_cuts_at_each_run(self, tmp_path, caches):
+        """A generation's rebuilt cache holds the agent's successful
+        ``eval-done`` results in journal order, each ``run`` cutting it
+        to the length that run starts from: entries a killed run added
+        past its checkpoint are gone even when the resumed run never
+        evaluates them again.  A run without a cache rebuilds none."""
+        space = combo_small()
+        a, b, c, d = (space.random_architecture(np.random.default_rng(i))
+                      for i in range(4))
+
+        def done(arch, failed=False):
+            return SearchEvent(EVAL_DONE, 1.0, agent_id=0, payload={
+                "arch": arch.to_dict(), "reward": 0.5, "duration": 2.0,
+                "params": 100, "timed_out": False, "nonfinite": False,
+                "failed": failed})
+
+        run = SearchEvent(RUN, 0.0, payload={"records": [0], "caches": [0]})
+        resume = SearchEvent(RUN, 0.0, payload={"records": [0],
+                                                "caches": caches})
+        events = EventLog([run, done(a), done(b), resume, done(c),
+                           done(d, failed=True)])
+        ckpt = SearchCheckpoint(time=1.0, seed=0, method="rdm",
+                                space_name=space.name, num_agents=1,
+                                wall_time=60.0, agents=[AgentCheckpoint(
+                                    0, done=True, converged=False,
+                                    boundary=None)])
+        gens = CheckpointGenerations(tmp_path)
+        gens.save(ckpt, journal_seq=len(events))
+        loaded, _integrity = gens.load_latest(events)
+        keys = [key for key, _result in loaded.agents[0].cache_entries]
+        assert keys == ([a.key, c.key] if caches else [])
 
     @pytest.mark.parametrize("events", [
         [], [SearchEvent(SUBMIT, 0.0, agent_id=0, payload={"count": 1})],
@@ -424,23 +596,31 @@ class TestReadRecords:
 
     def test_wall_time_cut_run_rebuilds_exactly(self, tmp_path):
         """A balsam run cut by its wall time leaves evaluations no agent
-        consumed; ``run-end`` drops them.  Twelve agents: the per-agent
-        counts must survive the journal's CRC as a list."""
+        consumed; they never become records.  Twelve agents, whose
+        batches complete out of submission order, a3c and ambs: the
+        rebuild equals the result's records as a list, and the
+        per-agent counts survive the journal's CRC as a list."""
         space = combo_small()
-        cfg = SearchConfig(method="a3c", allocation=NodeAllocation(49, 12, 3),
-                           wall_time=120 * 60.0, seed=0,
-                           journal_dir=os.fspath(tmp_path))
-        result = NasSearch(space, surrogate(space), cfg).run()
-        events = read_journal(tmp_path / JOURNAL_NAME)
-        assert events.num_skipped == 0
-        records, metadata = read_records(events)
-        assert record_digest(records) == record_digest(result.records)
-        assert metadata == {"space": "combo-small", "method": "a3c",
-                            "seed": 0, "backend": "balsam",
-                            "total_nodes": 49, "num_agents": 12,
-                            "workers_per_agent": 3, "service_nodes": 1}
-        unended = read_records([e for e in events if e.kind != RUN_END])[0]
-        assert len(unended) == len(records) + 2
+        for method in ("a3c", "ambs"):
+            directory = tmp_path / method
+            cfg = SearchConfig(method=method,
+                               allocation=NodeAllocation(49, 12, 3),
+                               wall_time=120 * 60.0, seed=0,
+                               journal_dir=os.fspath(directory))
+            result = NasSearch(space, surrogate(space), cfg).run()
+            events = read_journal(directory / JOURNAL_NAME)
+            assert events.num_skipped == 0
+            records, metadata = read_records(events)
+            assert records_json(records) == records_json(result.records)
+            assert any("order" in e.payload for e in events
+                       if e.kind == BATCH_RECORDED)
+            assert metadata == {"space": "combo-small", "method": method,
+                                "seed": 0, "backend": "balsam",
+                                "total_nodes": 49, "num_agents": 12,
+                                "workers_per_agent": 3, "service_nodes": 1}
+            unended = [e for e in events if e.kind != RUN_END]
+            assert records_json(read_records(unended)[0]) == \
+                records_json(records)
 
     @pytest.mark.parametrize("method,backend", [("a3c", "balsam"),
                                                 ("a2c", "serial")])
@@ -465,8 +645,8 @@ class TestReadRecords:
         assert search.run().preempted
         final = resume_durable(space, surrogate(space), cfg).run()
         assert not final.preempted
-        assert record_digest(journal_records(tmp_path)) == \
-            record_digest(final.records)
+        assert records_json(journal_records(tmp_path)) == \
+            records_json(final.records)
 
 
 @pytest.mark.crashfuzz
@@ -483,15 +663,12 @@ def test_sigkilled_journal_rebuilds_and_analyzes(tmp_path, capsys):
                                     seed=3, iterations=4, throttle=0.05)
     with open(crash / JOURNAL_NAME, "a") as fh:
         fh.write('{"crc": 1, "ev": {"kind": "eval-')
+    events = read_journal(crash / JOURNAL_NAME)
     ckpt, _integrity = CheckpointGenerations(
-        crash / GENERATIONS_DIR).load_latest()
+        crash / GENERATIONS_DIR).load_latest(events)
     assert ckpt.records
-
-    def multiset(records):
-        return Counter(json.dumps(r.to_json(), sort_keys=True)
-                       for r in records)
-
-    assert not multiset(ckpt.records) - multiset(journal_records(crash))
+    rebuilt = records_json(journal_records(crash))
+    assert rebuilt[:len(ckpt.records)] == records_json(ckpt.records)
     assert cli_main(["analyze", str(crash)]) == 0
     assert "did not end" in capsys.readouterr().out
 

@@ -11,20 +11,28 @@ subprocess search SIGKILLed mid-journal via
 """
 
 import json
+import multiprocessing
 import os
 import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.events import BATCH_STATS, EVAL_DONE
+from _checkpoint_common import (assert_generations_rebuild,
+                                checkpoint_v1_json, records_json, watermarks)
+from repro.events import BATCH_STATS, EVAL_DONE, RESTART, RUN, WORKER_SPAWN
+from repro.evaluator.process import ProcConfig
+from repro.health import GuardConfig
 from repro.hpc import NodeAllocation, TrainingCostModel
+from repro.hpc.faults import FaultConfig
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.search import NasSearch, SearchConfig, chaos
 from repro.search.chaos import crashpoint_child, journal_real_evals
-from repro.search.journal import GENERATIONS_DIR, JOURNAL_NAME, read_journal
+from repro.search.journal import (GENERATIONS_DIR, JOURNAL_NAME,
+                                  CheckpointGenerations, read_journal,
+                                  read_records, resume_durable)
 
 
 def run_durable(journal_dir, method="a3c", backend="serial"):
@@ -78,6 +86,9 @@ def baselines(tmp_path_factory):
             "lines": journal_lines(directory),
             "evals": result.num_evaluations,
             "counters": broker_counters(search),
+            "checkpoints": dict(zip(
+                watermarks(read_journal(directory / JOURNAL_NAME)),
+                search.checkpoints)),
         }
     return out
 
@@ -140,6 +151,38 @@ class TestTruncateCrashResume:
         result, search, _counter = run_durable(work)
         assert result.fingerprint() == base["fingerprint"]
         assert journal_real_evals(work) == base["real"]
+        assert all(ev.replay_pending() == 0 for ev in search.evaluators)
+        # the three-segment journal rebuilds the last segment's
+        # generations and the final records exactly
+        events = read_journal(work / JOURNAL_NAME)
+        assert sum(e.kind == RUN for e in events) == 3
+        assert assert_generations_rebuild(search, events, tmp_path / "g")
+        assert records_json(read_records(events)[0]) == \
+            records_json(result.records)
+
+    def test_v1_generation_resumes_bit_identically(self, baselines,
+                                                   tmp_path):
+        """Generations that earlier versions wrote (version 1, records
+        and caches embedded) still resume exactly, with no journal
+        rebuild."""
+        base = baselines["a3c"]
+        work = tmp_path / "run"
+        shutil.copytree(base["dir"], work)
+        k = base["lines"] // 2
+        crash_at(work, k)
+        gens = sorted((work / GENERATIONS_DIR).iterdir())
+        assert gens, "scenario needs a surviving generation"
+        for path in gens:
+            mark = json.loads(path.read_text())["integrity"]["journal_seq"]
+            data = checkpoint_v1_json(base["checkpoints"][mark])
+            data["integrity"] = {
+                "sha256": CheckpointGenerations._digest(data),
+                "journal_seq": mark}
+            path.write_text(json.dumps(data))
+        result, search, counter = run_durable(work)
+        assert result.fingerprint() == base["fingerprint"]
+        assert journal_real_evals(work) == base["real"]
+        assert counter.calls == base["real"] - real_evals_before(work, k)
         assert all(ev.replay_pending() == 0 for ev in search.evaluators)
 
     def test_corrupt_newest_generation_falls_back(self, baselines,
@@ -236,11 +279,84 @@ class TestCounterRestoration:
         assert resumed == full[-len(resumed):]
 
 
+class TestExactRebuild:
+    """A version-2 generation loaded with its journal equals the
+    in-memory capture — records in order, each agent's cache entries in
+    order, boundaries — and the journal's records equal the result's as
+    a list, on every backend and after a resurrection."""
+
+    @pytest.mark.parametrize("backend", [
+        "serial", "thread", "balsam",
+        pytest.param("process", marks=pytest.mark.proc)])
+    def test_generations_rebuild_the_capture(self, backend, tmp_path):
+        result, search, _counter = run_durable(tmp_path / "run",
+                                               backend=backend)
+        events = read_journal(tmp_path / "run" / JOURNAL_NAME)
+        assert assert_generations_rebuild(search, events, tmp_path / "g")
+        assert records_json(read_records(events)[0]) == \
+            records_json(result.records)
+
+    def test_rebuild_after_a_resurrection(self, tmp_path):
+        space = combo_small()
+        cfg = SearchConfig(
+            method="a3c", allocation=NodeAllocation(32, 4, 3),
+            wall_time=40 * 60.0, seed=1,
+            faults=FaultConfig(nan_grad_prob=0.05, exploding_loss_prob=0.02,
+                               corrupt_delta_prob=0.05, seed=3),
+            guard=GuardConfig(mode="recover"), max_restarts=3,
+            journal_dir=os.fspath(tmp_path / "run"),
+            checkpoint_every_records=24)
+        search = NasSearch(space, chaos._surrogate(space), cfg)
+        result = search.run()
+        events = read_journal(tmp_path / "run" / JOURNAL_NAME)
+        assert any(e.kind == RESTART for e in events)
+        assert assert_generations_rebuild(search, events, tmp_path / "g")
+        assert records_json(read_records(events)[0]) == \
+            records_json(result.records)
+
+
+@pytest.mark.proc
+def test_process_pool_starts_with_the_run(tmp_path):
+    """A process-backend search that is built but not run — fresh, or
+    rebuilt by ``resume_durable`` — starts no worker and journals
+    nothing; once it runs, every ``worker-spawn`` follows that
+    segment's ``run`` event."""
+    space = combo_small()
+    model = chaos.ChaosEvalModel(chaos._surrogate(space), seed=3)
+    cfg = SearchConfig(method="a3c", allocation=NodeAllocation(10, 2, 3),
+                       wall_time=3600.0, seed=3, backend="process",
+                       max_iterations=2, proc=ProcConfig(workers=2),
+                       journal_dir=os.fspath(tmp_path),
+                       checkpoint_every_records=6)
+    before = set(multiprocessing.active_children())
+
+    def new_children():
+        return set(multiprocessing.active_children()) - before
+
+    NasSearch(space, model, cfg).journal.close()
+    search = resume_durable(space, model, cfg)
+    assert not new_children()
+    assert read_journal(tmp_path / JOURNAL_NAME) == []
+    search.run()
+    kinds = [e.kind for e in read_journal(tmp_path / JOURNAL_NAME)]
+    assert kinds[0] == RUN and WORKER_SPAWN in kinds
+    # a second segment: killed halfway, rebuilt, then run
+    k = len(kinds) // 2
+    crash_at(tmp_path, k)
+    search = resume_durable(space, model, cfg)
+    assert not new_children()
+    assert len(read_journal(tmp_path / JOURNAL_NAME)) == k
+    search.run()
+    kinds = [e.kind for e in read_journal(tmp_path / JOURNAL_NAME)]
+    assert kinds[k] == RUN and WORKER_SPAWN in kinds[k:]
+    assert not new_children()
+
+
 class TestBalsamCheckpointOnly:
     def test_balsam_resumes_from_checkpoint_without_replay(self, tmp_path):
         """Virtual-time searches journal and checkpoint like everyone
-        else but skip evaluation replay: the checkpoint alone resumes
-        them deterministically."""
+        else but skip evaluation replay: the checkpoint, rebuilt from
+        the journal, resumes them deterministically."""
         base_dir = tmp_path / "base"
         result, _search, _counter = run_durable(base_dir, backend="balsam")
         base_fp = result.fingerprint()

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from _checkpoint_common import watermarks
 from repro.events import (EVAL_DONE, PREEMPT, CallbackSink, RecordingSink,
                           TeeSink)
 from repro.hpc import NodeAllocation, TrainingCostModel
@@ -22,7 +23,8 @@ from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.search import NasSearch, SearchConfig
 from repro.search.chaos import ChaosEvalModel
-from repro.search.journal import CheckpointGenerations
+from repro.search.journal import (JOURNAL_NAME, CheckpointGenerations,
+                                  read_journal)
 
 
 @pytest.fixture(scope="module")
@@ -182,8 +184,9 @@ class TestResumedPreemption:
 
 class TestCheckpointDurability:
     @pytest.fixture()
-    def ckpt(self, space):
-        cfg = SearchConfig(**CFG, checkpoint_every_records=24)
+    def ckpt(self, space, tmp_path):
+        cfg = SearchConfig(**CFG, checkpoint_every_records=24,
+                           journal_dir=os.fspath(tmp_path / "run"))
         search = NasSearch(space, make_surrogate(space), cfg,
                            event_sink=RecordingSink())
         search.run()
@@ -191,11 +194,12 @@ class TestCheckpointDurability:
         return search.checkpoints[-1]
 
     def test_save_leaves_no_tmp_residue(self, ckpt, tmp_path):
-        gens = CheckpointGenerations(tmp_path)
-        path = gens.save(ckpt, journal_seq=0)
+        events = read_journal(tmp_path / "run" / JOURNAL_NAME)
+        gens = CheckpointGenerations(tmp_path / "gens")
+        path = gens.save(ckpt, journal_seq=watermarks(events)[-1])
         assert path.exists()
-        assert list(tmp_path.glob("*.tmp")) == []
-        loaded, _integrity = gens.load_latest()
+        assert list((tmp_path / "gens").glob("*.tmp")) == []
+        loaded, _integrity = gens.load_latest(events)
         assert loaded.fingerprint() == ckpt.fingerprint()
 
     def test_quarantine_survives_round_trip(self, ckpt):
