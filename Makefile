@@ -35,11 +35,14 @@ verify:
 
 ## static hygiene: import-cycle check over src/repro (stdlib, always
 ## runs), the ≤60-line function budget over the search-runtime seam
-## modules, byte-compile sanity, and ruff (skipped with a notice when
-## the environment doesn't ship it — config lives in pyproject.toml)
+## modules, the census (every public name in src/ is read outside
+## tests, or DESIGN.md says why it stays), byte-compile sanity, and
+## ruff (skipped with a notice when the environment doesn't ship it —
+## config lives in pyproject.toml)
 lint:
 	$(PYTHON) tools/check_imports.py
 	$(PYTHON) tools/check_runtime_shape.py
+	$(PYTHON) tools/check_census.py
 	$(PYTHON) -m compileall -q src tools
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tools; \

@@ -79,23 +79,56 @@ def _atomic_write_json(path: Path, data: dict) -> None:
     atomic_write_json(path, data, separators=(",", ":"), sort_keys=True)
 
 
-def _read_rows(path: Path, tolerant: bool = False) -> list[TableRow]:
-    """Rows of one shard file; ``tolerant`` drops a torn trailing line
-    (the residue of a kill mid-append) instead of raising."""
+def _read_rows(path: Path, sha256: str | None = None) -> list[TableRow]:
+    """Rows of one shard file.  A sealed shard (``sha256`` given) must
+    be whole and hash to its manifest entry, which is computed as the
+    rows are read; an unsealed one drops a torn trailing line (the
+    residue of a kill mid-append) instead of raising."""
     rows: list[TableRow] = []
-    with path.open(encoding="utf-8") as fh:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
         for line in fh:
-            if not line.endswith("\n") or not line.strip():
-                if tolerant:
-                    break
-                raise ValueError(f"torn line in sealed shard {path}")
+            digest.update(line)
             try:
-                rows.append(TableRow.from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError):
-                if tolerant:
+                if not line.endswith(b"\n") or not line.strip():
+                    raise ValueError(f"torn line in sealed shard {path}")
+                # decoding first skips json's per-call encoding sniff
+                rows.append(TableRow.from_json(json.loads(line.decode())))
+            except (ValueError, KeyError):
+                if sha256 is None:
                     break
                 raise
+    if sha256 is not None and digest.hexdigest() != sha256:
+        raise ValueError(f"sealed shard {path.name} does not match the "
+                         f"sha256 in its manifest")
     return rows
+
+
+def _read_table(directory: Path) -> tuple[dict, dict, list[TableRow]]:
+    """Read a table directory once: ``(manifest, sealed rows by
+    signature, rows of the unsealed tail shard)``.  Each sealed shard
+    must match its manifest entry's row count and sha256; the tail a
+    killed sweep left behind is read tolerantly."""
+    manifest_path = directory / _MANIFEST
+    if not manifest_path.exists():
+        raise FileNotFoundError(f"no {_MANIFEST} in {directory}")
+    manifest = json.loads(manifest_path.read_text())
+    if manifest.get("format") != "repro-bench-table":
+        raise ValueError(f"{directory} is not a repro bench table")
+    if manifest.get("version") != TABLE_FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported table version {manifest.get('version')!r}")
+    rows: dict[str, TableRow] = {}
+    for entry in manifest["shards"]:
+        shard_rows = _read_rows(directory / entry["name"], entry["sha256"])
+        if len(shard_rows) != entry["rows"]:
+            raise ValueError(
+                f"sealed shard {entry['name']} has {len(shard_rows)} "
+                f"rows, manifest says {entry['rows']}")
+        for row in shard_rows:
+            rows[row.sig] = row
+    tail = directory / _shard_name(len(manifest["shards"]))
+    return manifest, rows, _read_rows(tail) if tail.exists() else []
 
 
 def _shard_name(index: int) -> str:
@@ -135,19 +168,15 @@ class TableWriter:
         self._open_rows: list[TableRow] = []
         self._fh = None
 
-        manifest_path = self.dir / _MANIFEST
-        if manifest_path.exists():
-            self._resume(manifest_path)
+        if (self.dir / _MANIFEST).exists():
+            self._resume()
         else:
             self._write_manifest()
         self._open_current_shard()
 
     # -- resume --------------------------------------------------------
-    def _resume(self, manifest_path: Path) -> None:
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("version") != TABLE_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported table version {manifest.get('version')!r}")
+    def _resume(self) -> None:
+        manifest, self.known, tail_rows = _read_table(self.dir)
         if manifest.get("space") != self.space_name:
             raise ValueError(
                 f"table {self.dir} is for space {manifest.get('space')!r}, "
@@ -158,19 +187,10 @@ class TableWriter:
                 f"{manifest.get('metadata')!r}; refusing to mix in "
                 f"{self.metadata!r}")
         self._shards = list(manifest["shards"])
-        for entry in self._shards:
-            rows = _read_rows(self.dir / entry["name"])
-            if len(rows) != entry["rows"]:
-                raise ValueError(
-                    f"sealed shard {entry['name']} has {len(rows)} rows, "
-                    f"manifest says {entry['rows']}")
-            for row in rows:
-                self.known[row.sig] = row
         # recover the unsealed tail shard a kill may have left behind
         tail = self.dir / _shard_name(len(self._shards))
         if tail.exists():
-            rows = _read_rows(tail, tolerant=True)
-            fresh = [r for r in rows if r.sig not in self.known]
+            fresh = [r for r in tail_rows if r.sig not in self.known]
             self.recovered_rows = len(fresh)
             for row in fresh:
                 self.known[row.sig] = row
@@ -267,29 +287,9 @@ class ArchTable:
     def load(cls, directory: str | Path) -> "ArchTable":
         """Load a table directory — including, tolerantly, the unsealed
         tail shard of a killed sweep, so a partial table is usable."""
-        directory = Path(directory)
-        manifest_path = directory / _MANIFEST
-        if not manifest_path.exists():
-            raise FileNotFoundError(f"no {_MANIFEST} in {directory}")
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("format") != "repro-bench-table":
-            raise ValueError(f"{directory} is not a repro bench table")
-        if manifest.get("version") != TABLE_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported table version {manifest.get('version')!r}")
-        rows: dict[str, TableRow] = {}
-        for entry in manifest["shards"]:
-            shard_rows = _read_rows(directory / entry["name"])
-            if len(shard_rows) != entry["rows"]:
-                raise ValueError(
-                    f"sealed shard {entry['name']} has {len(shard_rows)} "
-                    f"rows, manifest says {entry['rows']}")
-            for row in shard_rows:
-                rows[row.sig] = row
-        tail = directory / _shard_name(len(manifest["shards"]))
-        if tail.exists():
-            for row in _read_rows(tail, tolerant=True):
-                rows.setdefault(row.sig, row)
+        manifest, rows, tail_rows = _read_table(Path(directory))
+        for row in tail_rows:
+            rows.setdefault(row.sig, row)
         return cls(manifest["space"], rows,
                    metadata=manifest.get("metadata", {}))
 

@@ -39,7 +39,6 @@ from .hpc import NodeAllocation
 from .nas.spaces import SPACES, get_space
 from .posttrain import post_train
 from .problems import get_problem
-from .rewards import SurrogateReward
 from .search import NasSearch, SEARCH_METHODS, SearchConfig, resume_durable
 from .search.journal import JOURNAL_NAME, read_journal, read_records
 
@@ -77,12 +76,10 @@ def _cmd_search(args) -> int:
             print(f"{name:<10} {'yes' if m.proposer.learns else 'no':>6}  "
                   f"{m.summary}")
         return 0
-    shapes, head, cost = ex.PAPER_SETUP[args.problem]
-    space = get_space(_space_name(args.problem, args.size))
-    reward = SurrogateReward(
-        space, shapes, head(), cost(),
-        epochs=1, train_fraction=args.fraction, timeout=600.0,
-        seed=args.landscape_seed)
+    _space_name(args.problem, args.size)    # NT3 has no large space
+    reward = ex.surrogate_for(args.problem, args.size, args.fraction,
+                              seed=args.landscape_seed)
+    space = reward.space
     alloc = NodeAllocation.paper_scaling(args.nodes, args.scaling)
     guard = (GuardConfig(mode=args.guard_mode)
              if args.guard_mode != "off" else None)
@@ -281,8 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="agents")
     p.add_argument("--minutes", type=float, default=360.0,
                    help="simulated wall-clock minutes")
-    p.add_argument("--fraction", type=float, default=0.1,
-                   help="training-data fraction for reward estimation")
+    p.add_argument("--fraction", type=float,
+                   help="training-data fraction for reward estimation "
+                        "(default: the problem's, 0.1 for combo and 1.0 "
+                        "for uno and nt3)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--landscape-seed", type=int, default=7,
                    help="seed of the surrogate reward landscape")

@@ -185,10 +185,6 @@ class BalsamService:
             job.error = f"node failure ({intr.cause})"
             return False
 
-    # -- monitoring (the paper's Balsam utilization inference) -----------
-    def utilization_trace(self, end_time: float, bin_width: float = 60.0):
-        return self.cluster.utilization_trace(end_time, bin_width)
-
     @property
     def num_finished(self) -> int:
         return sum(1 for j in self.jobs if j.state == "FINISHED")

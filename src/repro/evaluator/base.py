@@ -81,7 +81,6 @@ class ReplayEval:
     duration: float
     params: int
     timed_out: bool
-    nonfinite: bool
     failed: bool
     end_time: float             # the original completion timestamp
 
@@ -193,8 +192,7 @@ class Evaluator:
         """Cache short-circuit: on a hit, record + count + emit.
 
         Returns True iff the architecture was answered from the cache
-        (the caller skips dispatch).  A miss bumps the cache's own miss
-        tally as a side effect of the lookup.
+        (the caller skips dispatch).
         """
         if self.cache is None:
             return False
@@ -268,8 +266,7 @@ class Evaluator:
             return
         payload = dict(reward=result.reward, failed=failed,
                        arch=arch.to_dict(), duration=result.duration,
-                       params=result.params, timed_out=result.timed_out,
-                       nonfinite=result.nonfinite)
+                       params=result.params, timed_out=result.timed_out)
         if replayed:
             payload["replayed"] = True
         emit(self.sink, EVAL_DONE, end_time, self.agent_id, **payload)
@@ -301,9 +298,7 @@ class Evaluator:
         miss.  Re-checking the cache first would diverge on batches
         containing the same architecture twice — the first replay seeds
         the cache and the second occurrence would flip from a real
-        (replayed) record to a cache hit.  The cache's miss tally is
-        bumped manually to preserve the restore-counters invariant
-        (every submission performs exactly one logical lookup).
+        (replayed) record to a cache hit.
         """
         if not self._replay:
             return False
@@ -311,10 +306,8 @@ class Evaluator:
         if not queue:
             return False
         entry = queue.popleft()
-        if self.cache is not None:
-            self.cache.misses += 1
         result = EvalResult(entry.reward, entry.duration, entry.params,
-                            entry.timed_out, entry.nonfinite)
+                            entry.timed_out)
         self._deliver(arch, result, submit_time, submit_time,
                       entry.end_time, failed=entry.failed, replayed=True)
         return True
@@ -331,19 +324,10 @@ class Evaluator:
     # -- checkpoint / resurrection support -----------------------------
     def restore_counters(self, num_submitted: int, num_cache_hits: int,
                          num_failed: int) -> None:
-        """Rewind the counters to an iteration boundary.
-
-        The cache's own hit/miss tally is restored alongside: every
-        submitted architecture performs exactly one cache lookup, so
-        ``hits == num_cache_hits`` and ``misses == num_submitted -
-        num_cache_hits`` whenever the cache is enabled.
-        """
+        """Rewind the counters to an iteration boundary."""
         self.num_submitted = num_submitted
         self.num_cache_hits = num_cache_hits
         self.num_failed = num_failed
-        if self.cache is not None:
-            self.cache.hits = num_cache_hits
-            self.cache.misses = num_submitted - num_cache_hits
 
     # -- uniform lifecycle ---------------------------------------------
     # Backends with nothing in flight inherit these as no-ops, so every

@@ -30,16 +30,9 @@ class EvalCache:
 
     def __init__(self) -> None:
         self._store: dict[tuple, EvalResult] = {}
-        self.hits = 0
-        self.misses = 0
 
     def get(self, arch: Architecture) -> EvalResult | None:
-        result = self._store.get(arch.key)
-        if result is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return result
+        return self._store.get(arch.key)
 
     def put(self, arch: Architecture, result: EvalResult) -> None:
         self._store[arch.key] = result
@@ -59,22 +52,9 @@ class EvalCache:
         items = list(self._store.items())
         return items if limit is None else items[:limit]
 
-    def restore(self, entries: list, hits: int | None = None,
-                misses: int | None = None) -> None:
-        """Replace the store with checkpointed (key, result) entries.
-
-        ``hits``/``misses`` restore the lookup tally alongside the
-        store; left ``None`` the counters are untouched.
-        """
+    def restore(self, entries: list) -> None:
+        """Replace the store with checkpointed (key, result) entries."""
         self._store = dict(entries)
-        if hits is not None:
-            self.hits = int(hits)
-        if misses is not None:
-            self.misses = int(misses)
 
     def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def unique_architectures(self) -> int:
         return len(self._store)

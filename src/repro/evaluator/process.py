@@ -46,7 +46,6 @@ still enforces real wall-clock deadlines.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import pickle
 import queue as queue_mod
 import threading
@@ -146,7 +145,7 @@ def _worker_main(worker_id: int, task_q, result_q, payload: bytes,
             res = reward_model.evaluate(arch, agent_seed=agent_seed)
             result_q.put((_DONE, worker_id,
                           (job_id, (res.reward, res.duration, res.params,
-                                    res.timed_out, res.nonfinite))))
+                                    res.timed_out))))
         except Exception as exc:    # noqa: BLE001 — surfaced as failure record
             try:
                 result_q.put((_ERR, worker_id,
@@ -397,9 +396,9 @@ class ProcessEvaluator(Evaluator):
             worker.job = None
             worker.job_start = None
         if tag == _DONE:
-            reward, duration, params, timed_out, nonfinite = body[1]
+            reward, duration, params, timed_out = body[1]
             result = EvalResult(float(reward), float(duration), int(params),
-                                bool(timed_out), bool(nonfinite))
+                                bool(timed_out))
             self._resolve(job)
             self._deliver(job.arch, result, job.submit_time)
         else:           # _ERR: the reward model raised inside the worker

@@ -38,7 +38,10 @@ SUBMIT = "submit"
 #: carries the batch size, distinct-architecture count, and the plan
 #: hit / miss / isomorphism-hit deltas of the gather
 BATCH_STATS = "batch-stats"
-#: one evaluation finished (real or failed — see ``payload["failed"]``)
+#: one evaluation finished (real or failed — see ``payload["failed"]``);
+#: payload: reward, failed, arch, duration, params, timed_out, and
+#: ``replayed`` on a completion a resumed run re-served.  Older
+#: journals also carry ``nonfinite``, which readers ignore
 EVAL_DONE = "eval-done"
 #: the agent-local cache answered an architecture (eval-done's fields)
 CACHE_HIT = "cache-hit"

@@ -10,7 +10,7 @@ pure read of the numbers flowing past.
 Three families of guard live here:
 
 * :func:`all_finite` / :func:`require_finite` — blockwise non-finite
-  scans over activations, gradients, parameters, and exchange deltas.
+  scans over policy vectors and exchange deltas.
   Blockwise so a poisoned entry near the front of a large array is found
   without scanning the rest.
 * :class:`LossSpikeDetector` — an EWMA mean/variance tracker over a

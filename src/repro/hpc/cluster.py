@@ -43,10 +43,6 @@ class NodeAllocation:
     def used_nodes(self) -> int:
         return self.num_agents + self.worker_nodes + self.service_nodes
 
-    @property
-    def unused_nodes(self) -> int:
-        return self.total_nodes - self.used_nodes
-
     @classmethod
     def paper_256(cls) -> "NodeAllocation":
         """The reference 256-node configuration: 21 agents × 11 workers."""
@@ -111,10 +107,6 @@ class Cluster:
         self.num_repairs = 0
 
     @property
-    def idle(self) -> int:
-        return max(0, self.worker_nodes - self.busy)
-
-    @property
     def holders(self) -> tuple[Process, ...]:
         """Processes currently holding a node lease (registered only)."""
         return tuple(self._holders)
@@ -125,15 +117,6 @@ class Cluster:
     def _grant(self, holder: Process | None) -> None:
         if holder is not None:
             self._holders.append(holder)
-
-    def try_acquire(self, holder: Process | None = None) -> bool:
-        """Take a node if one is idle; non-blocking."""
-        if self.busy < self.worker_nodes:
-            self.busy += 1
-            self._grant(holder)
-            self._record()
-            return True
-        return False
 
     def acquire(self, holder: Process | None = None) -> Event:
         """Yieldable: fires when a node has been granted to the caller.

@@ -34,16 +34,6 @@ class JobTableStats:
     mean_run_time: float         # start -> end, seconds
     total_node_seconds: float    # sum of run times (1 node per job)
 
-    def as_dict(self) -> dict:
-        return {
-            "num_jobs": self.num_jobs,
-            "num_finished": self.num_finished,
-            "mean_queue_wait": self.mean_queue_wait,
-            "p95_queue_wait": self.p95_queue_wait,
-            "mean_run_time": self.mean_run_time,
-            "total_node_seconds": self.total_node_seconds,
-        }
-
 
 def _finished(jobs: list[BalsamJob]) -> list[BalsamJob]:
     return [j for j in jobs if j.state == "FINISHED"]

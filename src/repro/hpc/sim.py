@@ -236,7 +236,3 @@ class Simulator:
                 raise AssertionError("time went backwards")
             self.now = t
             cb(value)
-
-    def peek(self) -> float:
-        """Time of the next scheduled callback (inf when idle)."""
-        return self._heap[0][0] if self._heap else float("inf")

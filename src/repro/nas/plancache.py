@@ -25,10 +25,8 @@ The cache has two levels:
 A plan also depends on the input shapes and head ops, which the exact
 key leaves out: the cache refuses a space name under a second set.
 
-Cache state intentionally stays out of checkpoint files: plans are
-recomputable, so :meth:`PlanCache.snapshot` captures only the keys and
-counters and :meth:`PlanCache.restore` recompiles — bit-identical by
-construction.
+Cache state stays out of checkpoint files: plans are recomputable, and
+a resumed search recompiles what it needs, bit-identically.
 """
 
 from __future__ import annotations
@@ -238,9 +236,6 @@ class PlanCache:
         if len(self._plans) >= self.max_entries:  # bound memory at scale
             self.clear()
             self._bind(structure.name, input_shapes, head_ops)
-        return self._insert(key, plan)
-
-    def _insert(self, key: tuple, plan: Plan) -> Plan:
         sig = plan_signature(plan)
         canonical = self._by_sig.get(sig)
         if canonical is not None:
@@ -250,36 +245,3 @@ class PlanCache:
             self._by_sig[sig] = plan
         self._plans[key] = plan
         return plan
-
-    # -- checkpoint support --------------------------------------------
-    def snapshot(self) -> dict:
-        """Keys + counters only — plans are recomputable and never enter
-        checkpoint files (the v1 wire format stays untouched)."""
-        return {"keys": [[space, list(choices)]
-                         for space, choices in self._plans],
-                "hits": self.hits, "misses": self.misses,
-                "iso_hits": self.iso_hits}
-
-    def restore(self, snapshot: dict, structure: Structure,
-                input_shapes: dict[str, Shape], head_ops=None) -> None:
-        """Rebuild the cache from a :meth:`snapshot` by recompiling.
-
-        Compilation is deterministic, so the restored plans — including
-        the isomorphism aliasing — are bit-identical to the originals.
-        Keys of other structures (shared cache, multi-space snapshots)
-        are skipped; counters are restored exactly as captured.
-        """
-        self.clear()
-        self._bind(structure.name, input_shapes, head_ops)
-        for space_name, choices in snapshot["keys"]:
-            if space_name != structure.name:
-                continue
-            key = (space_name, tuple(int(c) for c in choices))
-            plan = compile_architecture(structure, key[1], input_shapes,
-                                        head_ops)
-            self._insert(key, plan)
-        # _insert bumps iso_hits while rebuilding; the captured counters
-        # are authoritative
-        self.hits = int(snapshot["hits"])
-        self.misses = int(snapshot["misses"])
-        self.iso_hits = int(snapshot["iso_hits"])

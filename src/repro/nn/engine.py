@@ -34,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import config
-from ..health.guards import NumericalAnomaly, all_finite
 from .conv import Flatten
 from .layers import Activation, Dropout, Identity
 from .merge import Concatenate, MergeLayer
@@ -75,11 +74,6 @@ class BufferPool:
     def clear(self) -> None:
         self._bufs.clear()
 
-    @property
-    def nbytes(self) -> int:
-        """Total bytes currently held by pooled buffers."""
-        return sum(b.nbytes for b in self._bufs.values())
-
 
 class _Step:
     """One lowered node: a layer plus integer input/output slots."""
@@ -108,14 +102,6 @@ class ExecutionPlan:
         self.out_slot = self.slot_of[model.output_name]
         self.dtype = model.dtype
         self.pool = BufferPool()
-
-        #: opt-in numerical guard (repro.health): when set, every forward
-        #: scans the pass's activations and every backward scans the
-        #: produced input gradients for NaN/Inf, raising NumericalAnomaly
-        #: naming the offending node.  Off by default — the hot loops are
-        #: untouched; the scans run after them, outside the step loop.
-        self.check_finite = False
-        self.step_names = list(model._order)
 
         escaping = self._escaping_nodes(model)
         self.steps: list[_Step] = []
@@ -159,15 +145,6 @@ class ExecutionPlan:
             else:
                 values[step.out_slot] = step.layer.forward(
                     values[step.in_slots[0]], training)
-        if self.check_finite:
-            # the pass just completed, so every activation (including the
-            # pooled interior ones) is still this pass's value
-            for step, name in zip(self.steps, self.step_names):
-                v = values[step.out_slot]
-                if v is not None and not all_finite(v):
-                    raise NumericalAnomaly(
-                        "nonfinite", f"activation:{name}",
-                        "non-finite values in forward pass")
         return values[self.out_slot]
 
     def run_backward(self, grad_output: np.ndarray) -> dict[str, np.ndarray]:
@@ -194,20 +171,9 @@ class ExecutionPlan:
             g = grads[slot]
             if g is None:
                 g = np.zeros((1,) + self.input_shapes[name], dtype=self.dtype)
-            if self.check_finite and not all_finite(g):
-                raise NumericalAnomaly(
-                    "nonfinite", f"input_grad:{name}",
-                    "non-finite values in backward pass")
             out[name] = g
             grads[slot] = None
         return out
-
-    def value_of(self, name: str) -> np.ndarray:
-        """Activation of ``name`` from the most recent forward pass."""
-        value = self._values[self.slot_of[name]]
-        if value is None:
-            raise KeyError(f"no activation recorded for node {name!r}")
-        return value
 
     def snapshot_values(self) -> dict[str, np.ndarray]:
         """Copies of all recorded activations (interior activations live
@@ -278,7 +244,3 @@ class FlatParameterVector:
             raise ValueError(
                 f"expected {self.size} entries, got {delta.size}")
         self.values += delta
-
-    def grad_norm(self) -> float:
-        """Global L2 norm of the packed gradients (one vectorized pass)."""
-        return float(np.sqrt(np.dot(self.grads, self.grads)))

@@ -319,22 +319,12 @@ class GraphModel:
                   else self._collect_parameters()):
             p.zero_grad()
 
-    def node_value(self, name: str) -> np.ndarray:
-        """Activation of a node from the most recent forward pass.
-
-        With the compiled engine, interior activations live in reused
-        buffers: the returned array is valid until the next forward call.
-        """
-        if self._plan is None:
-            raise RuntimeError("model is not built")
-        return self._plan.value_of(name)
-
     def node_values(self) -> dict[str, np.ndarray]:
         """Copies of every node activation from the most recent forward.
 
-        Unlike :meth:`node_value` the arrays are snapshots, safe to keep
-        across later forward calls; the differential tester diffs them
-        against :attr:`eager_values`.
+        Interior activations live in reused buffers, so these are
+        snapshots, safe to keep across later forward calls; the
+        differential tester diffs them against :attr:`eager_values`.
         """
         if self._plan is None:
             raise RuntimeError("model is not built")

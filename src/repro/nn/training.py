@@ -22,8 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..health.guards import (GuardConfig, LossSpikeDetector, NumericalAnomaly,
-                             all_finite)
 from .graph import GraphModel
 from .losses import Loss, get_loss
 from .metrics import get_metric
@@ -41,17 +39,6 @@ class History:
     train_time: float = 0.0
     timed_out: bool = False
     batches_seen: int = 0
-    #: structured numerical-failure outcome (repro.health): training
-    #: aborted early because a guard detected non-finite state or a loss
-    #: spike.  ``anomaly`` carries ``"kind:what"`` for diagnostics.  The
-    #: reward layer maps this to FAILURE_REWARD instead of letting the
-    #: raw exception unwind through the evaluation pipeline.
-    nonfinite: bool = False
-    anomaly: str | None = None
-
-    @property
-    def final_loss(self) -> float:
-        return self.epoch_losses[-1] if self.epoch_losses else float("nan")
 
 
 class Trainer:
@@ -74,22 +61,13 @@ class Trainer:
     clock:
         Injectable monotonic clock, for tests and for the discrete-event
         simulation.
-    guard:
-        Optional :class:`~repro.health.guards.GuardConfig`.  When its
-        mode is not ``"off"``, each batch's activations, loss, gradients
-        and parameters are scanned for NaN/Inf and the loss stream runs
-        through an EWMA spike detector; a detection aborts training
-        early with ``History.nonfinite`` set (a structured outcome, not
-        an exception).  Guards only observe — with no anomaly the run is
-        bit-identical to an unguarded one.
     """
 
     def __init__(self, loss: str | Loss = "mse", metric: str = "r2",
                  batch_size: int = 32, epochs: int = 1, lr: float = 1e-3,
                  timeout: float | None = None, train_fraction: float = 1.0,
                  seed: int = 0,
-                 clock: Callable[[], float] = time.monotonic,
-                 guard: GuardConfig | None = None) -> None:
+                 clock: Callable[[], float] = time.monotonic) -> None:
         if not 0.0 < train_fraction <= 1.0:
             raise ValueError("train_fraction must be in (0, 1]")
         if batch_size <= 0 or epochs <= 0:
@@ -103,7 +81,6 @@ class Trainer:
         self.train_fraction = train_fraction
         self.seed = seed
         self.clock = clock
-        self.guard = guard
 
     def fit(self, model: GraphModel,
             x_train: dict[str, np.ndarray], y_train: np.ndarray,
@@ -119,76 +96,39 @@ class Trainer:
         start = self.clock()
         subset = rng.permutation(n)[:n_used]
 
-        guarded = self.guard is not None and self.guard.enabled
-        spike = flat = None
-        plan = model._plan
-        prev_check = plan.check_finite if plan is not None else False
-        if guarded:
-            spike = LossSpikeDetector()
-            flat = getattr(opt, "flat", None)
-            if plan is not None:
-                plan.check_finite = True
-
-        try:
-            for _ in range(self.epochs):
-                order = rng.permutation(n_used)
-                perm = subset[order]
-                # one contiguous gather (and dtype cast) per epoch;
-                # batches below are zero-copy slices of these arrays
-                x_epoch = {k: np.ascontiguousarray(v[perm], dtype=dt)
-                           for k, v in x_train.items()}
-                y_epoch = y_train[perm]
-                epoch_loss = 0.0
-                batches = 0
-                for lo in range(0, n_used, self.batch_size):
-                    hi = lo + self.batch_size
-                    xb = {k: v[lo:hi] for k, v in x_epoch.items()}
-                    yb = y_epoch[lo:hi]
-                    try:
-                        pred = model.forward(xb, training=True)
-                        loss_val = self.loss.value(pred, yb)
-                        if guarded and not np.isfinite(loss_val):
-                            raise NumericalAnomaly(
-                                "nonfinite", "loss", f"loss={loss_val!r}")
-                        model.zero_grad()
-                        model.backward(self.loss.grad(pred, yb))
-                        if guarded and flat is not None \
-                                and not all_finite(flat.grads):
-                            raise NumericalAnomaly(
-                                "nonfinite", "gradients",
-                                "non-finite parameter gradients")
-                        opt.step()
-                        if guarded and flat is not None \
-                                and not all_finite(flat.values):
-                            raise NumericalAnomaly(
-                                "nonfinite", "parameters",
-                                "non-finite parameters after step")
-                        if guarded and spike.observe(loss_val):
-                            raise NumericalAnomaly(
-                                "loss_spike", "loss",
-                                f"loss={loss_val!r} spiked over the "
-                                f"EWMA baseline")
-                    except NumericalAnomaly as exc:
-                        history.nonfinite = True
-                        history.anomaly = f"{exc.kind}:{exc.what}"
-                        break
-                    epoch_loss += loss_val
-                    batches += 1
-                    history.batches_seen += 1
-                    if self.timeout is not None \
-                            and self.clock() - start > self.timeout:
-                        history.timed_out = True
-                        break
-                if batches:
-                    history.epoch_losses.append(epoch_loss / batches)
-                if history.timed_out or history.nonfinite:
+        for _ in range(self.epochs):
+            order = rng.permutation(n_used)
+            perm = subset[order]
+            # one contiguous gather (and dtype cast) per epoch;
+            # batches below are zero-copy slices of these arrays
+            x_epoch = {k: np.ascontiguousarray(v[perm], dtype=dt)
+                       for k, v in x_train.items()}
+            y_epoch = y_train[perm]
+            epoch_loss = 0.0
+            batches = 0
+            for lo in range(0, n_used, self.batch_size):
+                hi = lo + self.batch_size
+                xb = {k: v[lo:hi] for k, v in x_epoch.items()}
+                yb = y_epoch[lo:hi]
+                pred = model.forward(xb, training=True)
+                loss_val = self.loss.value(pred, yb)
+                model.zero_grad()
+                model.backward(self.loss.grad(pred, yb))
+                opt.step()
+                epoch_loss += loss_val
+                batches += 1
+                history.batches_seen += 1
+                if self.timeout is not None \
+                        and self.clock() - start > self.timeout:
+                    history.timed_out = True
                     break
-        finally:
-            if plan is not None:
-                plan.check_finite = prev_check
+            if batches:
+                history.epoch_losses.append(epoch_loss / batches)
+            if history.timed_out:
+                break
 
         history.train_time = self.clock() - start
-        if x_val is not None and y_val is not None and not history.nonfinite:
+        if x_val is not None and y_val is not None:
             history.val_metric = self.evaluate(model, x_val, y_val)
         return history
 

@@ -47,14 +47,6 @@ class Dataset:
             if len(v) != n:
                 raise ValueError(f"input {k!r} has {len(v)} rows, expected {n}")
 
-    @property
-    def n_train(self) -> int:
-        return len(self.y_train)
-
-    @property
-    def n_val(self) -> int:
-        return len(self.y_val)
-
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out = np.zeros((len(labels), num_classes))

@@ -33,10 +33,6 @@ class EvalResult:
     duration: float          # single-node wall seconds (real or modelled)
     params: int              # trainable parameters of the architecture
     timed_out: bool = False
-    #: the evaluation ended in a numerical-guard abort (repro.health):
-    #: the reward is FAILURE_REWARD by construction, and the search layer
-    #: can distinguish "diverged numerically" from "bad architecture"
-    nonfinite: bool = False
 
     def __post_init__(self) -> None:
         if self.duration < 0:

@@ -39,6 +39,14 @@ __all__ = ["SurrogateReward", "op_prior"]
 
 _ACT_PRIOR = {"relu": 0.5, "tanh": 0.25, "linear": 0.15, "sigmoid": -0.4,
               "softmax": -0.4}
+#: the noiseless reward is ``reward_base + _REWARD_AMP·tanh(quality)``
+#: plus ``_FIDELITY_WEIGHT·(train_fraction − 0.5)``
+_REWARD_AMP = 0.5
+_FIDELITY_WEIGHT = 0.15
+#: the capacity prior: a gaussian bump of this width in log10(params)
+#: around ``log_params_opt``, weighted into the quality score
+_CAPACITY_SIGMA = 0.8
+_CAPACITY_WEIGHT = 1.0
 
 
 def op_prior(op: Operation) -> float:
@@ -84,13 +92,13 @@ class SurrogateReward(RewardModel):
         Maps parameter count → single-node training seconds.
     epochs, train_fraction, timeout:
         Reward-estimation fidelity knobs (§3.3/§5.4).
-    reward_base, reward_amp:
+    reward_base:
         The noiseless reward is
-        ``reward_base + reward_amp·tanh(quality)``; defaults give the
-        Combo-like range of Fig. 4.
+        ``reward_base + _REWARD_AMP·tanh(quality)``; the default gives
+        the Combo-like range of Fig. 4.
     noise:
         Std of the agent-keyed gaussian reward noise.
-    log_params_opt, capacity_sigma, capacity_weight:
+    log_params_opt:
         The capacity prior: quality is boosted near ``10**log_params_opt``
         trainable parameters — the mechanism by which agents "learn to
         generate architectures that have a shorter training time with
@@ -106,12 +114,8 @@ class SurrogateReward(RewardModel):
                  cost_model: TrainingCostModel,
                  epochs: int = 1, train_fraction: float = 1.0,
                  timeout: float | None = 600.0,
-                 reward_base: float = 0.1, reward_amp: float = 0.5,
-                 noise: float = 0.05,
-                 log_params_opt: float = 6.2, capacity_sigma: float = 0.8,
-                 capacity_weight: float = 1.0,
-                 fidelity_weight: float = 0.15,
-                 seed: int = 0) -> None:
+                 reward_base: float = 0.1, noise: float = 0.05,
+                 log_params_opt: float = 6.2, seed: int = 0) -> None:
         if not 0.0 < train_fraction <= 1.0:
             raise ValueError("train_fraction must be in (0, 1]")
         self.space = space
@@ -122,12 +126,8 @@ class SurrogateReward(RewardModel):
         self.train_fraction = train_fraction
         self.timeout = timeout
         self.reward_base = reward_base
-        self.reward_amp = reward_amp
         self.noise = noise
         self.log_params_opt = log_params_opt
-        self.capacity_sigma = capacity_sigma
-        self.capacity_weight = capacity_weight
-        self.fidelity_weight = fidelity_weight
         self.seed = seed
 
         rng = np.random.default_rng(seed)
@@ -174,14 +174,14 @@ class SurrogateReward(RewardModel):
 
         log_p = np.log10(max(self.params_of(arch), 1))
         cap = np.exp(-0.5 * ((log_p - self.log_params_opt)
-                             / self.capacity_sigma) ** 2)
-        return float(q + self.capacity_weight * (cap - 0.5))
+                             / _CAPACITY_SIGMA) ** 2)
+        return float(q + _CAPACITY_WEIGHT * (cap - 0.5))
 
     def noiseless_reward(self, arch: Architecture,
                          train_fraction: float | None = None) -> float:
         f = self.train_fraction if train_fraction is None else train_fraction
-        r = self.reward_base + self.reward_amp * np.tanh(self.quality(arch))
-        return float(r + self.fidelity_weight * (f - 0.5))
+        r = self.reward_base + _REWARD_AMP * np.tanh(self.quality(arch))
+        return float(r + _FIDELITY_WEIGHT * (f - 0.5))
 
     # -- RewardModel API -------------------------------------------------
     def evaluate(self, arch: Architecture, agent_seed: int = 0,

@@ -75,9 +75,6 @@ class TabularReward(RewardModel):
         self.resolver = resolver
         self.miss = miss
         self.fallback_reward = float(fallback_reward)
-        #: lookup tallies (hits include repeated hits of one class)
-        self.hits = 0
-        self.misses = 0
 
     @classmethod
     def from_table_dir(cls, directory, space: Structure,
@@ -110,10 +107,8 @@ class TabularReward(RewardModel):
             return EvalResult(self.FAILURE_REWARD, 0.0, 0)
         row = self.table.get(sig)
         if row is not None:
-            self.hits += 1
             return EvalResult(row.reward, row.duration, row.params,
                               row.timed_out)
-        self.misses += 1
         if self.miss == "error":
             raise TableMiss(
                 f"architecture {arch} (class {sig[:12]}…) is not in the "

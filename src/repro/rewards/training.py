@@ -42,19 +42,13 @@ class TrainingReward(RewardModel):
     def __init__(self, problem: Problem, epochs: int = 1,
                  timeout: float | None = None, train_fraction: float = 1.0,
                  base_seed: int = 0,
-                 clock=time.monotonic, guard=None) -> None:
+                 clock=time.monotonic) -> None:
         self.problem = problem
         self.epochs = epochs
         self.timeout = timeout
         self.train_fraction = train_fraction
         self.base_seed = base_seed
         self.clock = clock
-        #: optional repro.health.GuardConfig threaded into each Trainer
-        self.guard = guard
-        #: evaluations that ended in a structured numerical-guard abort —
-        #: distinct from invalid-architecture failures, which raise
-        #: during build/training instead
-        self.num_nonfinite = 0
 
     def _plan(self, arch: Architecture):
         problem = self.problem
@@ -92,7 +86,7 @@ class TrainingReward(RewardModel):
                           batch_size=problem.batch_size, epochs=self.epochs,
                           timeout=self.timeout,
                           train_fraction=fraction,
-                          seed=seed, clock=self.clock, guard=self.guard)
+                          seed=seed, clock=self.clock)
         ds = problem.dataset
         try:
             hist = trainer.fit(model, ds.x_train, ds.y_train,
@@ -102,16 +96,9 @@ class TrainingReward(RewardModel):
             # gradients): a bad architecture, not a crashed agent
             return EvalResult(self.FAILURE_REWARD, self.clock() - start,
                               plan.total_params)
-        if hist.nonfinite:
-            # structured guard abort: the architecture diverged
-            # numerically; map it to the failure reward rather than
-            # letting NaN leak into the reward stream
-            self.num_nonfinite += 1
-            return EvalResult(self.FAILURE_REWARD, self.clock() - start,
-                              plan.total_params, hist.timed_out,
-                              nonfinite=True)
         reward = hist.val_metric
         if not np.isfinite(reward):
+            # training diverged to NaN/Inf: the architecture fails
             reward = self.FAILURE_REWARD
         # R² is unbounded below; the paper's reward scale floors at -1
         reward = max(float(reward), self.FAILURE_REWARD)

@@ -135,11 +135,6 @@ class ParameterServer:
         self._served_until = self.sim.now
         return self.push_async(delta)
 
-    @property
-    def queue_delay(self) -> float:
-        """Current backlog: how long a new push would wait before service."""
-        return max(0.0, self._busy_until - self.sim.now)
-
     # -- sync (A2C) ---------------------------------------------------------
     def push_sync(self, delta: np.ndarray, agent_id: int | None = None
                   ) -> Event:

@@ -16,7 +16,7 @@ The hot path is fused end to end: the recurrent state advances through
 :class:`~repro.nn.recurrent.FusedLSTM` (one stacked gate GEMM per step,
 preallocated state buffers) and the policy and value heads are stacked
 into a single ``(H, A+1)`` matrix so each step computes logits and value
-with one head GEMM.  ``sample``, ``greedy`` and ``forward_train`` all
+with one head GEMM.  ``sample`` and ``forward_train`` both
 run the identical fused step, so a freshly sampled rollout re-evaluated
 by ``forward_train`` reproduces its log-probabilities bit for bit (PPO's
 first-epoch ratio is exactly 1).  The stacked copies are refreshed at
@@ -136,7 +136,7 @@ class LSTMPolicy:
     def _fused_step(self, t: int, tokens: np.ndarray):
         """One fused controller step: embedding gather, stacked gate
         GEMM, stacked head GEMM, masked log-softmax.  The single code
-        path shared by ``sample``/``greedy``/``forward_train`` — their
+        path shared by ``sample`` and ``forward_train`` — their
         per-step numbers are bit-identical by construction."""
         x = self.embedding.value[tokens]
         h = self._fused.step(t, x)
@@ -166,17 +166,6 @@ class LSTMPolicy:
             values[:, t] = value
             tokens = acts + 1
         return Rollout(actions, logprobs, values)
-
-    def greedy(self) -> np.ndarray:
-        """The argmax action sequence (one architecture)."""
-        self._begin_pass(1)
-        tokens = np.zeros(1, dtype=np.intp)
-        actions = np.zeros(self.horizon, dtype=np.intp)
-        for t in range(self.horizon):
-            _, logp_full, _, _ = self._fused_step(t, tokens)
-            actions[t] = int(logp_full[0].argmax())
-            tokens = actions[t:t + 1] + 1
-        return actions
 
     def forward_train(self, actions: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

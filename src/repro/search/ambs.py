@@ -73,9 +73,8 @@ def encode_rows(rows: np.ndarray, dims: np.ndarray) -> np.ndarray:
 class RidgeEnsemble:
     """Bootstrap ensemble of closed-form ridge regressions."""
 
-    def __init__(self, members: int, lam: float = _RIDGE_LAMBDA) -> None:
+    def __init__(self, members: int) -> None:
         self.members = members
-        self.lam = lam
         self._weights: np.ndarray | None = None   # (members, D)
 
     def fit(self, x: np.ndarray, y: np.ndarray,
@@ -93,7 +92,7 @@ class RidgeEnsemble:
             xm = x.take(idx[m], axis=0)
             np.matmul(xm.T, xm, out=gram[m])
             rhs[m, :, 0] = xm.T @ y.take(idx[m])
-        gram += self.lam * np.eye(d)
+        gram += _RIDGE_LAMBDA * np.eye(d)
         self._weights = np.linalg.solve(gram, rhs)[:, :, 0]
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

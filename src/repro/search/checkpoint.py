@@ -44,7 +44,6 @@ rather than a bitwise replay.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,35 +233,6 @@ class SearchCheckpoint:
             quarantine={int(k): v for k, v in
                         health.get("quarantine", {}).items()},
         )
-
-    def round_trip(self) -> "SearchCheckpoint":
-        """JSON-encode and decode what a generation stores, carrying the
-        records and cache entries over unchanged — what a save and a
-        journal-backed load do, without disk or journal."""
-        back = self.from_json(json.loads(json.dumps(self.to_json())))
-        back.records = list(self.records)
-        for agent, mine in zip(back.agents, self.agents):
-            agent.cache_entries = list(mine.cache_entries)
-        return back
-
-    def fingerprint(self) -> str:
-        """Determinism fingerprint of the trajectory captured so far.
-
-        Combines the record multiset with every agent's rolling digest
-        (finished agents carry it on the checkpoint, running agents on
-        their boundary); comparable against
-        :meth:`repro.search.base.SearchResult.fingerprint` semantics for
-        runs checkpointed at the same virtual time.
-        """
-        from ..verify.fingerprint import trajectory_fingerprint
-        digests = {}
-        for agent in self.agents:
-            if agent.done and agent.traj_digest:
-                digests[agent.agent_id] = agent.traj_digest
-            elif agent.boundary is not None and agent.boundary.traj_digest:
-                digests[agent.agent_id] = agent.boundary.traj_digest
-        return trajectory_fingerprint(self.records, digests,
-                                      method=self.method, seed=self.seed)
 
 
 # ----------------------------------------------------------------------

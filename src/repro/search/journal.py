@@ -69,6 +69,8 @@ GENERATIONS_DIR = "generations"
 _GEN_RE = re.compile(r"^ckpt-(\d{8})\.json$")
 #: bytes read per step when scanning a journal back from its end
 _TAIL_BLOCK = 1 << 16
+#: checkpoint generations a directory keeps; each save prunes older ones
+_KEEP_GENERATIONS = 5
 
 
 def _canonical(data: dict) -> str:
@@ -114,13 +116,18 @@ class JournalWriter(EventSink):
         self._fh = open(self.path, "a", encoding="utf-8")
 
     def _repair_tail(self) -> None:
-        """Drop a torn trailing line (no final newline) in place."""
+        """Drop a torn trailing line (no final newline) in place.  The
+        last newline is found reading blocks back from the end: one
+        block unless the torn line is longer than a block."""
         with open(self.path, "r+b") as fh:
-            data = fh.read()
-            if not data or data.endswith(b"\n"):
-                return
-            cut = data.rfind(b"\n") + 1     # 0 when the only line is torn
-            fh.truncate(cut)
+            end = fh.seek(0, os.SEEK_END)
+            cut = 0                     # just past the last newline
+            for pos, block in _tail_blocks(fh):
+                cut = pos + block.rfind(b"\n") + 1
+                if cut > pos:
+                    break
+            if cut < end:
+                fh.truncate(cut)        # 0 when the only line is torn
 
     def append(self, event: SearchEvent) -> int:
         """Durably record one event; returns its sequence number."""
@@ -164,6 +171,16 @@ def _parse(line) -> tuple[int, SearchEvent]:
         raise ValueError(f"malformed journal record: {exc}") from None
 
 
+def _tail_blocks(fh):
+    """``(offset, bytes)`` of a binary file's blocks, last block first."""
+    pos = fh.seek(0, os.SEEK_END)
+    while pos > 0:
+        step = min(_TAIL_BLOCK, pos)
+        pos -= step
+        fh.seek(pos)
+        yield pos, fh.read(step)
+
+
 def _last_seq(path) -> int:
     """Sequence number of the journal's last valid record (0 for none).
 
@@ -172,13 +189,9 @@ def _last_seq(path) -> int:
     costs a line or two, never a scan of the whole journal.
     """
     with open(path, "rb") as fh:
-        pos = fh.seek(0, os.SEEK_END)
         rest = b""                  # the unread head of the lowest line
-        while pos > 0:
-            step = min(_TAIL_BLOCK, pos)
-            pos -= step
-            fh.seek(pos)
-            lines = (fh.read(step) + rest).split(b"\n")
+        for pos, block in _tail_blocks(fh):
+            lines = (block + rest).split(b"\n")
             rest = lines.pop(0) if pos > 0 else b""
             for line in reversed(lines):
                 try:
@@ -251,8 +264,7 @@ def _fold(events, caches: bool):
                 stores.setdefault(agent, {})[
                     (arch["space"], tuple(arch["choices"]))] = EvalResult(
                         float(payload["reward"]), float(payload["duration"]),
-                        int(payload["params"]), bool(payload["timed_out"]),
-                        bool(payload["nonfinite"]))
+                        int(payload["params"]), bool(payload["timed_out"]))
         elif kind == BATCH_RECORDED:
             # a completion lost to a skipped corrupt record drops a row
             done = pending.pop(agent, [])
@@ -326,11 +338,8 @@ class CheckpointGenerations:
     loads alike.
     """
 
-    def __init__(self, directory, keep: int = 5) -> None:
-        if keep <= 0:
-            raise ValueError("keep must be positive")
+    def __init__(self, directory) -> None:
         self.dir = Path(directory)
-        self.keep = keep
 
     def paths(self) -> list[Path]:
         """Existing generation files, oldest first."""
@@ -357,7 +366,8 @@ class CheckpointGenerations:
         tail = f',"integrity":{_canonical(integrity)}}}'.encode("utf-8")
         path = atomic_write_bytes(self.dir / f"ckpt-{nxt:08d}.json",
                                   memoryview(body)[:-1], tail)
-        for stale in existing[:max(0, len(existing) + 1 - self.keep)]:
+        for stale in existing[:max(0, len(existing) + 1
+                                   - _KEEP_GENERATIONS)]:
             try:
                 stale.unlink()
             except OSError:
@@ -395,13 +405,11 @@ class SearchJournal:
     :func:`resume_durable` hands an instance to
     :class:`~repro.search.runner.NasSearch` directly."""
 
-    def __init__(self, directory, fsync_every: int | None = None,
-                 keep_generations: int = 5) -> None:
+    def __init__(self, directory, fsync_every: int | None = None) -> None:
         self.dir = Path(directory)
         self.writer = JournalWriter(self.dir / JOURNAL_NAME,
                                     fsync_every=fsync_every)
-        self.generations = CheckpointGenerations(
-            self.dir / GENERATIONS_DIR, keep=keep_generations)
+        self.generations = CheckpointGenerations(self.dir / GENERATIONS_DIR)
 
     @classmethod
     def fresh(cls, directory, fsync_every: int | None = None
@@ -480,7 +488,6 @@ def build_replay(events, checkpoint: SearchCheckpoint | None
             duration=float(payload.get("duration", 0.0)),
             params=int(payload.get("params", 0)),
             timed_out=bool(payload.get("timed_out", False)),
-            nonfinite=bool(payload.get("nonfinite", False)),
             failed=bool(payload.get("failed", False)),
             end_time=float(event.time)))
     if checkpoint is not None:

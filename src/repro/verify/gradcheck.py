@@ -50,13 +50,6 @@ class GradCheckResult:
     worst: str            # entry where the worst error occurred
     ok: bool
 
-    def assert_ok(self) -> "GradCheckResult":
-        assert self.ok, (
-            f"gradient check {self.name!r} failed: worst relative error "
-            f"{self.max_err:.3g} at {self.worst} "
-            f"({self.n_checked} entries checked)")
-        return self
-
 
 class _ErrorTracker:
     def __init__(self, name: str, rtol: float, atol: float) -> None:

@@ -7,12 +7,46 @@
 * :func:`assert_generations_rebuild` checks that every checkpoint a
   journaled search captured in memory, saved as a version-2 generation
   and loaded with its journal, equals the capture.
+* :func:`round_trip` and :func:`checkpoint_fingerprint` stand in for a
+  save plus a journal-backed load, and for a trajectory fingerprint of
+  a checkpoint, in the resume tests.
 """
 
 import json
 
 from repro.events import CHECKPOINT, RUN
+from repro.search.checkpoint import SearchCheckpoint
 from repro.search.journal import CheckpointGenerations
+from repro.verify.fingerprint import trajectory_fingerprint
+
+
+def round_trip(ckpt: SearchCheckpoint) -> SearchCheckpoint:
+    """JSON-encode and decode what a generation stores, carrying the
+    records and cache entries over unchanged — what a save and a
+    journal-backed load do, without disk or journal."""
+    back = SearchCheckpoint.from_json(json.loads(json.dumps(ckpt.to_json())))
+    back.records = list(ckpt.records)
+    for agent, mine in zip(back.agents, ckpt.agents):
+        agent.cache_entries = list(mine.cache_entries)
+    return back
+
+
+def checkpoint_fingerprint(ckpt: SearchCheckpoint) -> str:
+    """Determinism fingerprint of the trajectory a checkpoint captured.
+
+    Combines the record multiset with every agent's rolling digest
+    (finished agents carry it on the checkpoint, running agents on
+    their boundary), as ``SearchResult.fingerprint`` does for a run
+    that ended at the same virtual time.
+    """
+    digests = {}
+    for agent in ckpt.agents:
+        if agent.done and agent.traj_digest:
+            digests[agent.agent_id] = agent.traj_digest
+        elif agent.boundary is not None and agent.boundary.traj_digest:
+            digests[agent.agent_id] = agent.boundary.traj_digest
+    return trajectory_fingerprint(ckpt.records, digests,
+                                  method=ckpt.method, seed=ckpt.seed)
 
 
 def checkpoint_v1_json(ckpt) -> dict:
@@ -52,7 +86,7 @@ def assert_generations_rebuild(search, events, directory) -> int:
     how many checkpoints were checked."""
     marks = watermarks(events)
     assert len(marks) == len(search.checkpoints)
-    gens = CheckpointGenerations(directory, keep=1)
+    gens = CheckpointGenerations(directory)
     for ckpt, mark in zip(search.checkpoints, marks):
         gens.save(ckpt, journal_seq=mark)
         loaded, integrity = gens.load_latest(events)
@@ -62,5 +96,5 @@ def assert_generations_rebuild(search, events, directory) -> int:
             [a.cache_entries for a in ckpt.agents]
         assert json.dumps(loaded.to_json(), sort_keys=True) == \
             json.dumps(ckpt.to_json(), sort_keys=True)
-        assert loaded.fingerprint() == ckpt.fingerprint()
+        assert checkpoint_fingerprint(loaded) == checkpoint_fingerprint(ckpt)
     return len(marks)

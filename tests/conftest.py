@@ -86,18 +86,19 @@ def gradcheck():
     """Finite-difference gradient checker: ``gradcheck(layer, shapes)``
     (or ``gradcheck.check_loss`` / ``gradcheck.check_policy``), raising
     on mismatch.  See :mod:`repro.verify.gradcheck`."""
+    from helpers import assert_gradcheck_ok as ok
     from repro.verify import gradcheck as gc
 
     class _Checker:
         check_loss = staticmethod(
-            lambda *a, **kw: gc.check_loss(*a, **kw).assert_ok())
+            lambda *a, **kw: ok(gc.check_loss(*a, **kw)))
         check_policy = staticmethod(
-            lambda *a, **kw: gc.check_policy(*a, **kw).assert_ok())
+            lambda *a, **kw: ok(gc.check_policy(*a, **kw)))
         check_ppo = staticmethod(
-            lambda *a, **kw: gc.check_ppo_objective(*a, **kw).assert_ok())
+            lambda *a, **kw: ok(gc.check_ppo_objective(*a, **kw)))
 
         def __call__(self, layer, input_shapes, **kw):
-            return gc.check_layer(layer, input_shapes, **kw).assert_ok()
+            return ok(gc.check_layer(layer, input_shapes, **kw))
 
     return _Checker()
 

@@ -25,3 +25,13 @@ def assert_grad_matches(f, params, rng, n_checks=3, rtol=1e-5, atol=1e-7):
             ana = p.grad[index]
             assert abs(num - ana) <= atol + rtol * abs(num), \
                 f"{p.name}[{index}]: numeric {num} vs analytic {ana}"
+
+
+def assert_gradcheck_ok(result):
+    """Fail with the worst entry unless a
+    :class:`~repro.verify.gradcheck.GradCheckResult` passed; returns it."""
+    assert result.ok, (
+        f"gradient check {result.name!r} failed: worst relative error "
+        f"{result.max_err:.3g} at {result.worst} "
+        f"({result.n_checked} entries checked)")
+    return result

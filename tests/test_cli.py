@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 import repro.search
@@ -73,6 +74,38 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", str(tmp_path)])
         assert "journal.jsonl" in str(exc.value.code)
+
+    @pytest.mark.parametrize("problem", ["combo", "uno", "nt3"])
+    def test_search_reward_is_the_figures_landscape(self, problem,
+                                                    monkeypatch):
+        """``repro search`` scores architectures on the landscape the
+        figures use (``experiments.surrogate_for``), at the problem's
+        data fraction unless ``--fraction`` is given."""
+        built = []
+
+        class Stop(Exception):
+            pass
+
+        def capture(space, reward, cfg):
+            built.append((space, reward))
+            raise Stop
+
+        monkeypatch.setattr("repro.cli.NasSearch", capture)
+        for extra, fraction in (([], None), (["--fraction", "0.3"], 0.3)):
+            with pytest.raises(Stop):
+                main(["search", "--problem", problem, "--landscape-seed",
+                      "5", *extra])
+            space, cli = built.pop()
+            ref = ex.surrogate_for(problem, "small", fraction, seed=5)
+            assert space is cli.space and space.name == ref.space.name
+            for name in ("train_fraction", "noise", "log_params_opt",
+                         "reward_base", "timeout", "epochs"):
+                assert getattr(cli, name) == getattr(ref, name), name
+            rng = np.random.default_rng(0)
+            for _ in range(8):
+                arch = space.random_architecture(rng)
+                assert cli.evaluate(arch, agent_seed=3) == \
+                    ref.evaluate(arch, agent_seed=3)
 
     def test_nt3_large_rejected(self):
         with pytest.raises(SystemExit):

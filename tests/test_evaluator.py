@@ -35,13 +35,12 @@ class TestEvalCache:
         assert cache.get(A(1)) is None
         cache.put(A(1), EvalResult(0.5, 1.0, 10))
         assert cache.get(A(1)).reward == 0.5
-        assert cache.hits == 1 and cache.misses == 1
 
     def test_contains_and_len(self):
         cache = EvalCache()
         cache.put(A(1), EvalResult(0.5, 1.0, 10))
         assert A(1) in cache and A(2) not in cache
-        assert len(cache) == 1 == cache.unique_architectures
+        assert len(cache) == 1
 
     def test_distinct_spaces_distinct_keys(self):
         cache = EvalCache()

@@ -68,7 +68,7 @@ class TestWorkingProblems:
     def test_working_problem_constructs(self, problem):
         prob = ex.working_problem(problem)
         assert prob.name == problem
-        assert prob.dataset.n_train > 0
+        assert len(prob.dataset.y_train) > 0
 
     def test_paper_scale_counts(self):
         assert ex.working_problem("combo").baseline_params(

@@ -8,8 +8,6 @@ from repro.health import (AgentHealth, DeltaSanitizer, GuardConfig,
                           PPODivergenceDetector, all_finite, require_finite)
 from repro.health.guards import (DELTA_NORM_FACTOR, DELTA_WARMUP, KL_LIMIT,
                                  LOSS_WARMUP, MIN_LR_FRACTION, RATIO_LIMIT)
-from repro.nn import Dense, GraphModel
-from repro.nn.training import Trainer
 from repro.rl.ppo import PPOStats
 from repro.search.checkpoint import AgentBoundary, restore_boundary
 
@@ -251,84 +249,6 @@ class TestAgentHealth:
         assert exc.value.kind == "rollback_exhausted"
 
 
-def _dense_model(seed=0):
-    m = GraphModel()
-    m.add_input("x", (4,))
-    m.add("h", Dense(8, "relu"), ["x"])
-    m.add("y", Dense(1), ["h"])
-    m.set_output("y")
-    return m.build(np.random.default_rng(seed))
-
-
-def _data(n=48, seed=1):
-    rng = np.random.default_rng(seed)
-    x = {"x": rng.standard_normal((n, 4))}
-    y = rng.standard_normal((n, 1))
-    return x, y
-
-
-class TestExecutionPlanGuard:
-    def test_forward_nan_activation_raises_when_armed(self):
-        m = _dense_model()
-        m._plan.check_finite = True
-        with pytest.raises(NumericalAnomaly) as exc:
-            m.forward({"x": np.full((2, 4), np.nan)})
-        assert exc.value.what.startswith("activation:")
-
-    def test_forward_nan_silent_by_default(self):
-        m = _dense_model()
-        assert not m._plan.check_finite
-        out = m.forward({"x": np.full((2, 4), np.nan)})
-        assert np.isnan(out).all()
-
-    def test_backward_nan_grad_raises_when_armed(self):
-        m = _dense_model()
-        x, _ = _data(8)
-        m.forward(x, training=True)
-        m.zero_grad()
-        m._plan.check_finite = True
-        with pytest.raises(NumericalAnomaly) as exc:
-            m.backward(np.full((8, 1), np.nan))
-        assert exc.value.what.startswith("input_grad:")
-
-
-class TestTrainerGuard:
-    def test_nan_weights_surface_structured_outcome(self):
-        m = _dense_model()
-        m.parameters()[0].value[0, 0] = np.nan
-        x, y = _data()
-        hist = Trainer(epochs=2, batch_size=16,
-                       guard=GuardConfig(mode="check")).fit(m, x, y, x, y)
-        assert hist.nonfinite
-        assert hist.anomaly.startswith("nonfinite:")
-        # validation is skipped on an aborted run
-        assert np.isnan(hist.val_metric)
-
-    def test_unguarded_run_does_not_flag(self):
-        m = _dense_model()
-        m.parameters()[0].value[0, 0] = np.nan
-        x, y = _data()
-        hist = Trainer(epochs=1, batch_size=16).fit(m, x, y)
-        assert not hist.nonfinite and hist.anomaly is None
-
-    def test_guarded_healthy_run_bit_identical(self):
-        x, y = _data()
-        m_off, m_on = _dense_model(), _dense_model()
-        Trainer(epochs=3, batch_size=16).fit(m_off, x, y)
-        hist = Trainer(epochs=3, batch_size=16,
-                       guard=GuardConfig(mode="check")).fit(m_on, x, y)
-        assert not hist.nonfinite
-        for a, b in zip(m_off.parameters(), m_on.parameters()):
-            np.testing.assert_array_equal(a.value, b.value)
-
-    def test_check_finite_restored_after_fit(self):
-        m = _dense_model()
-        x, y = _data()
-        Trainer(epochs=1, batch_size=16,
-                guard=GuardConfig(mode="check")).fit(m, x, y)
-        assert not m._plan.check_finite
-
-
 class TestTrainingRewardNonfinite:
     def make_problem(self):
         from repro.problems import combo_problem
@@ -343,25 +263,9 @@ class TestTrainingRewardNonfinite:
         # poison the dataset: every architecture trains straight into NaN
         for arr in problem.dataset.x_train.values():
             arr[0, ...] = np.nan
-        reward = TrainingReward(problem, epochs=1,
-                                guard=GuardConfig(mode="check"))
-        arch = problem.space.random_architecture(np.random.default_rng(0))
-        res = reward.evaluate(arch)
-        assert res.nonfinite
-        assert res.reward == reward.FAILURE_REWARD
-        assert reward.num_nonfinite == 1
-
-    def test_unguarded_failure_not_counted_as_nonfinite(self):
-        from repro.rewards import TrainingReward
-
-        problem = self.make_problem()
-        for arr in problem.dataset.x_train.values():
-            arr[0, ...] = np.nan
         reward = TrainingReward(problem, epochs=1)
         arch = problem.space.random_architecture(np.random.default_rng(0))
         res = reward.evaluate(arch)
-        # NaN leaks to the metric and is floored to the failure reward,
-        # but it is not the structured guard outcome
+        # NaN reaches the validation metric, which is floored to the
+        # failure reward
         assert res.reward == reward.FAILURE_REWARD
-        assert not res.nonfinite
-        assert reward.num_nonfinite == 0

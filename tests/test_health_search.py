@@ -9,6 +9,7 @@ without disturbing the pinned guard-off schema.
 import numpy as np
 import pytest
 
+from _checkpoint_common import checkpoint_fingerprint, round_trip
 from repro.events import RecordingSink
 from repro.health import GuardConfig
 from repro.hpc import FaultConfig, NodeAllocation, TrainingCostModel
@@ -158,10 +159,11 @@ class TestCheckpointHealth:
         search, result, _ = self.run_checkpointed(space)
         assert result.num_restarts >= 1    # the run actually healed
         ckpt = search.checkpoints[-1]
-        restored = ckpt.round_trip()
+        restored = round_trip(ckpt)
         assert restored.agent_restarts == ckpt.agent_restarts
         assert restored.agent_rollbacks == ckpt.agent_rollbacks
-        assert restored.fingerprint() == ckpt.fingerprint()
+        assert checkpoint_fingerprint(restored) == \
+            checkpoint_fingerprint(ckpt)
 
     def test_resume_restores_counters(self, space):
         search, _, cfg = self.run_checkpointed(space)
@@ -169,7 +171,7 @@ class TestCheckpointHealth:
                     if c.agent_restarts or c.agent_rollbacks),
                    search.checkpoints[-1])
         resumed = NasSearch(space, make_surrogate(space), cfg,
-                            resume_from=mid.round_trip()).run()
+                            resume_from=round_trip(mid)).run()
         for agent_id, n in mid.agent_restarts.items():
             assert resumed.agent_restarts.get(agent_id, 0) >= n
         for agent_id, n in mid.agent_rollbacks.items():

@@ -273,12 +273,3 @@ class TestProcesses:
         with pytest.raises(TypeError):
             sim.run()
 
-    def test_peek(self):
-        sim = Simulator()
-        assert sim.peek() == float("inf")
-
-        def proc():
-            yield Timeout(7.0)
-
-        sim.process(proc())
-        assert sim.peek() == 0.0  # the process start callback

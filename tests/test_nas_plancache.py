@@ -12,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from _checkpoint_common import round_trip
 from repro.bench import capped_space, enumerate_space
 from repro.experiments import PAPER_SETUP
 from repro.hpc import NodeAllocation, TrainingCostModel
@@ -204,34 +205,6 @@ class TestPlanCache:
             cache.get_or_compile(s, (choice,), SHAPES)
         assert len(cache) <= 2
 
-    def test_snapshot_restore_roundtrip(self):
-        cache = PlanCache()
-        s = dup_space()
-        originals = {c: cache.get_or_compile(s, (c,), SHAPES)
-                     for c in (0, 1, 2)}
-        snap = cache.snapshot()
-
-        restored = PlanCache()
-        restored.restore(snap, s, SHAPES)
-        assert restored.stats() == cache.stats()
-        for c, original in originals.items():
-            again = restored.get_or_compile(s, (c,), SHAPES)
-            assert plan_signature(again) == plan_signature(original)
-        # aliasing preserved: choices 0 and 1 still share one object
-        assert restored.get_or_compile(s, (0,), SHAPES) \
-            is restored.get_or_compile(s, (1,), SHAPES)
-
-    def test_restore_skips_foreign_structures(self):
-        cache = PlanCache()
-        s = dup_space()
-        cache.get_or_compile(s, (0,), SHAPES)
-        snap = cache.snapshot()
-        other = combo_small()
-        restored = PlanCache()
-        restored.restore(snap, other, COMBO_PAPER_SHAPES, combo_head())
-        assert len(restored) == 0           # key belongs to "dup", skipped
-        assert restored.hits == cache.hits  # counters still authoritative
-
     def test_one_space_under_two_input_shapes_is_refused(self):
         # one cache behind two nt3-small resolvers: a plan depends on the
         # input shapes, which the exact key leaves out, so the second
@@ -255,16 +228,15 @@ class TestPlanCache:
         assert [again.signature(a) for a in archs] == sigs
         assert cache.misses == len({a.choices for a in archs})
 
-    def test_clear_and_restore_reset_the_context(self):
+    def test_clear_resets_the_context(self):
         cache = PlanCache()
         s = dup_space()
         cache.get_or_compile(s, (0,), SHAPES)
-        snap = cache.snapshot()
         cache.clear()
         wide = {"x": (16,)}
         plan = cache.get_or_compile(s, (0,), wide)
         assert plan.input_shapes["x"] == (16,)
-        cache.restore(snap, s, SHAPES)
+        cache.clear()
         assert cache.get_or_compile(s, (0,), SHAPES).input_shapes["x"] \
             == (8,)
         with pytest.raises(ValueError, match="own cache"):
@@ -313,7 +285,7 @@ class TestSearchIntegration:
 
         mid = search.checkpoints[len(search.checkpoints) // 2]
         resumed = NasSearch(space, surrogate, small_config(minutes=30),
-                            resume_from=mid.round_trip()).run()
+                            resume_from=round_trip(mid)).run()
         assert surrogate.plan_cache is cache       # same warm cache
         assert len(cache) >= warm_entries
         assert resumed.fingerprint() == full.fingerprint()

@@ -136,7 +136,7 @@ class TestExecution:
         m = _diamond(rng)
         x = rng.standard_normal((2, 4))
         m.forward({"x": x})
-        assert m.node_value("a").shape == (2, 3)
+        assert m.node_values()["a"].shape == (2, 3)
 
 
 class TestIntrospection:

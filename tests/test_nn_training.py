@@ -1,5 +1,8 @@
 """Unit tests for the training loop: fit, timeout, fidelity controls."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -49,7 +52,6 @@ class TestFit:
         assert len(hist.epoch_losses) == 3
         assert hist.batches_seen == 3 * 4
         assert np.isnan(hist.val_metric)  # no validation data given
-        assert hist.final_loss == hist.epoch_losses[-1]
 
     def test_train_fraction_reduces_batches(self, rng):
         x, y = _linear_problem(rng, n=100)
@@ -125,3 +127,18 @@ class TestValidation:
         m = _model(rng)
         hist = Trainer(loss=MeanSquaredError(), epochs=1).fit(m, x, y)
         assert len(hist.epoch_losses) == 1
+
+
+def test_nn_imports_nothing_from_health():
+    """Reward training carries no numerical guard: no module of
+    ``repro.nn`` imports the health layer, which watches PPO updates."""
+    nn_dir = Path(__file__).resolve().parents[1] / "src" / "repro" / "nn"
+    for path in nn_dir.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any("health" in name for name in names), path.name

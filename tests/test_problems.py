@@ -16,7 +16,7 @@ class TestDatasets:
         assert ds.x_train["drug1_descriptors"].shape == (100, 12)
         assert ds.x_val["drug2_descriptors"].shape == (30, 12)
         assert ds.y_train.shape == (100, 1)
-        assert ds.n_train == 100 and ds.n_val == 30
+        assert len(ds.y_train) == 100 and len(ds.y_val) == 30
 
     def test_combo_deterministic(self):
         a = make_combo_data(n_train=50, n_val=10, seed=3)

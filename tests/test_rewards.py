@@ -143,7 +143,7 @@ class TestSurrogateReward:
     def test_capacity_prior_prefers_target_size(self, space):
         cm = TrainingCostModel.combo_paper()
         rm = SurrogateReward(space, COMBO_PAPER_SHAPES, combo_head(), cm,
-                             capacity_weight=5.0, seed=0)
+                             seed=0)
         small = space.decode([0] * 13)       # all Identity
         target = space.decode([1] * 9 + [0] + [1] * 3)      # Dense(100) chain
         assert np.log10(max(rm.params_of(small), 1)) < rm.log_params_opt

@@ -36,13 +36,6 @@ class TestSampling:
         np.testing.assert_array_equal(probs[:, :, 2:], 0.0)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0)
 
-    def test_greedy_deterministic(self):
-        pol = LSTMPolicy(DIMS, seed=3)
-        a1 = pol.greedy()
-        a2 = pol.greedy()
-        np.testing.assert_array_equal(a1, a2)
-        assert all(a1[t] < d for t, d in enumerate(DIMS))
-
     def test_same_seed_same_policy(self, rng):
         a = LSTMPolicy(DIMS, seed=9)
         b = LSTMPolicy(DIMS, seed=9)

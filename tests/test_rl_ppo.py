@@ -137,9 +137,22 @@ _POLICY_DIGESTS = {
 _SPACES = {"combo": combo_small, "nt3": nt3_small, "uno": uno_small}
 
 
+def _greedy(pol: LSTMPolicy) -> np.ndarray:
+    """The argmax action sequence, through the policy's fused step."""
+    pol._begin_pass(1)
+    tokens = np.zeros(1, dtype=np.intp)
+    actions = np.zeros(pol.horizon, dtype=np.intp)
+    for t in range(pol.horizon):
+        _, logp_full, _, _ = pol._fused_step(t, tokens)
+        actions[t] = int(logp_full[0].argmax())
+        tokens = actions[t:t + 1] + 1
+    return actions
+
+
 def _policy_digest(dtype: str, space: str, batch: int) -> str:
     """Four rounds of ``sample`` + ``update_delta`` (actions, logprobs,
-    values, delta and every ``PPOStats`` field), then ``greedy()``."""
+    values, delta and every ``PPOStats`` field), then the argmax action
+    sequence."""
     digest = hashlib.sha256()
     # conftest pins float64, so the dtype is set here for both cases
     with dtype_scope(dtype):
@@ -154,7 +167,7 @@ def _policy_digest(dtype: str, space: str, batch: int) -> str:
             digest.update(delta.tobytes())
             digest.update(np.array(dataclasses.astuple(stats),
                                    dtype=np.float64).tobytes())
-        digest.update(pol.greedy().astype(np.int64).tobytes())
+        digest.update(_greedy(pol).astype(np.int64).tobytes())
     return digest.hexdigest()
 
 

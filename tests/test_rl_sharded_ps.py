@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from _checkpoint_common import round_trip
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.hpc.sim import Simulator, Timeout
 from repro.nas.spaces import combo_small
@@ -63,20 +64,6 @@ class TestTimedPush:
         sim.run()
         # serialized: completions at 10, 20, 30 with running averages
         assert done == [(10.0, 1.0), (20.0, 1.5), (30.0, 2.0)]
-
-    def test_queue_delay_reflects_backlog(self):
-        sim = Simulator()
-        ps = ParameterServer(sim, num_agents=2, mode="async",
-                             service_time=10.0)
-
-        def agent():
-            ps.push_async_timed(np.array([1.0]))
-            ps.push_async_timed(np.array([1.0]))
-            assert ps.queue_delay == 20.0
-            yield Timeout(0.0)
-
-        sim.process(agent())
-        sim.run()
 
     def test_push_lands_in_the_pushers_own_wakeup(self):
         """A process running at the push's finish time, between its
@@ -156,7 +143,7 @@ class TestSearchIntegration:
             for gen, ckpt in enumerate(search.checkpoints):
                 assert ckpt.ps_state is not None
                 resumed = NasSearch(space, make_surrogate(space), cfg,
-                                    resume_from=ckpt.round_trip()).run()
+                                    resume_from=round_trip(ckpt)).run()
                 where = f"service time {service_time}, generation {gen}"
                 assert resumed.fingerprint() == full.fingerprint(), where
                 assert resumed.num_evaluations == full.num_evaluations, \

@@ -19,7 +19,8 @@ Regenerate the v2 golden (after an intentional format change) with::
 import json
 from pathlib import Path
 
-from _checkpoint_common import checkpoint_v1_json
+from _checkpoint_common import (checkpoint_fingerprint, checkpoint_v1_json,
+                                round_trip)
 
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.nas.spaces import get_space
@@ -79,7 +80,7 @@ def test_checkpoint_v1_schema_is_pinned():
     golden = json.loads(GOLDEN_V1.read_text())
     assert schema_of(wire) == golden, "the v1 wire format is frozen"
     restored = SearchCheckpoint.from_json(wire)
-    assert restored.fingerprint() == ckpt.fingerprint()
+    assert checkpoint_fingerprint(restored) == checkpoint_fingerprint(ckpt)
     assert [a.cache_entries for a in restored.agents] == \
         [a.cache_entries for a in ckpt.agents]
 
@@ -128,7 +129,7 @@ def test_golden_round_trips_through_loader():
     assert all(a.cache_entries == [] for a in restored.agents)
     assert len(restored.agents) == len(ckpt.agents)
     assert json.dumps(restored.to_json()) == json.dumps(ckpt.to_json())
-    assert restored.round_trip().to_json() == restored.to_json()
+    assert round_trip(restored).to_json() == restored.to_json()
 
 
 if __name__ == "__main__":  # regenerate the v2 golden file

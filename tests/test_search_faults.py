@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _checkpoint_common import round_trip
 from repro.hpc import FaultConfig, NodeAllocation, TrainingCostModel
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
@@ -110,7 +111,7 @@ class TestCheckpointResume:
         mid = search.checkpoints[len(search.checkpoints) // 2]
         resumed = NasSearch(space, make_surrogate(space),
                             small_config(method),
-                            resume_from=mid.round_trip()).run()
+                            resume_from=round_trip(mid)).run()
         assert signature(resumed) == ref
         assert resumed.end_time == full.end_time
 
@@ -219,5 +220,5 @@ class TestChaosAcceptance:
         for ckpt in search.checkpoints:
             resumed = NasSearch(space, make_surrogate(space),
                                 small_config(minutes=90),
-                                resume_from=ckpt.round_trip()).run()
+                                resume_from=round_trip(ckpt)).run()
             assert signature(resumed) == signature(full)

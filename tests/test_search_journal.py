@@ -21,7 +21,8 @@ import zlib
 import numpy as np
 import pytest
 
-from _checkpoint_common import checkpoint_v1_json, records_json, watermarks
+from _checkpoint_common import (checkpoint_fingerprint, checkpoint_v1_json,
+                                records_json, watermarks)
 from repro.cli import main as cli_main
 from repro.events import (BATCH_RECORDED, CACHE_HIT, EVAL_DONE, PUSH,
                           RESTART, RUN, RUN_END, SUBMIT, CallbackSink,
@@ -32,6 +33,7 @@ from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.search import NasSearch, SearchConfig, chaos
+from repro.search import journal
 from repro.search.checkpoint import AgentCheckpoint, SearchCheckpoint
 from repro.search.journal import (GENERATIONS_DIR, JOURNAL_NAME,
                                   CheckpointGenerations, JournalWriter,
@@ -156,6 +158,55 @@ class TestJournalWriter:
         assert back.seqs == [1, 2, 3, 4, 5]
         assert back.num_skipped == 1          # the corrupt record
 
+    @pytest.mark.parametrize("torn", [30, journal._TAIL_BLOCK + 100])
+    def test_torn_tail_repair_reads_at_most_two_blocks(self, tmp_path,
+                                                      monkeypatch, torn):
+        """On a journal several blocks long, the tail repair cuts a torn
+        last line (shorter or longer than a block) at the byte after the
+        last newline, reading at most two blocks from the end."""
+        block = journal._TAIL_BLOCK
+        path = tmp_path / "journal.jsonl"
+        writer = JournalWriter(path)
+        while path.stat().st_size < 4 * block:
+            writer.append(SearchEvent(SUBMIT, 0.0, agent_id=0,
+                                      payload={"pad": "x" * 500}))
+        writer.close()
+        intact, records = path.stat().st_size, writer.seq
+        with open(path, "ab") as fh:
+            fh.write(b'{"crc":1,"ev":{"kind":"submit","pad":"'
+                     + b"y" * torn)
+        read = []
+
+        class CountingFile:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def read(self, n=-1):
+                data = self._fh.read(n)
+                read.append(len(data))
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return CountingFile(fh) if mode == "r+b" else fh
+
+        monkeypatch.setattr(journal, "open", counting_open, raising=False)
+        writer = JournalWriter(path)
+        writer.close()
+        assert path.stat().st_size == intact
+        assert 0 < sum(read) <= 2 * block
+        assert writer.seq == records
+        assert len(read_journal(path)) == records
+
     def test_line_format_is_pinned(self, tmp_path):
         """Every line is the canonical dump of the whole record, the
         formula the writer used before it built lines around one dump of
@@ -249,7 +300,7 @@ def ckpt(captured):
 
 
 def assert_loads_as_captured(loaded, ckpt):
-    assert loaded.fingerprint() == ckpt.fingerprint()
+    assert checkpoint_fingerprint(loaded) == checkpoint_fingerprint(ckpt)
     assert records_json(loaded.records) == records_json(ckpt.records)
     assert [a.cache_entries for a in loaded.agents] == \
         [a.cache_entries for a in ckpt.agents]
@@ -355,13 +406,12 @@ class TestCheckpointGenerations:
         assert max(sizes) <= 1.1 * min(sizes)
 
     def test_prune_keeps_newest(self, tmp_path, captured):
-        gens = CheckpointGenerations(tmp_path, keep=3)
-        for seq in range(5):
+        gens = CheckpointGenerations(tmp_path)
+        for seq in range(7):
             gens.save(captured.ckpt, journal_seq=seq)
         names = [p.name for p in gens.paths()]
-        assert names == ["ckpt-00000003.json", "ckpt-00000004.json",
-                         "ckpt-00000005.json"]
-        assert gens.load_latest(captured.events)[1]["journal_seq"] == 4
+        assert names == [f"ckpt-{n:08d}.json" for n in range(3, 8)]
+        assert gens.load_latest(captured.events)[1]["journal_seq"] == 6
 
     def test_corrupt_newest_falls_back_with_warning(self, tmp_path,
                                                     captured, caplog):

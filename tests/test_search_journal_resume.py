@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import zlib
 from pathlib import Path
 
 import pytest
@@ -95,8 +96,7 @@ def baselines(tmp_path_factory):
 
 def broker_counters(search):
     return {aid: (ev.num_submitted, ev.num_cache_hits, ev.num_failed,
-                  ev.cache.hits if ev.cache is not None else 0,
-                  ev.cache.misses if ev.cache is not None else 0)
+                  len(ev.cache) if ev.cache is not None else 0)
             for aid, ev in enumerate(search.evaluators)}
 
 
@@ -117,6 +117,62 @@ class TestTruncateCrashResume:
         assert journal_real_evals(work) == base["real"]
         assert counter.calls == base["real"] - real_evals_before(work, k)
         assert all(ev.replay_pending() == 0 for ev in search.evaluators)
+
+    @pytest.mark.parametrize("method", ("a3c", "a2c", "rdm"))
+    def test_resume_killed_five_records_in(self, method, baselines,
+                                           tmp_path):
+        """Crash at half the journal, resume, kill the resumed run five
+        records in, and resume again.  The killed resume had not yet
+        re-served most journaled completions, so a replay cut at its
+        ``run`` event, as the record fold cuts, would lose them and
+        re-execute them; ``build_replay`` keeps every one."""
+        base = baselines[method]
+        work = tmp_path / "run"
+        shutil.copytree(base["dir"], work)
+        k = base["lines"] // 2
+        crash_at(work, k)
+        run_durable(work, method=method)
+        crash_at(work, k + 5)
+        result, search, counter = run_durable(work, method=method)
+        assert result.fingerprint() == base["fingerprint"]
+        assert journal_real_evals(work) == base["real"]
+        assert counter.calls == base["real"] - real_evals_before(work, k + 5)
+        assert all(ev.replay_pending() == 0 for ev in search.evaluators)
+
+    def test_journal_with_nonfinite_keys_rebuilds_and_resumes(
+            self, baselines, tmp_path):
+        """Older journals carry ``nonfinite`` (the flag of a former
+        reward-training guard) in every ``eval-done``; new ones do not.
+        Such a journal still rebuilds the run's records and resumes to
+        the uninterrupted fingerprint with nothing re-executed."""
+        base = baselines["a3c"]
+        work = tmp_path / "run"
+        shutil.copytree(base["dir"], work)
+        path = work / JOURNAL_NAME
+        lines = path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        done = [r for r in records if r["ev"]["kind"] == EVAL_DONE]
+        assert done and all("nonfinite" not in r["ev"]["payload"]
+                            for r in done)
+        for rec in done:
+            rec["ev"]["payload"]["nonfinite"] = False
+            rec["crc"] = zlib.crc32(json.dumps(
+                rec["ev"], sort_keys=True,
+                separators=(",", ":")).encode("utf-8"))
+        path.write_text("".join(
+            json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+            for r in records))
+        events = read_journal(path)
+        assert events.num_skipped == 0
+        assert records_json(read_records(events)[0]) == \
+            records_json(read_records(read_journal(
+                base["dir"] / JOURNAL_NAME))[0])
+        k = len(lines) // 2
+        crash_at(work, k)
+        result, search, counter = run_durable(work)
+        assert result.fingerprint() == base["fingerprint"]
+        assert journal_real_evals(work) == base["real"]
+        assert counter.calls == base["real"] - real_evals_before(work, k)
 
     def test_crash_before_first_checkpoint_replays_from_start(
             self, baselines, tmp_path):

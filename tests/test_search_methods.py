@@ -12,6 +12,7 @@ random search on an exhaustively swept space.
 import numpy as np
 import pytest
 
+from _checkpoint_common import round_trip
 from repro.bench import ArchTable, SweepConfig, capped_space, sweep_space
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.nas.plancache import SignatureResolver
@@ -143,7 +144,7 @@ class TestCheckpointResume:
         assert len(search.checkpoints) >= 2
         mid = search.checkpoints[len(search.checkpoints) // 2]
         resumed = NasSearch(space, surrogate, cfg,
-                            resume_from=mid.round_trip()).run()
+                            resume_from=round_trip(mid)).run()
         assert resumed.fingerprint() == full.fingerprint()
 
     @pytest.mark.parametrize("method", NEW_METHODS)

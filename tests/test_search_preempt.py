@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from _checkpoint_common import watermarks
+from _checkpoint_common import checkpoint_fingerprint, round_trip, watermarks
 from repro.events import (EVAL_DONE, PREEMPT, CallbackSink, RecordingSink,
                           TeeSink)
 from repro.hpc import NodeAllocation, TrainingCostModel
@@ -75,7 +75,7 @@ class TestPreemption:
 
         resumed = NasSearch(space, make_surrogate(space),
                             SearchConfig(**CFG),
-                            resume_from=ckpt.round_trip()).run()
+                            resume_from=round_trip(ckpt)).run()
         assert resumed.fingerprint() == base.fingerprint()
 
     @pytest.mark.parametrize("backend", [
@@ -106,7 +106,7 @@ class TestPreemption:
         assert search.run().preempted
         resumed = NasSearch(space, make_surrogate(space),
                             SearchConfig(**kwargs),
-                            resume_from=search.checkpoints[-1].round_trip()
+                            resume_from=round_trip(search.checkpoints[-1])
                             ).run()
         assert resumed.fingerprint() == base.fingerprint()
 
@@ -161,7 +161,7 @@ class TestResumedPreemption:
 
         resumed = NasSearch(space, make_surrogate(space),
                             SearchConfig(**kwargs, preemptible=True),
-                            resume_from=mid.round_trip())
+                            resume_from=round_trip(mid))
 
         def preempt_at_60s():
             yield Timeout(60.0)
@@ -177,7 +177,7 @@ class TestResumedPreemption:
 
         final = NasSearch(space, make_surrogate(space),
                           SearchConfig(**kwargs),
-                          resume_from=ckpt.round_trip()).run()
+                          resume_from=round_trip(ckpt)).run()
         assert final.fingerprint() == base.fingerprint()
         assert final.num_evaluations == base.num_evaluations
 
@@ -200,12 +200,13 @@ class TestCheckpointDurability:
         assert path.exists()
         assert list((tmp_path / "gens").glob("*.tmp")) == []
         loaded, _integrity = gens.load_latest(events)
-        assert loaded.fingerprint() == ckpt.fingerprint()
+        assert checkpoint_fingerprint(loaded) == \
+            checkpoint_fingerprint(ckpt)
 
     def test_quarantine_survives_round_trip(self, ckpt):
         ckpt.quarantine = {0: [["combo_small", [1, 2, 3], 2, 1]],
                            2: [["combo_small", [0, 0, 1], 3, 0]]}
-        back = ckpt.round_trip()
+        back = round_trip(ckpt)
         assert back.quarantine == ckpt.quarantine
         # quarantine rides in the conditional health export
         assert "quarantine" in ckpt.to_json()["health"]

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import repro.search.runner as runner_module
-from repro.evaluator import (BalsamEvaluator, BalsamService, EvalCache,
-                             Evaluator, ProcessEvaluator, SerialEvaluator,
+from repro.evaluator import (BalsamEvaluator, BalsamService, Evaluator,
+                             ProcessEvaluator, SerialEvaluator,
                              ThreadEvaluator)
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.hpc.cluster import Cluster
@@ -23,7 +23,6 @@ from repro.hpc.sim import Simulator
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
-from repro.rewards.base import EvalResult
 from repro.search import (SEARCH_METHODS, A2CProposer, A3CProposer,
                           NasSearch, RandomProposer, SearchConfig,
                           build_proposer)
@@ -210,41 +209,3 @@ class TestBrokerSeam:
         assert result.num_failed_evals > 0
         assert {r.reward for r in result.records} == {-1.0}
         assert max(r.time for r in result.records) <= cfg.wall_time
-
-
-class TestCacheCounterRestore:
-    def test_restore_with_counters(self):
-        cache = EvalCache()
-        entries = [(("k",), EvalResult(0.5, 1.0, 10))]
-        cache.restore(entries, hits=3, misses=7)
-        assert (cache.hits, cache.misses, len(cache)) == (3, 7, 1)
-
-    def test_restore_without_counters_keeps_them(self):
-        cache = EvalCache()
-        cache.hits, cache.misses = 2, 5
-        cache.restore([])
-        assert (cache.hits, cache.misses) == (2, 5)
-
-    def test_broker_restores_cache_tally(self, space):
-        ev = SerialEvaluator(make_surrogate(space), agent_id=0)
-        ev.restore_counters(num_submitted=10, num_cache_hits=4,
-                            num_failed=1)
-        assert (ev.num_submitted, ev.num_cache_hits, ev.num_failed) \
-            == (10, 4, 1)
-        assert (ev.cache.hits, ev.cache.misses) == (4, 6)
-
-    def test_checkpoint_resume_restores_cache_tally(self, space):
-        cfg = small_config("a3c", checkpoint_every_records=18)
-        search = NasSearch(space, make_surrogate(space), cfg)
-        search.run()
-        ckpt = search.checkpoints[1]
-        resumed = NasSearch(space, make_surrogate(space), cfg,
-                            resume_from=ckpt)
-        for agent in ckpt.agents:
-            if agent.done or agent.boundary is None:
-                continue
-            cache = resumed.evaluators[agent.agent_id].cache
-            assert cache.hits == agent.boundary.num_cache_hits
-            assert cache.misses == (agent.boundary.num_submitted
-                                    - agent.boundary.num_cache_hits)
-

@@ -4,6 +4,7 @@ search methods, under fault injection, and across checkpoint/resume."""
 import numpy as np
 import pytest
 
+from _checkpoint_common import checkpoint_fingerprint, round_trip
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.hpc.faults import FaultConfig
 from repro.nas.spaces import get_space
@@ -127,7 +128,7 @@ class TestResumeFingerprint:
         assert any(not a.done for a in mid.agents)
         resumed = NasSearch(space, surrogate,
                             config(method=method, minutes=30),
-                            resume_from=mid.round_trip()).run()
+                            resume_from=round_trip(mid)).run()
 
         assert full.fingerprint() == resumed.fingerprint()
         assert len(full.records) == len(resumed.records)
@@ -138,5 +139,6 @@ class TestResumeFingerprint:
         search = NasSearch(space, surrogate, cfg)
         search.run()
         ckpt = search.checkpoints[len(search.checkpoints) // 2]
-        assert ckpt.fingerprint() == ckpt.round_trip().fingerprint()
-        assert ckpt.fingerprint()  # non-empty hex
+        assert checkpoint_fingerprint(ckpt) == \
+            checkpoint_fingerprint(round_trip(ckpt))
+        assert checkpoint_fingerprint(ckpt)  # non-empty hex

@@ -6,6 +6,7 @@ batch size 1)."""
 import numpy as np
 import pytest
 
+from helpers import assert_gradcheck_ok
 from repro.nn.conv import Conv1D, MaxPooling1D
 from repro.nn.layers import Dense, Dropout
 from repro.nn.losses import CategoricalCrossentropy, MeanSquaredError
@@ -20,7 +21,7 @@ _SUITE = default_checks()
                          ids=[name for name, _ in _SUITE])
 def test_default_suite(name, thunk):
     """Every public layer and loss validates against central FD."""
-    thunk().assert_ok()
+    assert_gradcheck_ok(thunk())
 
 
 class TestEdgeShapes:
