@@ -135,10 +135,6 @@ def _shard_name(index: int) -> str:
     return f"shard-{index:05d}.jsonl"
 
 
-def _shard_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class TableWriter:
     """Appends rows to a table directory, sealing shards as it goes.
 
@@ -167,6 +163,7 @@ class TableWriter:
         self._shards: list[dict] = []     # sealed-shard manifest entries
         self._open_rows: list[TableRow] = []
         self._fh = None
+        self._digest = None     # of the open shard's bytes, as written
 
         if (self.dir / _MANIFEST).exists():
             self._resume()
@@ -187,26 +184,31 @@ class TableWriter:
                 f"{manifest.get('metadata')!r}; refusing to mix in "
                 f"{self.metadata!r}")
         self._shards = list(manifest["shards"])
-        # recover the unsealed tail shard a kill may have left behind
-        tail = self.dir / _shard_name(len(self._shards))
-        if tail.exists():
-            fresh = [r for r in tail_rows if r.sig not in self.known]
-            self.recovered_rows = len(fresh)
-            for row in fresh:
-                self.known[row.sig] = row
-            self._open_rows = fresh
-            # rewrite clean (drops any torn trailing line) before
-            # appending resumes
-            with open(tail, "w", encoding="utf-8") as fh:
-                for row in fresh:
-                    fh.write(json.dumps(row.to_json(),
-                                        separators=(",", ":")) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+        # recover the unsealed tail shard a kill may have left behind;
+        # reopening it rewrites these rows
+        self._open_rows = [r for r in tail_rows if r.sig not in self.known]
+        self.recovered_rows = len(self._open_rows)
+        for row in self._open_rows:
+            self.known[row.sig] = row
 
     def _open_current_shard(self) -> None:
+        """Open the next shard file with the rows it already holds: none,
+        or those recovered from a killed sweep's tail, rewritten clean
+        (dropping any torn trailing line) before appending resumes."""
         path = self.dir / _shard_name(len(self._shards))
-        self._fh = open(path, "a", encoding="utf-8")
+        self._fh = open(path, "wb")
+        self._digest = hashlib.sha256()
+        for row in self._open_rows:
+            self._write(row)
+        if self._open_rows:
+            os.fsync(self._fh.fileno())
+
+    def _write(self, row: TableRow) -> None:
+        """One row line into the open shard and its digest."""
+        line = json.dumps(row.to_json(), separators=(",", ":")).encode()
+        self._fh.write(line + b"\n")
+        self._digest.update(line + b"\n")
+        self._fh.flush()    # survives SIGKILL of this process
 
     # -- writing -------------------------------------------------------
     def append(self, row: TableRow) -> bool:
@@ -216,9 +218,7 @@ class TableWriter:
             return False
         self.known[row.sig] = row
         self._open_rows.append(row)
-        self._fh.write(json.dumps(row.to_json(),
-                                  separators=(",", ":")) + "\n")
-        self._fh.flush()    # survives SIGKILL of this process
+        self._write(row)
         if len(self._open_rows) >= self.shard_size:
             self.seal_shard()
         return True
@@ -229,10 +229,9 @@ class TableWriter:
             return
         os.fsync(self._fh.fileno())
         self._fh.close()
-        path = self.dir / _shard_name(len(self._shards))
-        self._shards.append({"name": path.name,
+        self._shards.append({"name": _shard_name(len(self._shards)),
                              "rows": len(self._open_rows),
-                             "sha256": _shard_sha256(path)})
+                             "sha256": self._digest.hexdigest()})
         self._open_rows = []
         self._write_manifest()
         self._open_current_shard()

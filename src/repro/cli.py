@@ -83,19 +83,15 @@ def _cmd_search(args) -> int:
     alloc = NodeAllocation.paper_scaling(args.nodes, args.scaling)
     guard = (GuardConfig(mode=args.guard_mode)
              if args.guard_mode != "off" else None)
-    cfg = SearchConfig(method=args.method, allocation=alloc,
-                       wall_time=args.minutes * 60.0, seed=args.seed,
-                       guard=guard, max_restarts=args.max_restarts,
-                       backend=args.backend, max_iterations=args.iterations,
-                       preemptible=args.preempt,
-                       journal_dir=args.journal_dir,
-                       journal_fsync_every=args.journal_fsync_every,
-                       checkpoint_every_records=args.checkpoint_every_records)
-    print(f"running {args.method} on {space.name} "
-          f"({alloc.num_agents} agents x {alloc.workers_per_agent} "
-          f"workers, {args.minutes:.0f} simulated min, "
-          f"{args.backend} backend) ...")
     try:
+        cfg = SearchConfig(
+            method=args.method, allocation=alloc,
+            wall_time=args.minutes * 60.0, seed=args.seed, guard=guard,
+            max_restarts=args.max_restarts, backend=args.backend,
+            max_iterations=args.iterations, preemptible=args.preempt,
+            journal_dir=args.journal_dir,
+            journal_fsync_every=args.journal_fsync_every,
+            checkpoint_every_records=args.checkpoint_every_records)
         if args.resume_durable:
             # crash-anywhere restart: load the newest intact checkpoint
             # generation and replay the journal suffix so completed
@@ -103,8 +99,12 @@ def _cmd_search(args) -> int:
             search = resume_durable(space, reward, cfg)
         else:
             search = NasSearch(space, reward, cfg)
-    except ValueError as exc:   # no --journal-dir, or it holds a run
+    except ValueError as exc:   # bad flags, or an unusable --journal-dir
         raise SystemExit(f"repro search: {exc}") from None
+    print(f"running {args.method} on {space.name} "
+          f"({alloc.num_agents} agents x {alloc.workers_per_agent} "
+          f"workers, {args.minutes:.0f} simulated min, "
+          f"{args.backend} backend) ...")
     if search.num_replay_loaded:
         print(f"resume: {search.num_replay_loaded} journaled "
               f"evaluation(s) armed for replay")
@@ -305,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(required for non-balsam backends)")
     p.add_argument("--preempt", action="store_true",
                    help="handle SIGTERM/SIGINT gracefully: stop at the "
-                        "next event boundary, capture a resumable "
-                        "checkpoint into --journal-dir's generations/ "
-                        "directory, and exit cleanly (continue with "
-                        "--resume-durable)")
+                        "next event boundary, save a checkpoint "
+                        "generation into --journal-dir's generations/ "
+                        "directory (nothing without --journal-dir), and "
+                        "exit cleanly (continue with --resume-durable)")
     p.add_argument("--journal-dir",
                    help="durability root: write a checksummed "
                         "write-ahead journal of every search event "
@@ -320,10 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fsync the journal every Nth record (default: "
                         "flush only; requires --journal-dir)")
     p.add_argument("--checkpoint-every-records", type=int, metavar="N",
-                   help="capture a checkpoint every N reward records — "
-                        "the durability clock that works on every "
-                        "backend, including host-time ones where the "
-                        "simulated interval timer never fires")
+                   help="save a checkpoint generation every N reward "
+                        "records (requires --journal-dir) — the "
+                        "durability clock that works on every backend, "
+                        "including host-time ones where virtual time "
+                        "never advances")
     p.add_argument("--resume-durable", action="store_true",
                    help="resume a crashed run from --journal-dir: load "
                         "the newest intact checkpoint generation and "

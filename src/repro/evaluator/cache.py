@@ -46,8 +46,9 @@ class EvalCache:
 
         The store is insertion-ordered and append-only (re-putting a key
         stores an identical result), so "the cache as of iteration N" is
-        exactly its first ``cache_len(N)`` entries — which is what search
-        checkpoints record instead of copying the dict every iteration.
+        exactly its first ``cache_len(N)`` entries: where loading a
+        checkpoint generation cuts the cache it rebuilt from the journal
+        with :meth:`put`.
         """
         items = list(self._store.items())
         return items if limit is None else items[:limit]

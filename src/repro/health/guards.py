@@ -112,18 +112,19 @@ class GuardConfig:
         return self.mode == "recover"
 
 
-def all_finite(arr: np.ndarray, block: int = _BLOCK) -> bool:
+def all_finite(arr: np.ndarray) -> bool:
     """Blockwise non-finite scan; ``True`` iff every entry is finite.
 
-    Scans ``block`` entries at a time so a poisoned value early in a
-    large array short-circuits the check instead of paying a full pass.
+    Scans :data:`_BLOCK` entries at a time so a poisoned value early in
+    a large array short-circuits the check instead of paying a full
+    pass.
     """
     flat = np.asarray(arr).reshape(-1)
     n = flat.size
-    if n <= block:
+    if n <= _BLOCK:
         return bool(np.isfinite(flat).all())
-    for lo in range(0, n, block):
-        if not np.isfinite(flat[lo:lo + block]).all():
+    for lo in range(0, n, _BLOCK):
+        if not np.isfinite(flat[lo:lo + _BLOCK]).all():
             return False
     return True
 
@@ -149,18 +150,15 @@ class LossSpikeDetector:
         self.count = 0
         self.mean = 0.0
         self.var = 0.0
-        self.num_spikes = 0
 
     def observe(self, loss: float) -> bool:
         """Feed one loss; returns ``True`` if it is a spike."""
         loss = float(loss)
         if not np.isfinite(loss):
-            self.num_spikes += 1
             return True
         if self.count >= LOSS_WARMUP:
             std = float(np.sqrt(self.var)) + 1e-12
             if (loss - self.mean) / std > LOSS_SPIKE_ZSCORE:
-                self.num_spikes += 1
                 return True
         if self.count == 0:
             self.mean = loss
@@ -173,17 +171,6 @@ class LossSpikeDetector:
             self.var = (1.0 - a) * (self.var + a * diff * diff)
         self.count += 1
         return False
-
-    # -- checkpoint support --------------------------------------------
-    def export_state(self) -> dict:
-        return {"count": self.count, "mean": self.mean, "var": self.var,
-                "num_spikes": self.num_spikes}
-
-    def restore_state(self, state: dict) -> None:
-        self.count = int(state["count"])
-        self.mean = float(state["mean"])
-        self.var = float(state["var"])
-        self.num_spikes = int(state.get("num_spikes", 0))
 
 
 class PPODivergenceDetector:

@@ -329,13 +329,3 @@ class GraphModel:
         if self._plan is None:
             raise RuntimeError("model is not built")
         return self._plan.snapshot_values()
-
-    def summary(self) -> str:
-        lines = [f"{'node':<28}{'layer':<18}{'params':>10}"]
-        for name in self.inputs:
-            lines.append(f"{name:<28}{'Input':<18}{0:>10}")
-        for name in (self._order or self.layers):
-            layer = self.layers[name]
-            lines.append(f"{name:<28}{type(layer).__name__:<18}{layer.num_params:>10}")
-        lines.append(f"total trainable parameters: {self.num_params}")
-        return "\n".join(lines)

@@ -90,8 +90,9 @@ class SearchConfig:
     #: balsam)
     max_iterations: int | None = None
     #: install SIGTERM/SIGINT handlers for the duration of ``run()``:
-    #: on signal the search stops at the next event boundary, captures a
-    #: resumable checkpoint, and returns with ``SearchResult.preempted``
+    #: on signal the search stops at the next event boundary, saves a
+    #: checkpoint generation when ``journal_dir`` is set, and returns
+    #: with ``SearchResult.preempted``
     preemptible: bool = False
     #: write-ahead search journal + checkpoint generations live under
     #: this directory (:mod:`repro.search.journal`) — the only on-disk
@@ -102,11 +103,11 @@ class SearchConfig:
     #: fsync the journal after every Nth record (None = never fsync —
     #: flush-only, survives process crashes but not host crashes)
     journal_fsync_every: int | None = None
-    #: capture a resumable search checkpoint every time this many new
-    #: reward records have accumulated since the last capture (None =
-    #: checkpointing off).  The one checkpoint clock: it fires at
-    #: iteration boundaries on every backend, so resumed runs stay
-    #: bit-identical
+    #: save a checkpoint generation under ``journal_dir`` (required)
+    #: every time this many new reward records have accumulated since
+    #: the last capture (None = checkpointing off).  The one checkpoint
+    #: clock: it fires at iteration boundaries on every backend, so
+    #: resumed runs stay bit-identical
     checkpoint_every_records: int | None = None
     #: method="evolution": aging-population window and tournament draw
     #: (defaults follow Real et al., 2018)
@@ -152,6 +153,9 @@ class SearchConfig:
         if self.checkpoint_every_records is not None \
                 and self.checkpoint_every_records <= 0:
             raise ValueError("checkpoint_every_records must be positive")
+        if self.checkpoint_every_records is not None \
+                and self.journal_dir is None:
+            raise ValueError("checkpoint_every_records requires journal_dir")
 
 
 @dataclass(frozen=True)
@@ -168,8 +172,9 @@ class RewardRecord:
     timed_out: bool
 
     def to_json(self) -> dict:
-        """One JSON object per record, the codec checkpoints write; a
-        journal's eval-done and cache-hit events carry the same fields."""
+        """One JSON object per record, as version-1 checkpoints embedded
+        them; a journal's eval-done and cache-hit events carry the same
+        fields."""
         return {"time": self.time, "agent_id": self.agent_id,
                 "arch": self.arch.to_dict(), "reward": self.reward,
                 "params": self.params, "duration": self.duration,
@@ -221,7 +226,7 @@ class SearchResult:
     agent_rollbacks: dict = field(default_factory=dict)
     #: the run was preempted (SIGTERM/SIGINT under ``preemptible``, or
     #: an explicit ``request_preemption``) and stopped at an event
-    #: boundary after capturing a resumable checkpoint
+    #: boundary, after saving a checkpoint generation if it journals
     preempted: bool = False
     #: process-backend supervision counters aggregated across agents
     #: (worker_spawns / worker_crashes / worker_timeouts / respawns /

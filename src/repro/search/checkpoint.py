@@ -1,7 +1,7 @@
 """Search checkpoint / resume (§4's "restart failed tasks", writ large).
 
 A 6-hour, 1,024-node search that dies at hour 5 must not restart from
-scratch.  This module serializes everything the search loop needs to
+scratch.  A checkpoint holds everything the search loop needs to
 continue a run deterministically:
 
 * per-agent **iteration boundaries** — the virtual time at which the
@@ -9,19 +9,20 @@ continue a run deterministically:
   (``get_flat``), its RNG bit-generator state, its convergence
   counter, and how much of its evaluation cache existed at that point;
 * the **global reward records** of all completed iterations and each
-  agent's **evaluation-cache entries** — in memory only: the
-  write-ahead journal already holds both, so the version-2 file leaves
-  them out and loading rebuilds them from the journal prefix the
+  agent's **evaluation-cache entries** — on a loaded checkpoint only:
+  the journal holds both, so neither a capture nor the version-2 file
+  copies them, and loading rebuilds them from the journal prefix the
   generation's watermark names (:mod:`repro.search.journal`);
 * the **parameter-server state** (recent-update window, round/push
   counters, active-agent count), excluding pushes from in-flight
   iterations;
 * which agents had already finished (converged, stopped, or crashed).
 
-On disk a checkpoint exists only as a verified generation under a
-journal directory (:mod:`repro.search.journal`), so a file costs
-O(agents), not O(records).  Version-1 files, which embed the records
-and the caches, still load.  Resume —
+A checkpoint exists only as a verified generation under a journal
+directory (:mod:`repro.search.journal`): the runner captures one only
+when a journal is attached, and a file costs O(agents), not
+O(records).  Version-1 files, which embed the records and the caches,
+still load.  Resume —
 ``NasSearch(..., resume_from=ckpt)``, which
 :func:`~repro.search.journal.resume_durable` calls — rebuilds a fresh
 :class:`~repro.search.runner.NasSearch`, applies the checkpoint, and
@@ -148,7 +149,9 @@ class AgentCheckpoint:
 
 @dataclass
 class SearchCheckpoint:
-    """Complete restartable snapshot of a running search."""
+    """Complete restartable snapshot of a running search.  A capture
+    leaves ``records`` and each agent's ``cache_entries`` empty; only
+    loading a generation fills them."""
 
     time: float                       # virtual seconds at capture
     seed: int

@@ -50,6 +50,7 @@ from itertools import islice
 from pathlib import Path
 
 from ..evaluator.base import ReplayEval
+from ..evaluator.cache import EvalCache
 from ..events import (BATCH_RECORDED, CACHE_HIT, EVAL_DONE, RESTART, RUN,
                       EventLog, EventSink, SearchEvent)
 from ..nas.arch import Architecture
@@ -244,35 +245,31 @@ def read_records(events) -> tuple[list[RewardRecord], dict]:
 
 
 def _fold(events, caches: bool):
-    """One pass over an event stream: ``(records, per-agent cache
-    stores, metadata)``; stores are built only when ``caches`` is set.
-    Each store maps an architecture key to its result in insertion
-    order, as the agent's :class:`~repro.evaluator.cache.EvalCache`
-    does: one entry per successful ``eval-done``, every ``run`` event
-    cutting it to the length that run starts from (a run whose
-    ``caches`` is None keeps no cache at all)."""
+    """One pass over an event stream: ``(records, per-agent caches,
+    metadata)``; the caches are built only when ``caches`` is set.  Each
+    is the agent's :class:`~repro.evaluator.cache.EvalCache` as the run
+    filled it: one ``put`` per successful ``eval-done``, and every
+    ``run`` event cutting it to the length that run starts from (a run
+    whose ``caches`` is None keeps no cache at all)."""
     records, stores, metadata, cached = [], {}, None, False
-    pending: dict[int, list[SearchEvent]] = {}  # completions not recorded
+    pending: dict[int, list[RewardRecord]] = {}  # completions not recorded
     for event in events:
         kind, payload, agent = event.kind, event.payload, event.agent_id
         if kind == EVAL_DONE or kind == CACHE_HIT:
             if metadata is None:
                 break                               # refused below
-            pending.setdefault(agent, []).append(event)
+            rec = RewardRecord.from_json(dict(
+                payload, time=event.time, agent_id=agent,
+                cached=kind == CACHE_HIT))
+            pending.setdefault(agent, []).append(rec)
             if cached and kind == EVAL_DONE and not payload["failed"]:
-                arch = payload["arch"]
-                stores.setdefault(agent, {})[
-                    (arch["space"], tuple(arch["choices"]))] = EvalResult(
-                        float(payload["reward"]), float(payload["duration"]),
-                        int(payload["params"]), bool(payload["timed_out"]))
+                stores[agent].put(rec.arch, EvalResult(
+                    rec.reward, rec.duration, rec.params, rec.timed_out))
         elif kind == BATCH_RECORDED:
             # a completion lost to a skipped corrupt record drops a row
             done = pending.pop(agent, [])
-            records.extend(RewardRecord.from_json(dict(
-                done[j].payload, time=done[j].time, agent_id=agent,
-                cached=done[j].kind == CACHE_HIT))
-                for j in payload.get("order", range(len(done)))
-                if j < len(done))
+            order = payload.get("order", range(len(done)))
+            records.extend(done[j] for j in order if j < len(done))
         elif kind == RESTART:
             if metadata is None:
                 break
@@ -288,8 +285,11 @@ def _fold(events, caches: bool):
             records = trim_to_boundaries(records,
                                          dict(enumerate(payload["records"])))
             cached = caches and payload["caches"] is not None
-            stores = {a: dict(islice(stores.get(a, {}).items(), n))
-                      for a, n in enumerate(payload["caches"] or ())}
+            kept, stores = stores, {}
+            for a, n in enumerate(payload["caches"] or ()):
+                stores[a] = EvalCache()
+                if a in kept:
+                    stores[a].restore(kept[a].snapshot(n))
     if metadata is None:
         raise ValueError("no 'run' event before the first record: the "
                          "journal is empty or older than run events")
@@ -311,11 +311,11 @@ def _rebuild(ckpt: SearchCheckpoint, events: EventLog, watermark: int
     ckpt.records, stores, _metadata = _fold(islice(events, watermark),
                                             caches=True)
     for agent in ckpt.agents:
-        entries = list(stores.get(agent.agent_id, {}).items())
-        if agent.done:
-            agent.cache_entries = entries
-        elif agent.boundary is not None:
-            agent.cache_entries = entries[:agent.boundary.cache_len]
+        cache = stores.get(agent.agent_id)
+        if cache is None or (not agent.done and agent.boundary is None):
+            continue
+        agent.cache_entries = cache.snapshot(
+            None if agent.done else agent.boundary.cache_len)
 
 
 class CheckpointGenerations:

@@ -37,9 +37,9 @@ service retries failed jobs with exponential backoff and
 surfaces exhausted jobs as failure rewards; a crashed agent coroutine
 deregisters from the parameter server cleanly (no deadlocked barrier)
 and is reported in ``SearchResult.failed_agents``; and
-``checkpoint_every_records`` captures resumable
-:class:`~repro.search.checkpoint.SearchCheckpoint` snapshots from which
-a killed search continues deterministically.  With none of these knobs
+``checkpoint_every_records`` saves checkpoint generations next to the
+write-ahead journal (:mod:`repro.search.journal`), from which a killed
+search continues deterministically.  With none of these knobs
 set, the loop is byte-for-byte the fault-free search.
 """
 
@@ -132,8 +132,6 @@ class NasSearch:
         self._preempt_cause: str | None = None
         #: the zero-delay event a requested preemption waits for
         self._preempt_settle = None
-        #: checkpoints captured during run() (newest last)
-        self.checkpoints: list[SearchCheckpoint] = []
         #: records present at the last capture (drives the
         #: ``checkpoint_every_records`` trigger)
         self._records_at_ckpt = 0
@@ -236,8 +234,9 @@ class NasSearch:
         Safe to call from a signal handler or any thread: it only flips
         a flag; the event loop stops once the agents woken at the
         current instant have run (:meth:`_preempt_settled`), where the
-        state is checkpoint-consistent.  ``run()`` then captures a
-        resumable checkpoint and returns with ``SearchResult.preempted``.
+        state is checkpoint-consistent.  ``run()`` then saves a checkpoint
+        generation if a journal is attached (without one nothing is
+        saved) and returns with ``SearchResult.preempted``.
         """
         self._preempt_cause = cause
 
@@ -288,7 +287,8 @@ class NasSearch:
         if preempted:
             # agents are parked at yield points; boundary trimming makes
             # the capture resumable from any stop point
-            self._capture_checkpoint()
+            if self.journal is not None:
+                self._capture_checkpoint()
             emit(self.sink, PREEMPT, self.sim.now,
                  cause=self._preempt_cause)
         worker_stats: dict[str, int] = {}
@@ -349,17 +349,18 @@ class NasSearch:
         updater = self.updaters[agent_id]
         guard = cfg.guard
         guarded = updater is not None and guard is not None and guard.enabled
-        record_clock = cfg.checkpoint_every_records is not None
         # boundaries cost a policy/optimizer copy per iteration, so they
-        # are captured only when something will read them
-        capture = (record_clock or cfg.max_restarts > 0 or cfg.preemptible
-                   or self.journal is not None
+        # are captured only when something will read them: a checkpoint
+        # (which needs a journal), a resurrection or a rollback
+        capture = (self.journal is not None or cfg.max_restarts > 0
                    or (guarded and guard.recovers))
         hooks = HookStack([
             BoundaryHook(self._boundaries,
                          capture_lr=guard is not None and guard.recovers,
-                         on_boundary=(self._maybe_record_checkpoint
-                                      if record_clock else None))
+                         on_boundary=(
+                             self._maybe_record_checkpoint
+                             if cfg.checkpoint_every_records is not None
+                             else None))
             if capture else None,
             NumericFaultHook(self.injector,
                              self._restarts.get(agent_id, 0))
@@ -515,33 +516,25 @@ class NasSearch:
         return
         yield   # pragma: no cover — generator so sim.process can run it
 
-    def _capture_checkpoint(self) -> SearchCheckpoint:
-        """Snapshot the search into a :class:`SearchCheckpoint`."""
+    def _capture_checkpoint(self) -> None:
+        """Save the search as a checkpoint generation.  It holds what a
+        version-2 generation holds: the records and caches are left to
+        the journal, which already holds both (so a capture needs one)."""
         cfg = self.config
         agents = []
         for agent_id in range(cfg.allocation.num_agents):
-            ev = self.evaluators[agent_id]
             if agent_id in self._done_agents:
-                entries = (ev.cache.snapshot()
-                           if ev.cache is not None else [])
                 agents.append(AgentCheckpoint(
                     agent_id, done=True,
-                    converged=self._done_agents[agent_id],
-                    boundary=None, cache_entries=entries,
+                    converged=self._done_agents[agent_id], boundary=None,
                     traj_digest=self._digests.get(agent_id)))
-                continue
-            boundary = self._boundaries.get(agent_id)
-            if boundary is None:
-                # agent spawned but still in its startup stagger: resume
-                # will simply start it fresh (deterministically equal)
+            else:
+                # no boundary yet: the agent is still in its startup
+                # stagger, and resume starts it fresh (deterministically
+                # equal)
                 agents.append(AgentCheckpoint(
-                    agent_id, done=False, converged=False, boundary=None))
-                continue
-            entries = (ev.cache.snapshot(boundary.cache_len)
-                       if ev.cache is not None else [])
-            agents.append(AgentCheckpoint(
-                agent_id, done=False, converged=False,
-                boundary=boundary, cache_entries=entries))
+                    agent_id, done=False, converged=False,
+                    boundary=self._boundaries.get(agent_id)))
 
         # process-backend poison records survive the restart, so a
         # resumed search never re-feeds a known worker-killer to the
@@ -552,25 +545,20 @@ class NasSearch:
             if isinstance(ev, ProcessEvaluator) and ev.quarantined:
                 quarantine[agent_id] = ev.quarantine_snapshot()
 
-        ckpt = SearchCheckpoint(
+        self.journal.save_checkpoint(SearchCheckpoint(
             time=self.sim.now, seed=cfg.seed, method=cfg.method,
             space_name=self.space.name,
             num_agents=cfg.allocation.num_agents,
-            wall_time=cfg.wall_time,
-            records=list(self.records), agents=agents,
+            wall_time=cfg.wall_time, agents=agents,
             ps_state=self.proposer.export_state(),
             converged_agents=self._converged_agents,
             failed_agents=list(self._failed_agents),
             agent_restarts=dict(self._restarts),
             agent_rollbacks=dict(self._rollbacks),
-            quarantine=quarantine)
-        self.checkpoints.append(ckpt)
+            quarantine=quarantine))
         self._records_at_ckpt = len(self.records)
-        if self.journal is not None:
-            self.journal.save_checkpoint(ckpt)
         emit(self.sink, CHECKPOINT, self.sim.now,
-             num_records=len(ckpt.records))
-        return ckpt
+             num_records=len(self.records))
 
     def _validate_checkpoint(self, ckpt: SearchCheckpoint) -> None:
         cfg = self.config

@@ -1,34 +1,91 @@
 """Checkpoint helpers shared by the golden, journal and resume tests.
 
+* :class:`CaptureLog` keeps every checkpoint generation a journaled
+  search saves (its journal directory keeps only the newest five) with
+  the records and caches the search held at that capture, and loads
+  each one back with the run's journal; :func:`load_generation` loads
+  one generation file's bytes.
+* :func:`assert_captures_rebuild` checks that every generation a
+  :class:`CaptureLog` kept, loaded with its journal, rebuilds what the
+  search held at that capture.
 * :func:`checkpoint_v1_json` writes the version-1 wire form, which
   embeds the reward records and each agent's cache; the search itself
   writes only version 2, so the v1 golden and the v1-resume tests build
   their files here.
-* :func:`assert_generations_rebuild` checks that every checkpoint a
-  journaled search captured in memory, saved as a version-2 generation
-  and loaded with its journal, equals the capture.
-* :func:`round_trip` and :func:`checkpoint_fingerprint` stand in for a
-  save plus a journal-backed load, and for a trajectory fingerprint of
-  a checkpoint, in the resume tests.
+* :func:`checkpoint_fingerprint` is a trajectory fingerprint of a
+  checkpoint, for the resume tests.
 """
 
 import json
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
 
-from repro.events import CHECKPOINT, RUN
+from repro.events import CHECKPOINT, RUN, EventSink
 from repro.search.checkpoint import SearchCheckpoint
-from repro.search.journal import CheckpointGenerations
+from repro.search.journal import CheckpointGenerations, read_journal
 from repro.verify.fingerprint import trajectory_fingerprint
 
 
-def round_trip(ckpt: SearchCheckpoint) -> SearchCheckpoint:
-    """JSON-encode and decode what a generation stores, carrying the
-    records and cache entries over unchanged — what a save and a
-    journal-backed load do, without disk or journal."""
-    back = SearchCheckpoint.from_json(json.loads(json.dumps(ckpt.to_json())))
-    back.records = list(ckpt.records)
-    for agent, mine in zip(back.agents, ckpt.agents):
-        agent.cache_entries = list(mine.cache_entries)
-    return back
+def load_generation(data: bytes, events):
+    """A generation file's bytes loaded with ``events`` (the run's
+    :func:`read_journal`), as ``(checkpoint, integrity)``; None when it
+    does not verify or rebuild."""
+    with tempfile.TemporaryDirectory() as directory:
+        (Path(directory) / "ckpt-00000001.json").write_bytes(data)
+        return CheckpointGenerations(directory).load_latest(events)
+
+
+@dataclass
+class Capture:
+    """One capture: the generation it saved, and the records and each
+    agent's cache entries the search held then, which loading that
+    generation must rebuild."""
+
+    generation: bytes
+    records: list
+    caches: list
+
+
+class CaptureLog(EventSink):
+    """A test-side sink on a journaled search's ``checkpoint`` events
+    (``log.attach(NasSearch(..., event_sink=log))``).
+
+    At each one it copies the generation just saved, and what the search
+    held: all its records, a finished agent's whole cache, and a running
+    agent's cache up to its boundary's ``cache_len``.
+    """
+
+    def __init__(self) -> None:
+        self.search = None
+        self.captures: list[Capture] = []
+
+    def attach(self, search):
+        self.search = search
+        return search
+
+    def emit(self, event) -> None:
+        if event.kind != CHECKPOINT:
+            return
+        search = self.search
+        caches = []
+        for agent_id, ev in enumerate(search.evaluators):
+            if agent_id in search._done_agents:
+                limit = None
+            elif agent_id in search._boundaries:
+                limit = search._boundaries[agent_id].cache_len
+            else:
+                limit = 0               # still in its startup stagger
+            caches.append([] if ev.cache is None
+                          else ev.cache.snapshot(limit))
+        newest = search.journal.generations.paths()[-1]
+        self.captures.append(Capture(newest.read_bytes(),
+                                     list(search.records), caches))
+
+    def checkpoint(self, i: int) -> SearchCheckpoint:
+        """Capture ``i``'s generation, loaded with the run's journal."""
+        events = read_journal(self.search.journal.journal_path)
+        return load_generation(self.captures[i].generation, events)[0]
 
 
 def checkpoint_fingerprint(ckpt: SearchCheckpoint) -> str:
@@ -78,23 +135,21 @@ def watermarks(events) -> list[int]:
             if e.kind == CHECKPOINT]
 
 
-def assert_generations_rebuild(search, events, directory) -> int:
-    """Save each of ``search.checkpoints`` as a version-2 generation at
-    its watermark under ``directory`` and load it with ``events``; the
-    load must equal the capture — records in order, every agent's cache
-    entries in order, boundaries and the rest of the state.  Returns
-    how many checkpoints were checked."""
+def assert_captures_rebuild(log: CaptureLog, events) -> int:
+    """Load each generation ``log`` kept with ``events`` (the journal of
+    the run segment it watched); the load must equal the capture —
+    records in order, every agent's cache entries in order — and the
+    generation's own state.  Returns how many captures were checked."""
     marks = watermarks(events)
-    assert len(marks) == len(search.checkpoints)
-    gens = CheckpointGenerations(directory)
-    for ckpt, mark in zip(search.checkpoints, marks):
-        gens.save(ckpt, journal_seq=mark)
-        loaded, integrity = gens.load_latest(events)
+    assert len(marks) == len(log.captures)
+    for capture, mark in zip(log.captures, marks):
+        loaded, integrity = load_generation(capture.generation, events)
         assert integrity["journal_seq"] == mark
-        assert records_json(loaded.records) == records_json(ckpt.records)
-        assert [a.cache_entries for a in loaded.agents] == \
-            [a.cache_entries for a in ckpt.agents]
+        assert records_json(loaded.records) == \
+            records_json(capture.records)
+        assert [a.cache_entries for a in loaded.agents] == capture.caches
+        saved = json.loads(capture.generation)
+        del saved["integrity"]
         assert json.dumps(loaded.to_json(), sort_keys=True) == \
-            json.dumps(ckpt.to_json(), sort_keys=True)
-        assert checkpoint_fingerprint(loaded) == checkpoint_fingerprint(ckpt)
+            json.dumps(saved, sort_keys=True)
     return len(marks)

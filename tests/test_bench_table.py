@@ -4,6 +4,9 @@ exists for: seeded searches replayed against one table fingerprint
 bit-identically, regardless of evaluator backend.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analytics.regret import (compare_report, evaluations_to_regret,
@@ -140,6 +143,31 @@ def test_a_changed_digit_in_a_sealed_shard_is_refused(tmp_path):
         ArchTable.load(tmp_path)
     with pytest.raises(ValueError, match="shard-00001.jsonl"):
         TableWriter(tmp_path, "toy", shard_size=2)
+
+
+def test_resumed_sweep_seals_digests_of_the_shard_bytes(tmp_path):
+    """Each shard's digest is taken as its lines are written, the tail
+    rows a resumed sweep rewrites included: a sweep killed mid-shard
+    (one sealed shard, a tail with two rows and a torn line) and then
+    resumed seals every shard with the sha256 of its bytes on disk."""
+    def row(i):
+        return TableRow(f"s{i}", "toy", (i,), 0.125 + i, 1.0, 10)
+
+    killed = TableWriter(tmp_path, "toy", shard_size=3)
+    for i in range(5):
+        killed.append(row(i))
+    with open(tmp_path / "shard-00001.jsonl", "a") as fh:
+        fh.write('{"sig":"s5","spa')        # killed mid-append
+    with TableWriter(tmp_path, "toy", shard_size=3) as writer:
+        assert writer.recovered_rows == 2
+        for i in range(5, 10):
+            writer.append(row(i))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [e["rows"] for e in manifest["shards"]] == [3, 3, 3, 1]
+    for entry in manifest["shards"]:
+        data = (tmp_path / entry["name"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+    assert len(ArchTable.load(tmp_path)) == 10
 
 
 def test_miss_policies(combo_table):

@@ -107,6 +107,24 @@ class TestCommands:
                 assert cli.evaluate(arch, agent_seed=3) == \
                     ref.evaluate(arch, agent_seed=3)
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--journal-fsync-every", "3"], "journal_fsync_every requires"),
+        (["--backend", "serial"], "set max_iterations"),
+        (["--checkpoint-every-records", "6"],
+         "checkpoint_every_records requires journal_dir"),
+    ])
+    def test_bad_flag_combination_exits_with_a_message(self, flags,
+                                                       message, capsys):
+        """An invalid combination of search flags ends in one
+        ``repro search: ...`` line and a non-zero exit, not a
+        traceback, before the search starts."""
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--minutes", "1", *flags])
+        text = exc.value.code
+        assert isinstance(text, str) and text.startswith("repro search: ")
+        assert message in text and "\n" not in text
+        assert "running" not in capsys.readouterr().out
+
     def test_nt3_large_rejected(self):
         with pytest.raises(SystemExit):
             main(["search", "--problem", "nt3", "--size", "large",

@@ -6,6 +6,7 @@ import pytest
 from repro.health import (AgentHealth, DeltaSanitizer, GuardConfig,
                           LossSpikeDetector, NumericalAnomaly,
                           PPODivergenceDetector, all_finite, require_finite)
+from repro.health import guards
 from repro.health.guards import (DELTA_NORM_FACTOR, DELTA_WARMUP, KL_LIMIT,
                                  LOSS_WARMUP, MIN_LR_FRACTION, RATIO_LIMIT)
 from repro.rl.ppo import PPOStats
@@ -43,9 +44,12 @@ class TestFiniteChecks:
         assert not all_finite(np.array([[1.0], [np.inf]]))
 
     def test_blockwise_scan_finds_early_poison(self):
-        arr = np.ones(1000)
-        arr[3] = np.nan
-        assert not all_finite(arr, block=16)
+        arr = np.ones(2 * guards._BLOCK + 5)
+        assert all_finite(arr)
+        for where in (3, guards._BLOCK + 1, arr.size - 1):
+            poisoned = arr.copy()
+            poisoned[where] = np.nan
+            assert not all_finite(poisoned), where
 
     def test_require_finite_raises_with_kind(self):
         with pytest.raises(NumericalAnomaly) as exc:
@@ -60,7 +64,6 @@ class TestLossSpikeDetector:
         for _ in range(LOSS_WARMUP + 1):
             assert not det.observe(1.0)
         assert det.observe(100.0)
-        assert det.num_spikes == 1
         # the spike was excluded from the baseline: healthy follows
         assert not det.observe(1.0)
 
@@ -69,14 +72,6 @@ class TestLossSpikeDetector:
         assert det.observe(float("nan"))
         assert det.observe(float("inf"))
 
-    def test_export_restore_round_trip(self):
-        det = LossSpikeDetector()
-        for v in (1.0, 1.1, 0.9, 1.05):
-            det.observe(v)
-        fresh = LossSpikeDetector()
-        fresh.restore_state(det.export_state())
-        assert fresh.count == det.count
-        assert fresh.mean == det.mean and fresh.var == det.var
 
 
 class TestPPODivergenceDetector:

@@ -6,18 +6,25 @@ silent, and the new health counters round-trip through checkpoints
 without disturbing the pinned guard-off schema.
 """
 
+import dataclasses
+import json
+import os
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from _checkpoint_common import checkpoint_fingerprint, round_trip
-from repro.events import RecordingSink
+from _checkpoint_common import CaptureLog, records_json, watermarks
+from repro.events import RESTART, ROLLBACK, RecordingSink
 from repro.health import GuardConfig
 from repro.hpc import FaultConfig, NodeAllocation, TrainingCostModel
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.search import NasSearch, SearchConfig, chaos, run_search
-from repro.search.journal import read_records
+from repro.search.journal import (GENERATIONS_DIR, JOURNAL_NAME,
+                                  CheckpointGenerations, read_journal,
+                                  read_records)
 from repro.verify.fingerprint import record_digest
 
 pytestmark = pytest.mark.health
@@ -146,42 +153,52 @@ class TestNumericChaos:
 
 
 class TestCheckpointHealth:
-    def run_checkpointed(self, space, **overrides):
+    def run_checkpointed(self, space, directory):
         cfg = small_config(minutes=40, faults=numeric_faults(),
                            guard=GuardConfig(mode="recover"),
                            max_restarts=3, checkpoint_every_records=18,
-                           **overrides)
-        search = NasSearch(space, make_surrogate(space), cfg)
-        result = search.run()
-        return search, result, cfg
+                           journal_dir=os.fspath(directory))
+        log = CaptureLog()
+        result = log.attach(NasSearch(space, make_surrogate(space), cfg,
+                                      event_sink=log)).run()
+        return log, result, cfg
 
-    def test_counters_round_trip_json(self, space):
-        search, result, _ = self.run_checkpointed(space)
+    def test_counters_round_trip_json(self, space, tmp_path):
+        """The newest generation, loaded with its journal, carries the
+        resurrections and rollbacks journaled before its capture."""
+        log, result, _ = self.run_checkpointed(space, tmp_path)
         assert result.num_restarts >= 1    # the run actually healed
-        ckpt = search.checkpoints[-1]
-        restored = round_trip(ckpt)
-        assert restored.agent_restarts == ckpt.agent_restarts
-        assert restored.agent_rollbacks == ckpt.agent_rollbacks
-        assert checkpoint_fingerprint(restored) == \
-            checkpoint_fingerprint(ckpt)
+        events = read_journal(tmp_path / JOURNAL_NAME)
+        before = events[:watermarks(events)[-1]]
+        restored = log.checkpoint(-1)
+        assert restored.agent_restarts == dict(Counter(
+            e.agent_id for e in before if e.kind == RESTART))
+        assert restored.agent_rollbacks == dict(Counter(
+            e.agent_id for e in before if e.kind == ROLLBACK))
+        assert records_json(restored.records) == \
+            records_json(log.captures[-1].records)
 
-    def test_resume_restores_counters(self, space):
-        search, _, cfg = self.run_checkpointed(space)
-        mid = next((c for c in search.checkpoints
-                    if c.agent_restarts or c.agent_rollbacks),
-                   search.checkpoints[-1])
-        resumed = NasSearch(space, make_surrogate(space), cfg,
-                            resume_from=round_trip(mid)).run()
+    def test_resume_restores_counters(self, space, tmp_path):
+        log, _, cfg = self.run_checkpointed(space, tmp_path)
+        loaded = [log.checkpoint(i) for i in range(len(log.captures))]
+        mid = next((c for c in loaded
+                    if c.agent_restarts or c.agent_rollbacks), loaded[-1])
+        resumed = NasSearch(space, make_surrogate(space),
+                            dataclasses.replace(
+                                cfg, journal_dir=None,
+                                checkpoint_every_records=None),
+                            resume_from=mid).run()
         for agent_id, n in mid.agent_restarts.items():
             assert resumed.agent_restarts.get(agent_id, 0) >= n
         for agent_id, n in mid.agent_rollbacks.items():
             assert resumed.agent_rollbacks.get(agent_id, 0) >= n
 
-    def test_guard_off_checkpoint_has_no_health_key(self, space):
-        cfg = small_config(minutes=30, checkpoint_every_records=33)
-        search = NasSearch(space, make_surrogate(space), cfg)
-        search.run()
-        data = search.checkpoints[-1].to_json()
+    def test_guard_off_checkpoint_has_no_health_key(self, space, tmp_path):
+        cfg = small_config(minutes=30, checkpoint_every_records=33,
+                           journal_dir=os.fspath(tmp_path))
+        NasSearch(space, make_surrogate(space), cfg).run()
+        newest = CheckpointGenerations(tmp_path / GENERATIONS_DIR).paths()[-1]
+        data = json.loads(newest.read_text())
         assert "health" not in data
         assert "health" not in (data["ps_state"] or {})
         for agent in data["agents"]:

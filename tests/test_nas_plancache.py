@@ -8,11 +8,12 @@ survives checkpoint/resume.
 
 import gc
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
-from _checkpoint_common import round_trip
+from _checkpoint_common import CaptureLog
 from repro.bench import capped_space, enumerate_space
 from repro.experiments import PAPER_SETUP
 from repro.hpc import NodeAllocation, TrainingCostModel
@@ -272,20 +273,22 @@ class TestSearchIntegration:
         run_search(space, surrogate, small_config(plan_cache=False))
         assert surrogate.plan_cache is None
 
-    def test_cache_survives_checkpoint_resume(self, space):
+    def test_cache_survives_checkpoint_resume(self, space, tmp_path):
         """Resuming keeps the reward model's warm cache (the runner must
         not replace an attached cache) and reproduces the fingerprint."""
         surrogate = make_surrogate(space)
-        cfg = small_config(minutes=30, checkpoint_every_records=30)
-        search = NasSearch(space, surrogate, cfg)
-        full = search.run()
+        cfg = small_config(minutes=30, checkpoint_every_records=30,
+                           journal_dir=os.fspath(tmp_path))
+        log = CaptureLog()
+        full = log.attach(NasSearch(space, surrogate, cfg,
+                                    event_sink=log)).run()
         cache = surrogate.plan_cache
         assert cache is not None and len(cache) > 0
         warm_entries = len(cache)
 
-        mid = search.checkpoints[len(search.checkpoints) // 2]
+        mid = log.checkpoint(len(log.captures) // 2)
         resumed = NasSearch(space, surrogate, small_config(minutes=30),
-                            resume_from=round_trip(mid)).run()
+                            resume_from=mid).run()
         assert surrogate.plan_cache is cache       # same warm cache
         assert len(cache) >= warm_entries
         assert resumed.fingerprint() == full.fingerprint()

@@ -152,11 +152,6 @@ class TestIntrospection:
         m.build(rng)
         assert m.num_params == (4 + 1) * 3  # counted once
 
-    def test_summary_mentions_total(self, rng):
-        m = _diamond(rng)
-        text = m.summary()
-        assert f"total trainable parameters: {m.num_params}" in text
-
     def test_prebuilt_layers_not_reinitialized(self, rng):
         m = GraphModel()
         m.add_input("x", (4,))

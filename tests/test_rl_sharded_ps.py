@@ -5,12 +5,14 @@ lockstep, so k shards of a server with service time s run as one server
 with ``ps_service_time = s / k`` (:class:`~repro.search.proposer.A3CProposer`).
 """
 
+import dataclasses
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from _checkpoint_common import round_trip
+from _checkpoint_common import CaptureLog
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.hpc.sim import Simulator, Timeout
 from repro.nas.spaces import combo_small
@@ -126,7 +128,7 @@ class TestShardedServer:
 
 
 class TestSearchIntegration:
-    def test_sharded_a3c_resumes_bit_identically(self):
+    def test_sharded_a3c_resumes_bit_identically(self, tmp_path):
         """A timed server (two shards of a 20 s server, and one 20 s
         server) checkpoints its exchange history and its queue clock, so
         every generation resumes onto the uninterrupted run's
@@ -135,15 +137,20 @@ class TestSearchIntegration:
         space = combo_small()
         for service_time in (20.0 / 2, 20.0):
             cfg = a3c_config(wall_time=30 * 60.0,
-                             ps_service_time=service_time,
-                             checkpoint_every_records=15)
-            search = NasSearch(space, make_surrogate(space), cfg)
-            full = search.run()
-            assert len(search.checkpoints) >= 3
-            for gen, ckpt in enumerate(search.checkpoints):
+                             ps_service_time=service_time)
+            log = CaptureLog()
+            full = log.attach(NasSearch(
+                space, make_surrogate(space),
+                dataclasses.replace(
+                    cfg, checkpoint_every_records=15,
+                    journal_dir=os.fspath(tmp_path / str(service_time))),
+                event_sink=log)).run()
+            assert len(log.captures) >= 3
+            for gen in range(len(log.captures)):
+                ckpt = log.checkpoint(gen)
                 assert ckpt.ps_state is not None
                 resumed = NasSearch(space, make_surrogate(space), cfg,
-                                    resume_from=round_trip(ckpt)).run()
+                                    resume_from=ckpt).run()
                 where = f"service time {service_time}, generation {gen}"
                 assert resumed.fingerprint() == full.fingerprint(), where
                 assert resumed.num_evaluations == full.num_evaluations, \

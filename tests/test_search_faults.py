@@ -1,9 +1,12 @@
 """Fault-tolerant search: injection, barrier safety, checkpoint/resume."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
-from _checkpoint_common import round_trip
+from _checkpoint_common import CaptureLog
 from repro.hpc import FaultConfig, NodeAllocation, TrainingCostModel
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
@@ -32,6 +35,14 @@ def small_config(method="a3c", minutes=60, **kwargs):
                     wall_time=minutes * 60.0, seed=1)
     defaults.update(kwargs)
     return SearchConfig(**defaults)
+
+
+def run_captured(space, cfg):
+    """Run a journaled search with a :class:`CaptureLog`; returns
+    ``(result, log)``."""
+    log = CaptureLog()
+    search = NasSearch(space, make_surrogate(space), cfg, event_sink=log)
+    return log.attach(search).run(), log
 
 
 def signature(result):
@@ -102,16 +113,15 @@ class TestFaultedSearch:
 
 class TestCheckpointResume:
     @pytest.mark.parametrize("method", ["a3c", "a2c", "rdm"])
-    def test_resume_reproduces_trajectory(self, space, method):
-        cfg = small_config(method, checkpoint_every_records=33)
-        search = NasSearch(space, make_surrogate(space), cfg)
-        full = search.run()
-        assert len(search.checkpoints) >= 3
+    def test_resume_reproduces_trajectory(self, space, method, tmp_path):
+        cfg = small_config(method, checkpoint_every_records=33,
+                           journal_dir=os.fspath(tmp_path))
+        full, log = run_captured(space, cfg)
+        assert len(log.captures) >= 3
         ref = signature(full)
-        mid = search.checkpoints[len(search.checkpoints) // 2]
+        mid = log.checkpoint(len(log.captures) // 2)
         resumed = NasSearch(space, make_surrogate(space),
-                            small_config(method),
-                            resume_from=round_trip(mid)).run()
+                            small_config(method), resume_from=mid).run()
         assert signature(resumed) == ref
         assert resumed.end_time == full.end_time
 
@@ -123,34 +133,32 @@ class TestCheckpointResume:
         caches the journal rebuilds, carries the run)."""
         cfg = small_config(minutes=30, checkpoint_every_records=33,
                            journal_dir=str(tmp_path))
-        search = NasSearch(space, make_surrogate(space), cfg)
-        full = search.run()
+        full, log = run_captured(space, cfg)
         loaded, _integrity = CheckpointGenerations(
             tmp_path / GENERATIONS_DIR).load_latest(
                 read_journal(tmp_path / JOURNAL_NAME))
-        assert loaded.time == search.checkpoints[-1].time
+        assert loaded.time == json.loads(log.captures[-1].generation)["time"]
         resumed = resume_durable(space, make_surrogate(space),
                                  small_config(minutes=30,
                                               journal_dir=str(tmp_path)))
         assert resumed.num_replay_loaded == 0
         assert signature(resumed.run()) == signature(full)
 
-    def test_checkpoint_counters_restored(self, space):
-        cfg = small_config(minutes=30, checkpoint_every_records=33)
-        search = NasSearch(space, make_surrogate(space), cfg)
-        full = search.run()
+    def test_checkpoint_counters_restored(self, space, tmp_path):
+        cfg = small_config(minutes=30, checkpoint_every_records=33,
+                           journal_dir=os.fspath(tmp_path))
+        full, log = run_captured(space, cfg)
         resumed = NasSearch(space, make_surrogate(space),
                             small_config(minutes=30),
-                            resume_from=search.checkpoints[0]).run()
+                            resume_from=log.checkpoint(0)).run()
         assert resumed.num_evaluations == full.num_evaluations
         assert resumed.unique_architectures == full.unique_architectures
 
-    def test_mismatched_config_rejected(self, space):
-        search = NasSearch(space, make_surrogate(space),
-                           small_config(minutes=20,
-                                        checkpoint_every_records=12))
-        search.run()
-        ckpt = search.checkpoints[0]
+    def test_mismatched_config_rejected(self, space, tmp_path):
+        _full, log = run_captured(space, small_config(
+            minutes=20, checkpoint_every_records=12,
+            journal_dir=os.fspath(tmp_path)))
+        ckpt = log.checkpoint(0)
         with pytest.raises(ValueError):
             NasSearch(space, make_surrogate(space),
                       small_config("a2c", minutes=20), resume_from=ckpt)
@@ -158,21 +166,20 @@ class TestCheckpointResume:
             NasSearch(space, make_surrogate(space),
                       small_config(minutes=20, seed=99), resume_from=ckpt)
 
-    def test_unsupported_version_rejected(self, space):
-        search = NasSearch(space, make_surrogate(space),
-                           small_config(minutes=20,
-                                        checkpoint_every_records=12))
-        search.run()
-        data = search.checkpoints[0].to_json()
+    def test_unsupported_version_rejected(self, space, tmp_path):
+        _full, log = run_captured(space, small_config(
+            minutes=20, checkpoint_every_records=12,
+            journal_dir=os.fspath(tmp_path)))
+        data = json.loads(log.captures[0].generation)
         data["version"] = 999
         with pytest.raises(ValueError):
             SearchCheckpoint.from_json(data)
 
-    def test_no_checkpointing_without_record_clock(self, space):
-        search = NasSearch(space, make_surrogate(space),
-                           small_config(minutes=20))
-        search.run()
-        assert search.checkpoints == []
+    def test_no_checkpointing_without_record_clock(self, space, tmp_path):
+        _full, log = run_captured(space, small_config(
+            minutes=20, journal_dir=os.fspath(tmp_path)))
+        assert log.captures == []
+        assert not (tmp_path / GENERATIONS_DIR).exists()
 
 
 @pytest.mark.chaos
@@ -210,15 +217,15 @@ class TestChaosAcceptance:
         drop = clean.best().reward - faulted.best().reward
         assert drop <= 0.05 * abs(clean.best().reward)
 
-    def test_kill_and_resume_matches_uninterrupted(self, space):
-        """Kill-at-T emulation: a checkpoint taken mid-run, resumed in a
-        fresh process (JSON round trip), reproduces the uninterrupted
-        fault-free remaining trajectory exactly."""
-        cfg = small_config(minutes=90, checkpoint_every_records=50)
-        search = NasSearch(space, make_surrogate(space), cfg)
-        full = search.run()
-        for ckpt in search.checkpoints:
+    def test_kill_and_resume_matches_uninterrupted(self, space, tmp_path):
+        """Kill-at-T emulation: every checkpoint generation of a run,
+        loaded with its journal and resumed, reproduces the
+        uninterrupted fault-free remaining trajectory exactly."""
+        cfg = small_config(minutes=90, checkpoint_every_records=50,
+                           journal_dir=os.fspath(tmp_path))
+        full, log = run_captured(space, cfg)
+        for i in range(len(log.captures)):
             resumed = NasSearch(space, make_surrogate(space),
                                 small_config(minutes=90),
-                                resume_from=round_trip(ckpt)).run()
+                                resume_from=log.checkpoint(i)).run()
             assert signature(resumed) == signature(full)

@@ -21,11 +21,11 @@ import zlib
 import numpy as np
 import pytest
 
-from _checkpoint_common import (checkpoint_fingerprint, checkpoint_v1_json,
-                                records_json, watermarks)
+from _checkpoint_common import (CaptureLog, checkpoint_fingerprint,
+                                checkpoint_v1_json, records_json, watermarks)
 from repro.cli import main as cli_main
-from repro.events import (BATCH_RECORDED, CACHE_HIT, EVAL_DONE, PUSH,
-                          RESTART, RUN, RUN_END, SUBMIT, CallbackSink,
+from repro.events import (BATCH_RECORDED, CACHE_HIT, CHECKPOINT, EVAL_DONE,
+                          PUSH, RESTART, RUN, RUN_END, SUBMIT, CallbackSink,
                           EventLog, SearchEvent, emit)
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.nas.arch import Architecture
@@ -271,8 +271,8 @@ class TestJournalWriter:
 class Captured:
     """A deterministic mid-run checkpoint of a journaled search (same
     idiom as the golden wire-format test: agents in flight, boundaries
-    and caches live), with the journal it was captured from and its
-    watermark there."""
+    and caches live), loaded from its generation with the journal it was
+    captured from, and its watermark there."""
 
     ckpt: object
     events: object
@@ -287,11 +287,11 @@ def captured(tmp_path_factory):
                        wall_time=30 * 60.0, seed=1,
                        checkpoint_every_records=15,
                        journal_dir=os.fspath(directory))
-    search = NasSearch(space, surrogate(space), cfg)
-    search.run()
+    log = CaptureLog()
+    log.attach(NasSearch(space, surrogate(space), cfg, event_sink=log)).run()
     events = read_journal(directory / JOURNAL_NAME)
-    mid = len(search.checkpoints) // 2
-    return Captured(search.checkpoints[mid], events, watermarks(events)[mid])
+    mid = len(log.captures) // 2
+    return Captured(log.checkpoint(mid), events, watermarks(events)[mid])
 
 
 @pytest.fixture(scope="module")
@@ -400,7 +400,9 @@ class TestCheckpointGenerations:
 
         search.journal.generations.save = sized_save
         search.run()
-        records = [len(c.records) for c in search.checkpoints]
+        records = [e.payload["num_records"]
+                   for e in read_journal(tmp_path / JOURNAL_NAME)
+                   if e.kind == CHECKPOINT]
         assert len(sizes) == len(records) >= 8
         assert records[-1] >= 8 * records[0]
         assert max(sizes) <= 1.1 * min(sizes)
@@ -734,6 +736,9 @@ class TestResumeDurableValidation:
             SearchConfig(method="a3c", journal_fsync_every=2)  # no dir
         with pytest.raises(ValueError):
             SearchConfig(method="a3c", checkpoint_every_records=0)
+        # a capture is only ever a saved generation
+        with pytest.raises(ValueError, match="requires journal_dir"):
+            SearchConfig(method="a3c", checkpoint_every_records=6)
         cfg = SearchConfig(method="a3c", journal_dir=os.fspath(tmp_path),
                            journal_fsync_every=2,
                            checkpoint_every_records=6)

@@ -19,8 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from _checkpoint_common import (assert_generations_rebuild,
-                                checkpoint_v1_json, records_json, watermarks)
+from _checkpoint_common import (CaptureLog, assert_captures_rebuild,
+                                checkpoint_v1_json, load_generation,
+                                records_json)
 from repro.events import BATCH_STATS, EVAL_DONE, RESTART, RUN, WORKER_SPAWN
 from repro.evaluator.process import ProcConfig
 from repro.health import GuardConfig
@@ -41,6 +42,20 @@ def run_durable(journal_dir, method="a3c", backend="serial"):
     fuzzer's config; returns ``(result, search, counter)``, where
     ``counter.calls`` counts this process's reward-model executions."""
     return crashpoint_child(journal_dir, method=method, backend=backend)
+
+
+def run_durable_captured(journal_dir, backend="serial"):
+    """:func:`run_durable` (a3c) with a :class:`CaptureLog` on its
+    search; returns ``(result, log)``."""
+    log = CaptureLog()
+
+    def attached(space, model, cfg):
+        return log.attach(resume_durable(space, model, cfg, event_sink=log))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chaos, "resume_durable", attached)
+        result, _search, _counter = run_durable(journal_dir, backend=backend)
+    return result, log
 
 
 def journal_lines(journal_dir) -> int:
@@ -87,9 +102,6 @@ def baselines(tmp_path_factory):
             "lines": journal_lines(directory),
             "evals": result.num_evaluations,
             "counters": broker_counters(search),
-            "checkpoints": dict(zip(
-                watermarks(read_journal(directory / JOURNAL_NAME)),
-                search.checkpoints)),
         }
     return out
 
@@ -204,15 +216,16 @@ class TestTruncateCrashResume:
         result, _search, _counter = run_durable(work)
         assert result.fingerprint() == base["fingerprint"]
         crash_at(work, int(journal_lines(work) * 0.8))
-        result, search, _counter = run_durable(work)
+        result, log = run_durable_captured(work)
         assert result.fingerprint() == base["fingerprint"]
         assert journal_real_evals(work) == base["real"]
-        assert all(ev.replay_pending() == 0 for ev in search.evaluators)
+        assert all(ev.replay_pending() == 0
+                   for ev in log.search.evaluators)
         # the three-segment journal rebuilds the last segment's
         # generations and the final records exactly
         events = read_journal(work / JOURNAL_NAME)
         assert sum(e.kind == RUN for e in events) == 3
-        assert assert_generations_rebuild(search, events, tmp_path / "g")
+        assert assert_captures_rebuild(log, events)
         assert records_json(read_records(events)[0]) == \
             records_json(result.records)
 
@@ -228,9 +241,11 @@ class TestTruncateCrashResume:
         crash_at(work, k)
         gens = sorted((work / GENERATIONS_DIR).iterdir())
         assert gens, "scenario needs a surviving generation"
+        events = read_journal(work / JOURNAL_NAME)
         for path in gens:
-            mark = json.loads(path.read_text())["integrity"]["journal_seq"]
-            data = checkpoint_v1_json(base["checkpoints"][mark])
+            ckpt, integrity = load_generation(path.read_bytes(), events)
+            mark = integrity["journal_seq"]
+            data = checkpoint_v1_json(ckpt)
             data["integrity"] = {
                 "sha256": CheckpointGenerations._digest(data),
                 "journal_seq": mark}
@@ -336,19 +351,19 @@ class TestCounterRestoration:
 
 
 class TestExactRebuild:
-    """A version-2 generation loaded with its journal equals the
-    in-memory capture — records in order, each agent's cache entries in
-    order, boundaries — and the journal's records equal the result's as
-    a list, on every backend and after a resurrection."""
+    """A version-2 generation loaded with its journal equals what the
+    search held when it was captured — records in order, each agent's
+    cache entries in order — and its own saved state, and the journal's
+    records equal the result's as a list, on every backend and after a
+    resurrection."""
 
     @pytest.mark.parametrize("backend", [
         "serial", "thread", "balsam",
         pytest.param("process", marks=pytest.mark.proc)])
     def test_generations_rebuild_the_capture(self, backend, tmp_path):
-        result, search, _counter = run_durable(tmp_path / "run",
-                                               backend=backend)
+        result, log = run_durable_captured(tmp_path / "run", backend=backend)
         events = read_journal(tmp_path / "run" / JOURNAL_NAME)
-        assert assert_generations_rebuild(search, events, tmp_path / "g")
+        assert assert_captures_rebuild(log, events)
         assert records_json(read_records(events)[0]) == \
             records_json(result.records)
 
@@ -362,11 +377,12 @@ class TestExactRebuild:
             guard=GuardConfig(mode="recover"), max_restarts=3,
             journal_dir=os.fspath(tmp_path / "run"),
             checkpoint_every_records=24)
-        search = NasSearch(space, chaos._surrogate(space), cfg)
-        result = search.run()
+        log = CaptureLog()
+        result = log.attach(NasSearch(space, chaos._surrogate(space), cfg,
+                                      event_sink=log)).run()
         events = read_journal(tmp_path / "run" / JOURNAL_NAME)
         assert any(e.kind == RESTART for e in events)
-        assert assert_generations_rebuild(search, events, tmp_path / "g")
+        assert assert_captures_rebuild(log, events)
         assert records_json(read_records(events)[0]) == \
             records_json(result.records)
 

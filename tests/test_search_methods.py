@@ -9,10 +9,12 @@ check that AMBS reaches low exact regret in fewer evaluations than
 random search on an exhaustively swept space.
 """
 
+import os
+
 import numpy as np
 import pytest
 
-from _checkpoint_common import round_trip
+from _checkpoint_common import CaptureLog
 from repro.bench import ArchTable, SweepConfig, capped_space, sweep_space
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.nas.plancache import SignatureResolver
@@ -136,24 +138,30 @@ class TestDeterminism:
 
 class TestCheckpointResume:
     @pytest.mark.parametrize("method", NEW_METHODS)
-    def test_mid_checkpoint_resume_is_bit_identical(self, space, method):
+    def test_mid_checkpoint_resume_is_bit_identical(self, space, method,
+                                                    tmp_path):
         surrogate = make_surrogate(space)
-        cfg = small_config(method, checkpoint_every_records=24)
-        search = NasSearch(space, surrogate, cfg)
-        full = search.run()
-        assert len(search.checkpoints) >= 2
-        mid = search.checkpoints[len(search.checkpoints) // 2]
-        resumed = NasSearch(space, surrogate, cfg,
-                            resume_from=round_trip(mid)).run()
+        log = CaptureLog()
+        full = log.attach(NasSearch(
+            space, surrogate,
+            small_config(method, checkpoint_every_records=24,
+                         journal_dir=os.fspath(tmp_path)),
+            event_sink=log)).run()
+        assert len(log.captures) >= 2
+        mid = log.checkpoint(len(log.captures) // 2)
+        resumed = NasSearch(space, surrogate, small_config(method),
+                            resume_from=mid).run()
         assert resumed.fingerprint() == full.fingerprint()
 
     @pytest.mark.parametrize("method", NEW_METHODS)
-    def test_boundaries_carry_the_history_watermark(self, space, method):
+    def test_boundaries_carry_the_history_watermark(self, space, method,
+                                                    tmp_path):
         surrogate = make_surrogate(space)
-        cfg = small_config(method, checkpoint_every_records=24)
-        search = NasSearch(space, surrogate, cfg)
-        search.run()
-        ckpt = search.checkpoints[-1]
+        cfg = small_config(method, checkpoint_every_records=24,
+                           journal_dir=os.fspath(tmp_path))
+        log = CaptureLog()
+        log.attach(NasSearch(space, surrogate, cfg, event_sink=log)).run()
+        ckpt = log.checkpoint(-1)
         marks = [a.boundary.proposer_seen for a in ckpt.agents
                  if a.boundary is not None]
         assert marks and all(m is not None for m in marks)

@@ -1,16 +1,21 @@
 """Determinism fingerprints: same seed => same fingerprint, across all
 search methods, under fault injection, and across checkpoint/resume."""
 
+import os
+
 import numpy as np
 import pytest
 
-from _checkpoint_common import checkpoint_fingerprint, round_trip
+from _checkpoint_common import (CaptureLog, checkpoint_fingerprint,
+                                load_generation, watermarks)
 from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.hpc.faults import FaultConfig
 from repro.nas.spaces import get_space
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.search import SearchConfig, run_search
+from repro.search.journal import (JOURNAL_NAME, CheckpointGenerations,
+                                  read_journal)
 from repro.search.runner import NasSearch
 from repro.verify.fingerprint import (agent_genesis, chain_step,
                                       param_digest, record_digest)
@@ -116,29 +121,40 @@ class TestResumeFingerprint:
     identically to the uninterrupted same-seed run."""
 
     @pytest.mark.parametrize("method", ["a3c", "a2c", "rdm"])
-    def test_resume_matches_uninterrupted(self, space, surrogate, method):
+    def test_resume_matches_uninterrupted(self, space, surrogate, method,
+                                          tmp_path):
         cfg = config(method=method, minutes=30,
-                     checkpoint_every_records=84)
-        search = NasSearch(space, surrogate, cfg)
-        full = search.run()
-        assert len(search.checkpoints) >= 2
+                     checkpoint_every_records=84,
+                     journal_dir=os.fspath(tmp_path))
+        log = CaptureLog()
+        full = log.attach(NasSearch(space, surrogate, cfg,
+                                    event_sink=log)).run()
+        assert len(log.captures) >= 2
 
-        # resume from a genuine mid-run snapshot (agents in flight)
-        mid = search.checkpoints[len(search.checkpoints) // 2]
+        # resume from a genuine mid-run generation (agents in flight)
+        mid = log.checkpoint(len(log.captures) // 2)
         assert any(not a.done for a in mid.agents)
         resumed = NasSearch(space, surrogate,
                             config(method=method, minutes=30),
-                            resume_from=round_trip(mid)).run()
+                            resume_from=mid).run()
 
         assert full.fingerprint() == resumed.fingerprint()
         assert len(full.records) == len(resumed.records)
 
     def test_checkpoint_fingerprint_survives_round_trip(self, space,
-                                                        surrogate):
-        cfg = config(minutes=30, checkpoint_every_records=84)
-        search = NasSearch(space, surrogate, cfg)
-        search.run()
-        ckpt = search.checkpoints[len(search.checkpoints) // 2]
-        assert checkpoint_fingerprint(ckpt) == \
-            checkpoint_fingerprint(round_trip(ckpt))
+                                                        surrogate,
+                                                        tmp_path):
+        """A generation loaded with its journal, saved again and loaded
+        again fingerprints as the first load did."""
+        cfg = config(minutes=30, checkpoint_every_records=84,
+                     journal_dir=os.fspath(tmp_path / "run"))
+        log = CaptureLog()
+        log.attach(NasSearch(space, surrogate, cfg, event_sink=log)).run()
+        mid = len(log.captures) // 2
+        ckpt = log.checkpoint(mid)
+        events = read_journal(tmp_path / "run" / JOURNAL_NAME)
+        path = CheckpointGenerations(tmp_path / "again").save(
+            ckpt, journal_seq=watermarks(events)[mid])
+        again, _integrity = load_generation(path.read_bytes(), events)
+        assert checkpoint_fingerprint(ckpt) == checkpoint_fingerprint(again)
         assert checkpoint_fingerprint(ckpt)  # non-empty hex
