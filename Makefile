@@ -14,9 +14,12 @@ PERFBENCH_WORKLOADS = sim_a3c_1024 tabular_rdm_durable tabular_ambs train_combo_
 
 ## perfbench-check's runs, as workload:seed:trace — every workload on
 ## input set 0, untraced and traced; the two tabular workloads, whose
-## runs do not rotate through input sets, also untraced on set 5
+## runs do not rotate through input sets, also untraced on set 5; and
+## train_combo_a3c untraced from set 5, whose three repetitions rotate
+## through sets 5–7 (seed 0 covers 0–2), so the real-training reward's
+## fingerprints are checked on six input sets, not three
 PERFBENCH_CHECKS = $(foreach w,$(PERFBENCH_WORKLOADS),$(w):0:0 $(w):0:1) \
-	tabular_rdm_durable:5:0 tabular_ambs:5:0
+	tabular_rdm_durable:5:0 tabular_ambs:5:0 train_combo_a3c:5:0
 
 ## full tier-1 test suite
 test:

@@ -51,12 +51,12 @@ def _tanh_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # overflow-free: 1/(1+e^−x) for x ≥ 0 and e^x/(1+e^x) below.  With
+    # e = e^−|x| in [0, 1] both are n/(1+e), where n = max(e, [x ≥ 0]) is
+    # exactly 1 or e, so each element goes through the operations its
+    # branch of a boolean mask would, with no gather and no select
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def _sigmoid_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:

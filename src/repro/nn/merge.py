@@ -11,11 +11,15 @@ alignment that keeps the operation parameter-free, which matters because
 ``Add`` nodes are excluded from the trainable search space).
 
 Both layers are dtype-preserving (the merged output keeps the promoted
-dtype of the operands rather than forcing float64) and write into pooled
-buffers when the execution plan marks their output as reusable.
+dtype of the operands rather than forcing float64).  ``Add`` writes into
+a pooled buffer when the execution plan marks its output as reusable;
+``Concatenate`` never does, because a fresh ``np.concatenate`` costs
+less than the pool lookup.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -53,34 +57,27 @@ class Concatenate(MergeLayer):
 
     def __init__(self, name: str = "") -> None:
         super().__init__(name)
-        self._widths: list[int] = []
+        #: each operand's (first, past-last) column in the output
+        self._spans: list[tuple[int, int]] = []
 
     def build_multi(self, input_shapes, rng):
         for s in input_shapes:
             if len(s) != 1:
                 raise ValueError(f"Concatenate expects flat inputs, got {s}")
-        self._widths = [s[0] for s in input_shapes]
+        ends = list(accumulate(s[0] for s in input_shapes))
+        self._spans = list(zip([0] + ends[:-1], ends))
         self.built = True
         self.input_shape = tuple(input_shapes[0])
-        self.output_shape = (sum(self._widths),)
+        self.output_shape = (ends[-1],)
         return self.output_shape
 
     def forward_multi(self, xs, training=False):
         if len(xs) == 1:
             return xs[0]
-        if self._pool is not None and self._reuse_out:
-            dt = np.result_type(*[x.dtype for x in xs])
-            if all(x.dtype == dt for x in xs):
-                out = self._scratch(
-                    "out", (xs[0].shape[0], sum(x.shape[-1] for x in xs)), dt)
-                return np.concatenate(xs, axis=-1, out=out)
         return np.concatenate(xs, axis=-1)
 
     def backward_multi(self, grad_out):
-        if len(self._widths) == 1:
-            return [grad_out]
-        splits = np.cumsum(self._widths[:-1])
-        return list(np.split(grad_out, splits, axis=-1))
+        return [grad_out[..., lo:hi] for lo, hi in self._spans]
 
 
 class Add(MergeLayer):

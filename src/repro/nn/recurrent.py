@@ -24,18 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initializers import glorot_uniform, orthogonal
+from .layers import _sigmoid
 from .tensor import Parameter
 
 __all__ = ["LSTMCell", "LSTMStepCache", "FusedLSTM"]
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 @dataclass

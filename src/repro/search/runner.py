@@ -88,7 +88,9 @@ class NasSearch:
     iteration boundaries with restored policy/RNG/cache state, and the
     parameter server resumes its exchange history (from disk,
     :func:`~repro.search.journal.resume_durable` builds this call from
-    the newest verified checkpoint generation).  ``event_sink``
+    the newest verified checkpoint generation and hands in the journal
+    it read back; ``resume_from`` with a ``journal_dir`` but no
+    ``journal`` is a ValueError).  ``event_sink``
     receives the structured event stream from every layer.
     """
 
@@ -101,6 +103,11 @@ class NasSearch:
         self.space = space
         self.reward_model = reward_model
         self.config = cfg = config or SearchConfig()
+        if resume_from is not None and journal is None \
+                and cfg.journal_dir is not None:
+            raise ValueError(
+                "resume_from into a fresh journal_dir drops every record "
+                "before the checkpoint; continue with resume_durable")
         self._attach_journal(journal, event_sink)
 
         self.sim = Simulator()

@@ -9,8 +9,9 @@ from repro.rewards.base import EvalResult, RewardModel
 
 
 class SlowReward(RewardModel):
-    def __init__(self, delay=0.01):
+    def __init__(self, delay=0.01, barrier=None):
         self.delay = delay
+        self.barrier = barrier
         self.calls = 0
         self.threads = set()
         self._lock = threading.Lock()
@@ -19,6 +20,8 @@ class SlowReward(RewardModel):
         with self._lock:
             self.calls += 1
             self.threads.add(threading.get_ident())
+        if self.barrier is not None:
+            self.barrier.wait()
         time.sleep(self.delay)
         return EvalResult(float(sum(arch.choices)), self.delay, 10)
 
@@ -37,14 +40,17 @@ class TestThreadEvaluator:
             assert sorted(r.reward for r in recs) == [1.0, 2.0]
 
     def test_parallel_execution(self):
-        rm = SlowReward(0.05)
+        # every evaluation waits at a 4-party barrier, so they finish only
+        # if all four are in flight at once; a barrier that times out
+        # breaks, and each waiter's BrokenBarrierError becomes a failure
+        rm = SlowReward(0.0, barrier=threading.Barrier(4, timeout=10))
         with ThreadEvaluator(rm, max_workers=4) as ev:
-            start = time.monotonic()
             ev.add_eval_batch([A(i) for i in range(4)])
             ev.wait_all()
-            elapsed = time.monotonic() - start
-            assert elapsed < 4 * 0.05 * 0.9  # genuinely overlapped
-            assert len(ev.get_finished_evals()) == 4
+            recs = ev.get_finished_evals()
+        assert sorted(r.reward for r in recs) == [0.0, 1.0, 2.0, 3.0]
+        assert ev.num_failed == 0
+        assert len(rm.threads) == 4
 
     def test_cache_hits_skip_pool(self):
         rm = SlowReward(0.0)

@@ -166,6 +166,19 @@ class TestCheckpointResume:
             NasSearch(space, make_surrogate(space),
                       small_config(minutes=20, seed=99), resume_from=ckpt)
 
+    def test_resume_into_fresh_journal_rejected(self, space, tmp_path):
+        """A fresh journal lacks every record before the checkpoint, so
+        the generations it saved would load with those records gone."""
+        _full, log = run_captured(space, small_config(
+            minutes=20, checkpoint_every_records=12,
+            journal_dir=os.fspath(tmp_path / "run")))
+        fresh = tmp_path / "fresh"
+        with pytest.raises(ValueError, match="resume_durable"):
+            NasSearch(space, make_surrogate(space),
+                      small_config(minutes=20, journal_dir=os.fspath(fresh)),
+                      resume_from=log.checkpoint(0))
+        assert not fresh.exists()
+
     def test_unsupported_version_rejected(self, space, tmp_path):
         _full, log = run_captured(space, small_config(
             minutes=20, checkpoint_every_records=12,
